@@ -13,6 +13,16 @@ Accuracy (as opposed to unitarity) is controlled upstream by recomputing on a
 half-step mesh and comparing; the rule converges at fourth order, uniformly in
 kappa because the exponential handles the free oscillation exactly.
 
+One primitive builds the propagators of a block of cells for all requested
+momenta at once, as ``(4, cells, k)`` arrays of the four entries.  The full
+transfer matrix reduces each block by a pairwise tree product (later cells
+multiply from the left, an odd trailing cell is carried to the next level)
+and folds the block results in order.  A block holds at most
+``BLOCK_ELEMENTS`` cell x momentum entries, so memory stays flat however
+large the mesh or the momentum batch.  The zero-energy solution at the cell
+edges, which the threshold classifier and the shooting counter both read, is
+built from the same primitive once per engine and handed out read-only.
+
 The module also hosts the finite-difference bound-state oracle: a tridiagonal
 discretisation whose negative eigenvalues are counted by the Sturm sequence of
 its LDL^T factorisation, with no diagonalisation.
@@ -22,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +40,10 @@ from .errors import DecayTooSlow, ResolutionInsufficient
 from .potentials import Potential
 
 _GAUSS_HALF_GAP = 0.5 / math.sqrt(3.0)  # offset of the two Gauss nodes from midcell
+
+# Values per block of propagator entries (cells x momenta) or of Sturm pivots;
+# bounds the memory of the block-wise loops.
+BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass
@@ -94,26 +109,51 @@ def build_mesh(
     return _mesh_from_edges(potential, edges)
 
 
-def _cosh_like(theta2: np.ndarray) -> np.ndarray:
-    # cosh(sqrt(t)) for t >= 0, cos(sqrt(-t)) for t < 0; smooth through 0.
-    out = np.empty_like(theta2)
-    small = np.abs(theta2) < 1e-12
-    out[small] = 1.0 + 0.5 * theta2[small]
-    t = theta2[~small]
-    s = np.sqrt(np.abs(t))
-    out[~small] = np.where(t >= 0.0, np.cosh(s), np.cos(s))
-    return out
+def _cosh_sinhc(theta2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cosh(sqrt(t)), sinh(sqrt(t))/sqrt(t)) for t >= 0, continued by
+    (cos(sqrt(-t)), sin(sqrt(-t))/sqrt(-t)) for t < 0; smooth through 0."""
+    mag = np.abs(theta2)
+    s = np.sqrt(mag)
+    c = np.cos(s)
+    snc = np.sin(s)
+    grow = theta2 > 0.0
+    if grow.any():
+        c[grow] = np.cosh(s[grow])
+        snc[grow] = np.sinh(s[grow])
+    small = mag < 1e-12
+    np.divide(snc, s, out=snc, where=~small)
+    if small.any():
+        c[small] = 1.0 + 0.5 * theta2[small]
+        snc[small] = 1.0 + theta2[small] / 6.0
+    return c, snc
 
 
-def _sinhc_like(theta2: np.ndarray) -> np.ndarray:
-    # sinh(sqrt(t))/sqrt(t) resp. sin(sqrt(-t))/sqrt(-t); smooth through 0.
-    out = np.empty_like(theta2)
-    small = np.abs(theta2) < 1e-12
-    out[small] = 1.0 + theta2[small] / 6.0
-    t = theta2[~small]
-    s = np.sqrt(np.abs(t))
-    out[~small] = np.where(t >= 0.0, np.sinh(s) / s, np.sin(s) / s)
-    return out
+def _tree_product(cells: np.ndarray) -> np.ndarray:
+    """Ordered product of a stack of 2x2 propagators, pairwise.
+
+    ``cells`` holds the entries (e11, e12, e21, e22) as ``(4, m, k)``; cell
+    j + 1 multiplies cell j from the left.  Each level halves the stack; an
+    odd trailing cell is carried to the next level unchanged.  Returns the
+    ``(4, k)`` entries of the product.
+    """
+    while cells.shape[1] > 1:
+        m = cells.shape[1]
+        half = m // 2
+        a = cells[:, 0 : 2 * half : 2]  # earlier cell of each pair
+        b = cells[:, 1 : 2 * half : 2]  # later cell, applied second
+        out = np.empty((4, (m + 1) // 2, cells.shape[2]))
+        np.multiply(b[0], a[0], out=out[0, :half])
+        out[0, :half] += b[1] * a[2]
+        np.multiply(b[0], a[1], out=out[1, :half])
+        out[1, :half] += b[1] * a[3]
+        np.multiply(b[2], a[0], out=out[2, :half])
+        out[2, :half] += b[3] * a[2]
+        np.multiply(b[2], a[1], out=out[3, :half])
+        out[3, :half] += b[3] * a[3]
+        if m % 2:
+            out[:, -1] = cells[:, -1]
+        cells = out
+    return cells[:, 0]
 
 
 class TransferEngine:
@@ -137,45 +177,65 @@ class TransferEngine:
     def x_max(self) -> float:
         return float(self.mesh.edges[-1])
 
-    def _cell_entries(self, j: int, k2: np.ndarray):
-        h = self._h[j]
-        d = self._d[j]
-        qbar = self._vbar[j] - k2
+    def _propagators(self, cells: slice, k2: np.ndarray) -> np.ndarray:
+        """Entries (e11, e12, e21, e22) of the cell propagators, as
+        ``(4, cells, k)``, for the energies ``k2``."""
+        h = self._h[cells, None]
+        d = self._d[cells, None]
+        qbar = self._vbar[cells, None] - k2
         theta2 = d * d + h * h * qbar
-        c = _cosh_like(theta2)
-        snc = _sinhc_like(theta2)
+        c, snc = _cosh_sinhc(theta2)
         # exp(Omega) with Omega = [[-d, h], [h qbar, d]] (traceless).
-        return c - snc * d, snc * h, snc * h * qbar, c + snc * d
+        out = np.empty((4,) + theta2.shape)
+        snc_d = snc * d
+        np.subtract(c, snc_d, out=out[0])
+        np.multiply(snc, h, out=out[1])
+        np.multiply(out[1], qbar, out=out[2])
+        np.add(c, snc_d, out=out[3])
+        return out
 
     def transfer(self, kappas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Entries (t11, t12, t21, t22) of the full left-to-right transfer
         matrix u(x_max) = T u(x_min), one per momentum."""
         k2 = np.asarray(kappas, dtype=float) ** 2
-        t11 = np.ones_like(k2)
-        t12 = np.zeros_like(k2)
-        t21 = np.zeros_like(k2)
-        t22 = np.ones_like(k2)
-        for j in range(self.mesh.n_cells):
-            e11, e12, e21, e22 = self._cell_entries(j, k2)
-            n11 = e11 * t11 + e12 * t21
-            n12 = e11 * t12 + e12 * t22
-            n21 = e21 * t11 + e22 * t21
-            n22 = e21 * t12 + e22 * t22
-            t11, t12, t21, t22 = n11, n12, n21, n22
+        rows = max(1, BLOCK_ELEMENTS // max(1, k2.size))
+        t11, t12, t21, t22 = np.ones_like(k2), np.zeros_like(k2), np.zeros_like(k2), np.ones_like(k2)
+        for j in range(0, self.mesh.n_cells, rows):
+            b11, b12, b21, b22 = _tree_product(self._propagators(slice(j, j + rows), k2))
+            t11, t12, t21, t22 = (
+                b11 * t11 + b12 * t21,
+                b11 * t12 + b12 * t22,
+                b21 * t11 + b22 * t21,
+                b21 * t12 + b22 * t22,
+            )
         return t11, t12, t21, t22
 
-    def edge_states(self, k2: float = 0.0, u0=(1.0, 0.0)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Left-seeded solution values (psi, psi') at every cell edge."""
-        shift = np.array([float(k2)])
+    @cached_property
+    def _zero_energy(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         n = self.mesh.n_cells
         psi = np.empty(n + 1)
         dpsi = np.empty(n + 1)
-        psi[0], dpsi[0] = float(u0[0]), float(u0[1])
-        for j in range(n):
-            e11, e12, e21, e22 = self._cell_entries(j, shift)
-            psi[j + 1] = e11[0] * psi[j] + e12[0] * dpsi[j]
-            dpsi[j + 1] = e21[0] * psi[j] + e22[0] * dpsi[j]
-        return self.mesh.edges, psi, dpsi
+        p, q = 1.0, 0.0
+        psi[0], dpsi[0] = p, q
+        for j in range(0, n, BLOCK_ELEMENTS):
+            cells = self._propagators(slice(j, j + BLOCK_ELEMENTS), np.zeros(1))[:, :, 0]
+            ps, qs = [], []
+            for a, b, c, d in zip(*(entry.tolist() for entry in cells)):
+                p, q = a * p + b * q, c * p + d * q
+                ps.append(p)
+                qs.append(q)
+            psi[j + 1 : j + 1 + len(ps)] = ps
+            dpsi[j + 1 : j + 1 + len(qs)] = qs
+        states = (self.mesh.edges.view(), psi, dpsi)
+        for array in states:
+            array.flags.writeable = False
+        return states
+
+    def edge_states(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cell edges and the zero-energy solution (psi, psi') at each, seeded
+        flat (psi = 1, psi' = 0) at the left edge.  Computed once per engine;
+        the arrays are read-only."""
+        return self._zero_energy
 
     def plane_wave_coefficients(self, kappas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Transmission and reflection amplitudes (t, r_left, r_right).
@@ -258,12 +318,17 @@ def sturm_negative_count(diag: np.ndarray, off: np.ndarray) -> int:
         d = -pivmin
     if d < 0.0:
         count += 1
-    for i in range(1, diag.size):
-        d = float(diag[i]) - float(off[i - 1]) ** 2 / d
-        if abs(d) < pivmin:
-            d = -pivmin
-        if d < 0.0:
-            count += 1
+    # Python floats in blocks: fast to loop over, with memory bounded by the block.
+    for start in range(1, diag.size, BLOCK_ELEMENTS):
+        stop = start + BLOCK_ELEMENTS
+        b = off[start - 1 : stop - 1]
+        for a, b2 in zip(diag[start:stop].tolist(), (b * b).tolist()):
+            d = a - b2 / d
+            # |d| < pivmin is replaced by -pivmin, so every d below pivmin counts.
+            if d < pivmin:
+                if d > -pivmin:
+                    d = -pivmin
+                count += 1
     return count
 
 
@@ -295,7 +360,6 @@ def fd_negative_eigenvalue_count(
     n_points: int,
     *,
     parity: str | None = None,
-    check_doubling: bool = True,
 ) -> int:
     """Bound states from a hard-wall finite-difference Hamiltonian.
 
@@ -309,11 +373,10 @@ def fd_negative_eigenvalue_count(
     if box_half_width <= 0:
         raise ValueError("box_half_width must be positive")
     first = _fd_count_once(potential, box_half_width, n_points, parity)
-    if check_doubling:
-        second = _fd_count_once(potential, box_half_width, 2 * n_points, parity)
-        if second != first:
-            raise ResolutionInsufficient(
-                f"negative-eigenvalue count changed from {first} to {second} "
-                f"under grid doubling (n = {n_points})"
-            )
+    second = _fd_count_once(potential, box_half_width, 2 * n_points, parity)
+    if second != first:
+        raise ResolutionInsufficient(
+            f"negative-eigenvalue count changed from {first} to {second} "
+            f"under grid doubling (n = {n_points})"
+        )
     return first

@@ -2,13 +2,21 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
 from levlab.errors import ClassificationAmbiguous, DecayTooSlow
 from levlab.loops import Sector
 from levlab.potentials import Potential, gaussian_wells, square_well, zero_potential
-from levlab.propagate import TransferEngine, build_mesh, truncation_radius
+from levlab.propagate import TransferEngine, build_mesh, sturm_negative_count, truncation_radius
 from levlab.reporting import tuned_resonance_depth
-from levlab.scattering import PotentialAnalysis, to_even_odd, zero_energy_tail_slope
+from levlab.scattering import (
+    PotentialAnalysis,
+    SolverSettings,
+    count_bound_states_shooting,
+    to_even_odd,
+    zero_energy_tail,
+    zero_energy_tail_slope,
+)
 
 
 def test_basis_change_swap_matrix():
@@ -58,6 +66,36 @@ def test_asymmetric_well_reflections_differ():
     kappas = np.geomspace(0.02, 10.0, 15)
     _, r_left, r_right = engine.plane_wave_coefficients(kappas)
     assert np.max(np.abs(r_left - r_right)) > 1e-3
+
+
+def test_sturm_count_matches_eigenvalues():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 200):
+        diag = rng.normal(size=n)
+        off = rng.normal(size=n - 1)
+        expected = int(np.sum(eigvalsh_tridiagonal(diag, off) < 0.0))
+        assert sturm_negative_count(diag, off) == expected
+    # a zero pivot counts as negative: [[0, 1], [1, 1]] has one negative eigenvalue
+    assert sturm_negative_count(np.array([0.0, 1.0]), np.array([1.0])) == 1
+
+
+def test_zero_energy_solution_is_computed_once():
+    pot = gaussian_wells([(6.0, 0.4, 0.8), (3.0, -1.1, 0.5)])
+    radius = truncation_radius(pot)
+    mesh = build_mesh(pot, -radius, radius)
+    engine = TransferEngine(pot, mesh)
+    first = engine.edge_states()
+    second = engine.edge_states()
+    for a, b in zip(first, second):
+        assert a is b
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    settings = SolverSettings()
+    fresh = TransferEngine(pot, mesh)
+    assert count_bound_states_shooting(engine, settings) == count_bound_states_shooting(fresh, settings)
+    assert zero_energy_tail(engine) == zero_energy_tail(fresh)
+    assert np.array_equal(engine.edge_states()[1], fresh.edge_states()[1])
 
 
 # --- threshold classification near a tuned resonance ------------------------

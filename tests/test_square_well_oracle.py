@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from levlab.potentials import square_well
-from levlab.propagate import TransferEngine, build_mesh
+from levlab.propagate import BLOCK_ELEMENTS, TransferEngine, build_mesh
 from levlab.scattering import PotentialAnalysis
 
 
@@ -72,6 +72,43 @@ def test_transfer_matches_closed_form(depth, half_width):
         assert abs(r_left[i] - r_ref) < 1e-10
         # symmetric potential: equal reflections from either side
         assert abs(r_right[i] - r_ref) < 1e-10
+
+
+# A wide well on a mesh of 12101 cells, an odd count, so every batch of two
+# or more momenta spans several propagator blocks and the tree product carries
+# odd trailing cells.  The mesh runs on past the right edge of the well: the
+# free cells there make the product order matter, while the plane-wave
+# amplitudes stay those of the well.
+WIDE_DEPTH, WIDE_HALF_WIDTH = 1.0, 300.0125
+WIDE_KAPPAS = np.geomspace(1e-3, 50.0, 200)
+
+
+@pytest.fixture(scope="module")
+def wide_engine():
+    pot = square_well(WIDE_DEPTH, WIDE_HALF_WIDTH)
+    engine = TransferEngine(pot, build_mesh(pot, -WIDE_HALF_WIDTH, WIDE_HALF_WIDTH + 5.0))
+    assert engine.mesh.n_cells % 2 == 1
+    assert 2 * engine.mesh.n_cells > BLOCK_ELEMENTS
+    return engine
+
+
+@pytest.mark.parametrize("batch", [1, 2, 10, 200])
+def test_multi_block_transfer_matches_closed_form(wide_engine, batch):
+    kappas = WIDE_KAPPAS[:: 200 // batch][:batch]
+    t_num, r_left, r_right = wide_engine.plane_wave_coefficients(kappas)
+    for i, kappa in enumerate(kappas):
+        t_ref, r_ref = closed_form_amplitudes(WIDE_DEPTH, WIDE_HALF_WIDTH, kappa)
+        assert abs(t_num[i] - t_ref) < 1e-10
+        assert abs(r_left[i] - r_ref) < 1e-10
+        assert abs(r_right[i] - r_ref) < 1e-10
+
+
+def test_transfer_does_not_depend_on_batch(wide_engine):
+    batched = np.array(wide_engine.transfer(WIDE_KAPPAS))
+    for i in (0, 57, 199):
+        alone = np.array(wide_engine.transfer(WIDE_KAPPAS[i : i + 1]))[:, 0]
+        scale = np.max(np.abs(batched[:, i]))
+        assert np.max(np.abs(alone - batched[:, i])) < 1e-12 * scale
 
 
 @pytest.mark.parametrize(
