@@ -25,7 +25,7 @@ from .loops import Sector, WindingReport
 from .point import DELTA, DELTA_PRIME, PointInteraction, verify_levinson
 from .potentials import Potential, gaussian_wells, square_well, tabulated_potential
 from .reporting import check_golden, render_rows, reproduce_tables
-from .scattering import PotentialAnalysis, ScatteringData, SolverSettings
+from .scattering import PotentialAnalysis, SolverSettings
 
 IDENTITY_TOL = 1e-6
 DELAY_TOL = 1e-3
@@ -43,10 +43,10 @@ def _parse_param(text: str) -> float:
 
 def _report_line(sector: Sector, report: WindingReport) -> str:
     w = ", ".join(f"{v:+.6f}" for v in report.w)
-    tag = report.resonance.tag if report.resonance is not None else "-"
     return (
         f"  [{sector.value:<4}] w = ({w})  total = {report.total:+.6f}  "
-        f"n = {report.n_bound}  threshold = {tag}  residual = {report.residual:.2e}"
+        f"n = {report.n_bound}  threshold = {report.resonance.tag}  "
+        f"residual = {report.residual:.2e}"
     )
 
 
@@ -135,17 +135,6 @@ def _sectors_from(config: dict, potential: Potential) -> list[Sector]:
     return sectors
 
 
-def _write_phase_csv(path: str, data: ScatteringData) -> None:
-    eo = data.in_even_odd()
-    det = eo.det_phases()
-    phases = eo.eigenphase_curves()
-    rows = ["kappa,arg_det,phase1,phase2"]
-    for k, d, pair in zip(eo.kappas, det, phases):
-        rows.append(",".join(repr(float(v)) for v in (k, d, pair[0], pair[1])))
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
-
-
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -220,7 +209,7 @@ def _cmd_potential(args) -> int:
         print(f"wrote scattering matrices to {csv_path}")
     phase_path = args.phase_csv or output.get("phase_csv")
     if phase_path:
-        _write_phase_csv(phase_path, analysis.scattering)
+        analysis.scattering.write_phase_csv(phase_path)
         print(f"wrote phase curves to {phase_path}")
     if args.json:
         print(json.dumps({k: r.to_dict() for k, r in reports.items()}, sort_keys=True))

@@ -22,7 +22,7 @@ infinity ever enters a quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, ClassVar, Optional
 
@@ -76,15 +76,14 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
-def as_unitary(entries, *, strict: bool = True, tol: float = 1e-10) -> np.ndarray:
-    """Coerce input to a 2x2 complex matrix, checking unitarity when strict."""
+def as_unitary(entries) -> np.ndarray:
+    """Coerce input to a 2x2 complex matrix that is unitary to 1e-10."""
     u = np.array(entries, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if strict:
-        defect = unitarity_defect(u)
-        if not defect < tol:  # also rejects nan
-            raise ValueError(f"matrix is not unitary: defect {defect:.3e} >= {tol:g}")
+    defect = unitarity_defect(u)
+    if not defect < 1e-10:  # also rejects nan
+        raise ValueError(f"matrix is not unitary: defect {defect:.3e} >= 1e-10")
     return u
 
 
@@ -172,15 +171,10 @@ class WindingReport:
 
     w: tuple[float, float, float, float]
     total: float
-    n_bound: Optional[int] = None
-    correction: Optional[float] = None
-    resonance: Optional[ResonanceClass] = None
-    residual: Optional[float] = None
-
-    @property
-    def integer_defect(self) -> float:
-        """Distance of the total winding from the nearest integer."""
-        return abs(self.total - round(self.total))
+    n_bound: int
+    correction: float
+    resonance: ResonanceClass
+    residual: float
 
     def to_dict(self) -> dict:
         return {
@@ -188,20 +182,19 @@ class WindingReport:
             "total": self.total,
             "n_bound": self.n_bound,
             "correction": self.correction,
-            "resonance": None if self.resonance is None else self.resonance.to_dict(),
+            "resonance": self.resonance.to_dict(),
             "residual": self.residual,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "WindingReport":
-        res = data.get("resonance")
         return cls(
             w=tuple(data["w"]),
             total=data["total"],
-            n_bound=data.get("n_bound"),
-            correction=data.get("correction"),
-            resonance=None if res is None else ResonanceClass.from_dict(res),
-            residual=data.get("residual"),
+            n_bound=data["n_bound"],
+            correction=data["correction"],
+            resonance=ResonanceClass.from_dict(data["resonance"]),
+            residual=data["residual"],
         )
 
 
@@ -218,7 +211,6 @@ class BoundaryPath:
 
     side: Side
     eval: Callable[[float], np.ndarray]
-    label: str = ""
 
     def start_value(self) -> np.ndarray:
         return self.eval(0.0)
@@ -237,32 +229,17 @@ def momentum_coordinate(t: float) -> float:
     return t / (1.0 - t)
 
 
-def _matrix_label(u: np.ndarray) -> str:
-    if np.allclose(u, _I2, atol=1e-12):
-        return "1"
-    if np.allclose(u, -_I2, atol=1e-12):
-        return "-1"
-    return "U"
-
-
-def constant_path(side: Side, value, *, label: str = "") -> BoundaryPath:
+def constant_path(side: Side, value) -> BoundaryPath:
     """A side holding a single unitary value for the whole traversal."""
     v = as_unitary(value)
 
     def evaluate(t: float) -> np.ndarray:
         return v.copy()
 
-    return BoundaryPath(side=side, eval=evaluate, label=label or _matrix_label(v))
+    return BoundaryPath(side=side, eval=evaluate)
 
 
-def connector_path(
-    s_end,
-    side: Side = Side.B1,
-    *,
-    label: str = "",
-    check_samples: int = 41,
-    tol: float = 1e-10,
-) -> BoundaryPath:
+def connector_path(s_end, side: Side = Side.B1) -> BoundaryPath:
     """Dilation-side path joining the identity to a unitary endpoint.
 
     At dilation parameter x the value is
@@ -275,7 +252,7 @@ def connector_path(
 
     The construction stays unitary for the admitted endpoint shapes (identity,
     +-1 blocks, and both zero-energy scattering forms); endpoints outside that
-    family are rejected by a sampled unitarity check.
+    family are rejected by a unitarity check at 41 sampled parameters.
     """
     if side not in (Side.B1, Side.B3):
         raise ValueError("connector paths live on the dilation sides B1/B3")
@@ -283,8 +260,8 @@ def connector_path(
     delta = s - _I2
 
     def value_at(x: float) -> np.ndarray:
-        r = np.diag([r_even(x), r_odd(x)])
-        return _I2 + 0.5 * (_I2 - r) @ delta
+        r = r_even(x)  # the odd entry r_odd(x) is its conjugate
+        return _I2 + 0.5 * (_I2 - np.diag([r, r.conjugate()])) @ delta
 
     forward = side is Side.B1
 
@@ -296,28 +273,20 @@ def connector_path(
             return s.copy()
         return value_at(dilation_coordinate(u))
 
-    path = BoundaryPath(side=side, eval=evaluate, label=label or _matrix_label(s))
-    worst = max(unitarity_defect(evaluate(float(t))) for t in np.linspace(0.0, 1.0, check_samples))
-    if not worst < tol:
+    worst = max(unitarity_defect(evaluate(float(t))) for t in np.linspace(0.0, 1.0, 41))
+    if not worst < 1e-10:
         raise NonUnitaryPath(
             f"connector endpoint leaves the unitary family along the path "
-            f"(worst defect {worst:.3e} >= {tol:g})"
+            f"(worst defect {worst:.3e} >= 1e-10)"
         )
-    return path
+    return BoundaryPath(side=side, eval=evaluate)
 
 
-def interpolated_path(
-    side: Side,
-    node_params,
-    node_values,
-    *,
-    label: str = "",
-    node_tol: float = 1e-8,
-) -> BoundaryPath:
+def interpolated_path(side: Side, node_params, node_values) -> BoundaryPath:
     """Piecewise-linear path through unitary nodes, re-projected onto U(2).
 
     Node parameters must be strictly increasing and span [0, 1]; each node must
-    be unitary to ``node_tol``.  Between nodes the entries are interpolated
+    be unitary to 1e-8.  Between nodes the entries are interpolated
     linearly and polar-projected, which keeps the path unitary and continuous.
     """
     ts = np.asarray(node_params, dtype=float)
@@ -327,7 +296,7 @@ def interpolated_path(
     if ts[0] != 0.0 or ts[-1] != 1.0 or np.any(np.diff(ts) <= 0):
         raise ValueError("node parameters must increase strictly from 0 to 1")
     worst = max(unitarity_defect(u) for u in us)
-    if not worst < node_tol:
+    if not worst < 1e-8:
         raise NonUnitaryPath(f"interpolation node is not unitary (defect {worst:.3e})")
 
     def evaluate(t: float) -> np.ndarray:
@@ -340,28 +309,19 @@ def interpolated_path(
         theta = (t - ts[j]) / (ts[j + 1] - ts[j])
         return nearest_unitary((1.0 - theta) * us[j] + theta * us[j + 1])
 
-    return BoundaryPath(side=side, eval=evaluate, label=label)
+    return BoundaryPath(side=side, eval=evaluate)
 
 
-def reverse_path(path: BoundaryPath, side: Optional[Side] = None) -> BoundaryPath:
+def reverse_path(path: BoundaryPath) -> BoundaryPath:
     """The same values traversed in the opposite direction."""
-    return BoundaryPath(
-        side=side or path.side,
-        eval=lambda t: path.eval(1.0 - t),
-        label=path.label,
-    )
+    return BoundaryPath(side=path.side, eval=lambda t: path.eval(1.0 - t))
 
 
-def concat_paths(
-    a: BoundaryPath,
-    b: BoundaryPath,
-    *,
-    side: Optional[Side] = None,
-    tol: float = 1e-8,
-) -> BoundaryPath:
-    """Concatenation of two paths; the end of `a` must match the start of `b`."""
+def concat_paths(a: BoundaryPath, b: BoundaryPath) -> BoundaryPath:
+    """Concatenation of two paths on the side of `a`; the end of `a` must
+    match the start of `b` to 1e-8."""
     gap = float(np.max(np.abs(a.end_value() - b.start_value())))
-    if not gap < tol:
+    if not gap < 1e-8:
         raise ValueError(f"paths do not join: endpoint gap {gap:.3e}")
 
     def evaluate(t: float) -> np.ndarray:
@@ -369,17 +329,7 @@ def concat_paths(
             return a.eval(2.0 * t)
         return b.eval(2.0 * t - 1.0)
 
-    return BoundaryPath(side=side or a.side, eval=evaluate, label=f"{a.label}*{b.label}")
-
-
-def max_value_step(path: BoundaryPath, n_samples: int = 129) -> float:
-    """Largest entrywise jump between consecutive samples; halves under
-    refinement for a continuous path."""
-    ts = np.linspace(0.0, 1.0, n_samples)
-    vals = [path.eval(float(t)) for t in ts]
-    return max(
-        float(np.max(np.abs(vals[i + 1] - vals[i]))) for i in range(len(vals) - 1)
-    )
+    return BoundaryPath(side=a.side, eval=evaluate)
 
 
 def path_unitarity_defect(path: BoundaryPath, n_samples: int = 129) -> float:
@@ -392,18 +342,21 @@ def path_unitarity_defect(path: BoundaryPath, n_samples: int = 129) -> float:
 # Winding numbers
 
 
-def _phase_steps(path: BoundaryPath, n: int) -> np.ndarray:
-    ts = np.linspace(0.0, 1.0, n)
-    dets = np.empty(n, dtype=complex)
-    for i, t in enumerate(ts):
-        dets[i] = np.linalg.det(path.eval(float(t)))
-    return np.angle(dets[1:] * np.conj(dets[:-1]))
+def _dets(path: BoundaryPath, ts: np.ndarray) -> np.ndarray:
+    """det of the path's value at each parameter, in one stacked call."""
+    return np.linalg.det(np.array([path.eval(float(t)) for t in ts], dtype=complex))
+
+
+def _turns(dets: np.ndarray) -> tuple[float, float]:
+    """Summed phase steps of consecutive determinants in turns, and the
+    largest single step in radians."""
+    steps = np.angle(dets[1:] * np.conj(dets[:-1]))
+    return float(steps.sum() / (2.0 * np.pi)), float(np.max(np.abs(steps)))
 
 
 def winding(
     path: BoundaryPath,
     n_samples: int = 257,
-    refine: bool = True,
     *,
     tol: float = 1e-8,
     max_samples: int = 1 << 17,
@@ -413,24 +366,23 @@ def winding(
     Doubles the sample count until two successive estimates agree to ``tol``
     and no single step exceeds pi/2.  The phase-step sum telescopes, so for a
     continuous path the estimate is exact as soon as the sampling is fine
-    enough to rule out hidden full turns.
+    enough to rule out hidden full turns.  Each parameter is evaluated once:
+    a doubling keeps the previous determinants and samples only the new
+    midpoints.
     """
     if n_samples < 16:
         raise ValueError("n_samples must be at least 16")
     n = int(n_samples)
-    steps = _phase_steps(path, n)
-    est = float(steps.sum() / (2.0 * np.pi))
-    if not refine:
-        if steps.size and float(np.max(np.abs(steps))) > np.pi / 2:
-            raise PhaseJumpTooLarge(
-                f"phase step exceeds pi/2 at n_samples={n} with refinement disabled"
-            )
-        return est
+    dets = _dets(path, np.linspace(0.0, 1.0, n))
+    est, _ = _turns(dets)
     while True:
         n2 = 2 * n - 1
-        steps2 = _phase_steps(path, n2)
-        est2 = float(steps2.sum() / (2.0 * np.pi))
-        max_step = float(np.max(np.abs(steps2))) if steps2.size else 0.0
+        # linspace(0, 1, n2)[::2] is linspace(0, 1, n) bit for bit: the step
+        # halves exactly, so only the odd-index parameters are new.
+        fine = np.empty(n2, dtype=complex)
+        fine[::2] = dets
+        fine[1::2] = _dets(path, np.linspace(0.0, 1.0, n2)[1::2])
+        est2, max_step = _turns(fine)
         if max_step <= np.pi / 2 and abs(est2 - est) < tol:
             return est2
         if n2 >= max_samples:
@@ -442,7 +394,7 @@ def winding(
             raise WindingNotConverged(
                 f"winding estimates still moving by {abs(est2 - est):.3e} at the sample cap"
             )
-        n, est = n2, est2
+        n, dets, est = n2, fine, est2
 
 
 @dataclass
@@ -468,29 +420,29 @@ class BoundaryLoop:
             worst = max(worst, float(np.max(np.abs(here - there))))
         return worst
 
-    def labels(self) -> tuple[str, str, str, str]:
-        return tuple(p.label for p in self.sides)
-
 
 def loop_winding(
     loop: BoundaryLoop,
     *,
+    n_bound: int,
+    resonance: ResonanceClass,
     corner_tol: float = 1e-8,
     n_samples: int = 257,
-    tol: float = 1e-8,
-    max_samples: int = 1 << 17,
+    tol: float = 1e-9,
 ) -> WindingReport:
-    """Per-side windings (and their sum) of a closed boundary loop.
-
-    Returns a partial report: bound-state count and resonance class are left
-    for the caller that knows the underlying system.
-    """
+    """Complete report of a closed boundary loop: per-side windings, their
+    sum, the given bound-state count and threshold class, and the residual
+    |total + n_bound| of the index identity."""
     defect = loop.corner_defect()
     if not defect < corner_tol:
         raise CornerMismatch(f"loop corners differ by {defect:.3e} >= {corner_tol:g}")
-    ws = tuple(
-        winding(p, n_samples=n_samples, tol=tol, max_samples=max_samples)
-        for p in loop.sides
-    )
+    ws = tuple(winding(p, n_samples=n_samples, tol=tol) for p in loop.sides)
     total = float(sum(ws))
-    return WindingReport(w=ws, total=total, correction=ws[0] + ws[2] + ws[3])
+    return WindingReport(
+        w=ws,
+        total=total,
+        n_bound=n_bound,
+        correction=ws[0] + ws[2] + ws[3],
+        resonance=resonance,
+        residual=abs(total + n_bound),
+    )

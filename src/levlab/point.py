@@ -140,23 +140,6 @@ def resonance_for_sector(interaction: PointInteraction, sector: Sector) -> Reson
     return ResonanceClass.exceptional(-1.0) if value < 0 else ResonanceClass.generic()
 
 
-def _connector_label(s_end: np.ndarray, sector: Sector) -> str:
-    diag = np.diagonal(s_end)
-    slot = 0 if sector is Sector.EVEN else 1
-    value = diag[slot].real
-    if abs(value - 1.0) < 1e-12:
-        return "1"
-    return "r_e" if sector is Sector.EVEN else "r_o"
-
-
-def _b2_label(interaction: PointInteraction) -> str:
-    if math.isinf(interaction.param):
-        return "-1"
-    if interaction.param == 0.0:
-        return "1"
-    return "s^a" if interaction.kind == DELTA else "s^b"
-
-
 def build_loop(interaction: PointInteraction, sector: Sector) -> BoundaryLoop:
     """Boundary loop of the interaction restricted to one parity sector.
 
@@ -166,9 +149,7 @@ def build_loop(interaction: PointInteraction, sector: Sector) -> BoundaryLoop:
     if sector is Sector.FULL:
         raise ValueError("point-interaction loops are built per parity sector")
     if sector is not nontrivial_sector(interaction):
-        return BoundaryLoop(
-            tuple(constant_path(side, _I2, label="1") for side in Side)
-        )
+        return BoundaryLoop(tuple(constant_path(side, _I2) for side in Side))
     s_zero = interaction_s_matrix(interaction, 0.0)
     s_inf = interaction_s_matrix(interaction, math.inf)
 
@@ -180,33 +161,21 @@ def build_loop(interaction: PointInteraction, sector: Sector) -> BoundaryLoop:
 
     return BoundaryLoop(
         (
-            connector_path(s_zero, Side.B1, label=_connector_label(s_zero, sector)),
-            BoundaryPath(side=Side.B2, eval=b2_eval, label=_b2_label(interaction)),
-            connector_path(s_inf, Side.B3, label=_connector_label(s_inf, sector)),
-            constant_path(Side.B4, _I2, label="1"),
+            connector_path(s_zero, Side.B1),
+            BoundaryPath(side=Side.B2, eval=b2_eval),
+            connector_path(s_inf, Side.B3),
+            constant_path(Side.B4, _I2),
         )
     )
 
 
-def verify_levinson(
-    interaction: PointInteraction,
-    sector: Sector,
-    *,
-    n_samples: int = 257,
-    tol: float = 1e-9,
-) -> WindingReport:
+def verify_levinson(interaction: PointInteraction, sector: Sector) -> WindingReport:
     """Full report for one sector: windings, bound states, and the residual
     of the index identity total = -n_bound."""
     if sector is Sector.FULL:
         raise ValueError("point-interaction verification runs per parity sector")
-    loop = build_loop(interaction, sector)
-    base = loop_winding(loop, n_samples=n_samples, tol=tol)
-    n = sector_bound_state_count(interaction, sector)
-    return WindingReport(
-        w=base.w,
-        total=base.total,
-        n_bound=n,
-        correction=base.correction,
+    return loop_winding(
+        build_loop(interaction, sector),
+        n_bound=sector_bound_state_count(interaction, sector),
         resonance=resonance_for_sector(interaction, sector),
-        residual=abs(base.total + n),
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -155,20 +155,6 @@ def zero_potential() -> Potential:
         support_radius=1.0,
         symmetric=True,
         label="zero potential",
-    )
-
-
-def scaled_potential(base: Potential, factor: float) -> Potential:
-    """The same profile multiplied by a coupling factor (metadata preserved)."""
-    s = float(factor)
-    return Potential(
-        profile=lambda x: s * base.profile(np.asarray(x, dtype=float)),
-        decay_exponent=base.decay_exponent,
-        support_radius=base.support_radius,
-        symmetric=base.symmetric,
-        breakpoints=base.breakpoints,
-        features=base.features,
-        label=f"{base.label} x {s:g}",
     )
 
 

@@ -56,6 +56,28 @@ _SQ2 = 1.0 / math.sqrt(2.0)
 _EO = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]])
 _I2 = np.eye(2, dtype=complex)
 
+# Below this |c1| the flat-seeded zero-energy solution decays on both sides:
+# a zero-energy bound state, which has no resonance ratio to report.
+THRESHOLD_EIGENVALUE_C1 = 1e-6
+# A symmetric potential is exceptional only with gamma = +1 or -1; a gamma
+# farther than this from both is a classification failure.
+SYMMETRIC_GAMMA_TOL = 1e-3
+# Largest initial finite-difference box half-width; growth may still exceed it.
+FD_BOX_CAP = 2000.0
+# Wells with integrated |V| below this bind weakly: their box is widened to
+# SHALLOW_DECAY_LENGTHS decay lengths of the weakest binding momentum, taken
+# as SHALLOW_MOMENTUM_FACTOR times the strength and at least
+# SHALLOW_MOMENTUM_FLOOR.
+SHALLOW_STRENGTH = 1.2
+SHALLOW_MOMENTUM_FACTOR = 0.45
+SHALLOW_MOMENTUM_FLOOR = 5e-3
+SHALLOW_DECAY_LENGTHS = 8.0
+# Fewest finite-difference points per box, so small boxes stay resolved.
+FD_MIN_POINTS = 2000
+# Probe momenta whose scattering data must stop moving under mesh halving.
+ENGINE_PROBE_KAPPAS = np.geomspace(1e-3, 50.0, 10)
+ENGINE_PROBE_KAPPAS.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class SolverSettings:
@@ -156,8 +178,21 @@ class ScatteringData:
                     cells.append(repr(float(m[i, j].real)))
                     cells.append(repr(float(m[i, j].imag)))
             rows.append(",".join(cells))
-        with open(path, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
+        _write_lines(path, rows)
+
+    def write_phase_csv(self, path) -> None:
+        """Phase dump in the even-odd basis: unwrapped arg det S and both
+        eigenphase curves per momentum, formatted as in ``write_csv``."""
+        eo = self.in_even_odd()
+        rows = ["kappa,arg_det,phase1,phase2"]
+        for k, d, pair in zip(eo.kappas, eo.det_phases(), eo.eigenphase_curves()):
+            rows.append(",".join(repr(float(v)) for v in (k, d, pair[0], pair[1])))
+        _write_lines(path, rows)
+
+
+def _write_lines(path, rows: list[str]) -> None:
+    with open(path, "w") as fh:
+        fh.write("\n".join(rows) + "\n")
 
 
 def _plane_matrices(engine: TransferEngine, kappas: np.ndarray) -> np.ndarray:
@@ -249,7 +284,7 @@ def classify_threshold(engine: TransferEngine, settings: SolverSettings) -> Reso
     if ratio >= high:
         resonance = ResonanceClass.generic()
     elif ratio <= low:
-        if abs(c1) < 1e-6:
+        if abs(c1) < THRESHOLD_EIGENVALUE_C1:
             raise ClassificationAmbiguous(
                 "zero-energy solution decays on both sides "
                 f"(c1 = {c1:.3e}); threshold eigenvalue, no resonance ratio"
@@ -297,7 +332,7 @@ def count_bound_states_shooting(engine: TransferEngine, settings: SolverSettings
 
 def _fd_count(potential: Potential, box: float, h: float, parity: str | None) -> int:
     length = 2.0 * box if parity is None else box
-    n = max(2000, int(round(length / h)))
+    n = max(FD_MIN_POINTS, int(round(length / h)))
     return fd_negative_eigenvalue_count(potential, box, n, parity=parity)
 
 
@@ -317,10 +352,10 @@ def count_bound_states_fd(
     """
     strength = integrated_absolute(potential, max(radius, 8.0))
     box = max(settings.fd_min_box, settings.fd_box_margin * radius + 8.0)
-    if strength < 1.2:
-        # shallow well: weakest binding momentum ~ strength / 2
-        box = max(box, 8.0 / max(0.45 * strength, 5e-3))
-    box = min(box, 2000.0)
+    if strength < SHALLOW_STRENGTH:
+        momentum = max(SHALLOW_MOMENTUM_FACTOR * strength, SHALLOW_MOMENTUM_FLOOR)
+        box = max(box, SHALLOW_DECAY_LENGTHS / momentum)
+    box = min(box, FD_BOX_CAP)
     count = _fd_count(potential, box, settings.fd_h, parity)
     for _ in range(settings.fd_max_growth):
         bigger = settings.fd_growth * box
@@ -419,11 +454,10 @@ class PotentialAnalysis:
         mesh = build_mesh(
             self.potential, -r, r, coarse_h=s.coarse_h, feature_cells=s.feature_cells
         )
-        probes = np.geomspace(1e-3, 50.0, 10)
         previous = None
         for _ in range(s.max_halvings + 1):
             engine = TransferEngine(self.potential, mesh)
-            t, r_l, r_r = engine.plane_wave_coefficients(probes)
+            t, r_l, r_r = engine.plane_wave_coefficients(ENGINE_PROBE_KAPPAS)
             c1, c2, scale, _ = zero_energy_tail(engine)
             snapshot = np.concatenate(
                 [t, r_l, r_r, [complex(c1 / scale), complex(c2 / scale)]]
@@ -485,9 +519,9 @@ class PotentialAnalysis:
         if not full.is_exceptional:
             return ResonanceClass.generic()
         g = full.gamma
-        if abs(g - 1.0) <= 1e-3:
+        if abs(g - 1.0) <= SYMMETRIC_GAMMA_TOL:
             resonant = Sector.EVEN
-        elif abs(g + 1.0) <= 1e-3:
+        elif abs(g + 1.0) <= SYMMETRIC_GAMMA_TOL:
             resonant = Sector.ODD
         else:
             raise ClassificationAmbiguous(
@@ -525,13 +559,12 @@ class PotentialAnalysis:
         sides at infinite energy and at the left end of the dilation axis."""
         self._require_symmetric(sector)
         params, values = self._b2_nodes(sector)
-        tag = "S" if sector is Sector.FULL else f"S_{sector.value}"
         return BoundaryLoop(
             sides=(
                 connector_path(values[0], Side.B1),
-                interpolated_path(Side.B2, params, values, label=tag),
-                constant_path(Side.B3, _I2, label="1"),
-                constant_path(Side.B4, _I2, label="1"),
+                interpolated_path(Side.B2, params, values),
+                constant_path(Side.B3, _I2),
+                constant_path(Side.B4, _I2),
             )
         )
 
@@ -544,26 +577,19 @@ class PotentialAnalysis:
         """Windings, bound states, and the residual of total = -n_bound."""
         if sector in self._reports:
             return self._reports[sector]
+        loop = self.loop(sector)
+        if sector is Sector.FULL:
+            n, resonance = self.bound_states(), self.resonance
+        else:
+            n, resonance = self.sector_bound_states(sector), self.sector_resonance(sector)
         s = self.settings
-        base = loop_winding(
-            self.loop(sector),
+        report = loop_winding(
+            loop,
+            n_bound=n,
+            resonance=resonance,
             corner_tol=s.corner_tol,
             n_samples=s.winding_samples,
             tol=s.winding_tol,
-        )
-        if sector is Sector.FULL:
-            n = self.bound_states()
-            resonance = self.resonance
-        else:
-            n = self.sector_bound_states(sector)
-            resonance = self.sector_resonance(sector)
-        report = WindingReport(
-            w=base.w,
-            total=base.total,
-            n_bound=n,
-            correction=base.correction,
-            resonance=resonance,
-            residual=abs(base.total + n),
         )
         self._reports[sector] = report
         return report

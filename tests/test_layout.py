@@ -1,0 +1,50 @@
+"""Module layout rules, checked on the source text alone."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "levlab"
+MODULES = {p.stem for p in PACKAGE.glob("*.py")}
+SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_uses(path: Path) -> list[str]:
+    """Underscore names that the file takes from another levlab module, by
+    import or by attribute access on an imported levlab module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = set()  # local names bound to levlab modules
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level == 0 and source.split(".")[0] != "levlab":
+                continue
+            for alias in node.names:
+                if _is_private(alias.name):
+                    found.append(f"{source}.{alias.name}")
+                elif alias.name in MODULES:
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "levlab":
+                    if any(_is_private(part) for part in alias.name.split(".")[1:]):
+                        found.append(alias.name)
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_private(node.attr):
+            owner = ast.unparse(node.value)
+            if owner in modules:
+                found.append(f"{owner}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_private_imports_across_modules(path):
+    assert _private_uses(path) == []

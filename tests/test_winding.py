@@ -9,6 +9,7 @@ from levlab.errors import CornerMismatch, PhaseJumpTooLarge
 from levlab.loops import (
     BoundaryLoop,
     BoundaryPath,
+    ResonanceClass,
     Side,
     concat_paths,
     constant_path,
@@ -24,7 +25,7 @@ def phase_path(turns, side=Side.B2):
     def evaluate(t):
         return np.diag([np.exp(2j * np.pi * turns * t), 1.0])
 
-    return BoundaryPath(side=side, eval=evaluate, label=f"{turns} turns")
+    return BoundaryPath(side=side, eval=evaluate)
 
 
 def arc_path(phi_start, phi_end, side=Side.B2):
@@ -33,7 +34,7 @@ def arc_path(phi_start, phi_end, side=Side.B2):
     def evaluate(t):
         return np.diag([np.exp(1j * (phi_start + (phi_end - phi_start) * t)), 1.0])
 
-    return BoundaryPath(side=side, eval=evaluate, label="arc")
+    return BoundaryPath(side=side, eval=evaluate)
 
 
 def test_constant_path_has_zero_winding():
@@ -83,7 +84,7 @@ def test_jump_discontinuity_is_detected():
     def evaluate(t):
         return np.diag([1.0 + 0.0j, 1.0]) if t < 0.5 else np.diag([-1.0 + 0.0j, 1.0])
 
-    path = BoundaryPath(side=Side.B2, eval=evaluate, label="jump")
+    path = BoundaryPath(side=Side.B2, eval=evaluate)
     with pytest.raises(PhaseJumpTooLarge):
         winding(path, max_samples=4097)
 
@@ -104,17 +105,39 @@ def test_loop_corner_mismatch_raises():
         )
     )
     with pytest.raises(CornerMismatch):
-        loop_winding(loop)
+        loop_winding(loop, n_bound=0, resonance=ResonanceClass.generic())
 
 
 def test_closed_identity_loop():
     loop = BoundaryLoop(
         sides=tuple(constant_path(s, np.eye(2)) for s in Side)
     )
-    report = loop_winding(loop)
+    report = loop_winding(loop, n_bound=0, resonance=ResonanceClass.generic())
     assert report.w == (0.0, 0.0, 0.0, 0.0)
     assert report.total == 0.0
     assert report.correction == 0.0
+
+
+def test_doubling_evaluates_each_parameter_once():
+    """Each doubling reuses the samples it already has; the result equals the
+    phase-step sum over the final grid, bit for bit."""
+    base = phase_path(200)  # two doublings: 257 samples alias, 513 step > pi/2
+    calls = {}
+
+    def counting(t):
+        calls[t] = calls.get(t, 0) + 1
+        return base.eval(t)
+
+    result = winding(BoundaryPath(side=Side.B2, eval=counting))
+    assert max(calls.values()) == 1
+    n_final = len(calls)
+    assert n_final == 1025
+    ts = np.linspace(0.0, 1.0, n_final)
+    assert set(calls) == set(float(t) for t in ts)
+    dets = np.array([np.linalg.det(base.eval(float(t))) for t in ts])
+    steps = np.angle(dets[1:] * np.conj(dets[:-1]))
+    assert result == float(steps.sum() / (2.0 * np.pi))
+    assert abs(result - 200) < 1e-9
 
 
 @given(st.integers(-3, 3))
