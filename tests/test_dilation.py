@@ -20,6 +20,7 @@ from levlab.dilation import (
     suite_residuals,
 )
 from levlab.errors import QuadratureNotConverged
+from levlab.loops import r_even, r_odd
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +37,16 @@ def trapezoid_fourier(fn, ks, half_span, dx=0.002):
     for i, k in enumerate(ks):
         out[i] = np.trapezoid(vals * np.exp(-1j * k * xs), xs)
     return out / np.sqrt(2.0 * np.pi)
+
+
+def dense_forward(ev, samples, rows=512):
+    """The forward Mellin sum term by term, a few hundred s rows at a time;
+    independent oracle for the chirp-z evaluation."""
+    h = np.exp(0.5 * ev.u) * samples
+    out = np.concatenate(
+        [np.exp(-1j * ev.sign * np.outer(ev.s[i : i + rows], ev.u)) @ h for i in range(0, ev.s.size, rows)]
+    )
+    return out * ev.du / np.sqrt(2.0 * np.pi)
 
 
 # --- closed forms -----------------------------------------------------------
@@ -103,6 +114,50 @@ def test_omega_must_be_a_sign(evaluator):
         apply_halfline_fourier(fn, 1.0, 2)
     with pytest.raises(ValueError):
         apply_half_one_minus_r(fn, 1.0, 0, evaluator)
+
+
+# --- the Mellin transform ---------------------------------------------------
+
+UNALIGNED_GRID = dict(u_min=-10.3, u_max=2.1, du=0.037, s_max=9.7, ds=0.029)
+
+
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+@pytest.mark.parametrize("grid", ({}, UNALIGNED_GRID), ids=("default", "unaligned"))
+def test_forward_matches_the_dense_sum(grid, sign):
+    ev = MellinEvaluator(sign=sign, **grid)
+    samples = ProbeFunction(GAUSSIAN, width=0.7, center=1.3).value(ev.x)
+    dense = dense_forward(ev, samples)
+    assert np.max(np.abs(ev.forward(samples) - dense)) <= 1e-11 * np.max(np.abs(dense))
+
+
+def test_identity_transforms_each_part_once(evaluator, monkeypatch):
+    calls = []
+    forward = MellinEvaluator.forward
+
+    def counted(self, samples):
+        calls.append(1)
+        return forward(self, samples)
+
+    monkeypatch.setattr(MellinEvaluator, "forward", counted)
+    for fn in default_suite():
+        before = len(calls)
+        identity_residual(fn, evaluator)
+        assert len(calls) - before == 2, fn.label
+
+
+def test_stacked_inverse_matches_columns(evaluator):
+    ev = evaluator
+    fn = ProbeFunction(GAUSSIAN, width=1.5, center=-0.4, freq=1.0)
+    spectra = np.stack(
+        (r_even(ev.s) * ev.forward(fn.even_part(ev.x)), r_odd(ev.s) * ev.forward(fn.odd_part(ev.x))),
+        axis=1,
+    )
+    x = np.geomspace(0.05, 6.0, 20)
+    stacked = ev.inverse_at(spectra, x)
+    assert stacked.shape == (x.size, 2)
+    for col in range(2):
+        single = ev.inverse_at(spectra[:, col], x)
+        assert np.max(np.abs(stacked[:, col] - single)) <= 1e-14 * np.max(np.abs(single))
 
 
 # --- the multiplier identity ------------------------------------------------
