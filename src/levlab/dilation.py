@@ -18,7 +18,8 @@ The Mellin convention is M f(s) = (2 pi)^(-1/2) * integral_0^inf
 x^(-1/2 - i s) f(x) dx, evaluated after x = exp(u) as an ordinary Fourier
 sum from a uniform u grid to a uniform s grid.  That sum is computed by the
 chirp-z transform (one zero-padded FFT per spectrum); the inverse is a dense
-sum at the few ray points the check needs.
+sum at the few ray points the check needs, with its kernel kept for the last
+targets.
 """
 
 from __future__ import annotations
@@ -220,6 +221,10 @@ class MellinEvaluator:
         self._pre = np.exp(0.5 * self.u - 1j * (sign * self.s[0] * step_u * n + 0.5 * beta * n * n))
         self._post = np.exp(-1j * (sign * self.s * self.u[0] + 0.5 * beta * j * j)) * (self.du / _SQRT_2PI)
         self._chirp_spectrum = np.fft.fft(np.exp(0.5j * beta * k * k), self._fft_size)
+        # Inverse kernel of the last targets: every probe of a residual check
+        # is inverted at the same ray points.
+        self._kernel_targets = np.empty(0)
+        self._kernel = np.empty((0, self.s.size), dtype=complex)
 
     @property
     def x(self) -> np.ndarray:
@@ -241,9 +246,15 @@ class MellinEvaluator:
         if np.any(x <= 0.0):
             raise ValueError("Mellin inversion targets must be positive")
         spectrum = np.asarray(spectrum)
-        kernel = np.exp((1j * self.sign) * np.outer(np.log(x), self.s))
+        if not np.array_equal(x, self._kernel_targets):
+            self._kernel = self._inverse_kernel(x)
+            self._kernel_targets = x.copy()
         root = np.sqrt(x) if spectrum.ndim == 1 else np.sqrt(x)[:, None]
-        return (kernel @ spectrum) * (self.ds / _SQRT_2PI) / root
+        return (self._kernel @ spectrum) * (self.ds / _SQRT_2PI) / root
+
+    def _inverse_kernel(self, x: np.ndarray) -> np.ndarray:
+        """exp(i sign s ln x) for each target x (rows) and grid s (columns)."""
+        return np.exp((1j * self.sign) * np.outer(np.log(x), self.s))
 
     def parseval_defect(self, samples: np.ndarray) -> float:
         """Relative mismatch of the grid norms on both sides of the transform;

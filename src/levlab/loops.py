@@ -21,6 +21,7 @@ infinity ever enters a quadrature.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -44,13 +45,26 @@ _ARG_CAP = 40.0
 
 _I2 = np.eye(2, dtype=complex)
 
+# Interpolants with |det| at or below this share of their squared Frobenius
+# norm are singular to rounding: they have no meaningful unitary factor.
+_SINGULAR_DET = 1e-14
+
 
 def r_even(x):
     """Universal even-sector multiplier -tanh(pi x) - i sech(pi x).
 
     Accepts scalars or arrays; +-inf map to the exact limits -+1.  The value
-    lies on the unit circle for every real argument.
+    lies on the unit circle for every real argument.  A float argument skips
+    the array machinery but still uses numpy's tanh and cosh, so it returns
+    the array path's value bit for bit.
     """
+    if isinstance(x, (float, int)):
+        if x == INF:
+            return -1.0 + 0.0j
+        if x == -INF:
+            return 1.0 + 0.0j
+        z = min(max(math.pi * x, -_ARG_CAP), _ARG_CAP)
+        return complex(-np.tanh(z), -1.0 / np.cosh(z))
     arr = np.asarray(x, dtype=float)
     z = np.clip(np.pi * arr, -_ARG_CAP, _ARG_CAP)
     out = -np.tanh(z) - 1j / np.cosh(z)
@@ -87,10 +101,47 @@ def as_unitary(entries) -> np.ndarray:
     return u
 
 
+def _max_unitarity_defect(us: np.ndarray) -> float:
+    """Largest max-norm distance of U^dag U from the identity over a stack
+    of 2x2 matrices, in one stacked computation."""
+    us = np.asarray(us, dtype=complex)
+    gram = us.conj().transpose(0, 2, 1) @ us
+    return float(np.max(np.abs(gram - _I2)))
+
+
+def _polar_factor(m00: complex, m01: complex, m10: complex, m11: complex) -> np.ndarray:
+    """Unitary polar factor of [[m00, m01], [m10, m11]] in closed form.
+
+    With det M = |det M| e^(i phi) and M = U P, Cayley-Hamilton for the
+    positive factor, P + det(P) P^-1 = tr(P) 1, gives
+    M + e^(i phi) adj(M)^H = tr(P) U; tr(P) is the norm of either column.
+    """
+    det = m00 * m11 - m01 * m10
+    size = abs(det)
+    scale = abs(m00) ** 2 + abs(m01) ** 2 + abs(m10) ** 2 + abs(m11) ** 2
+    if not size > _SINGULAR_DET * scale:  # also rejects nan
+        raise NonUnitaryPath(
+            f"interpolant is singular (|det| {size:.3e}); its unitary factor is undefined"
+        )
+    phase = det / size
+    n00 = m00 + phase * m11.conjugate()
+    n10 = m10 - phase * m01.conjugate()
+    inv = 1.0 / math.sqrt(abs(n00) ** 2 + abs(n10) ** 2)
+    return np.array(
+        [
+            [n00 * inv, (m01 - phase * m10.conjugate()) * inv],
+            [n10 * inv, (m11 + phase * m00.conjugate()) * inv],
+        ]
+    )
+
+
 def nearest_unitary(m: np.ndarray) -> np.ndarray:
-    """Polar projection of an almost-unitary matrix back onto U(2)."""
-    w, _, vh = np.linalg.svd(m)
-    return w @ vh
+    """Polar projection of an almost-unitary 2x2 matrix back onto U(2).
+
+    Raises NonUnitaryPath when the matrix is singular to rounding, where the
+    projection is undefined."""
+    (m00, m01), (m10, m11) = np.asarray(m, dtype=complex).tolist()
+    return _polar_factor(m00, m01, m10, m11)
 
 
 class Side(Enum):
@@ -207,6 +258,9 @@ class BoundaryPath:
     """One side of the boundary square: t in [0, 1] mapped to a 2x2 unitary.
 
     t = 0 is the start of the traversal in the side's stated orientation.
+    ``eval`` takes one float and returns one 2x2 array; it is never called
+    with an array of parameters.  The benchmark tracer relies on that: it
+    wraps ``eval`` and counts one path evaluation per call.
     """
 
     side: Side
@@ -257,11 +311,17 @@ def connector_path(s_end, side: Side = Side.B1) -> BoundaryPath:
     if side not in (Side.B1, Side.B3):
         raise ValueError("connector paths live on the dilation sides B1/B3")
     s = as_unitary(s_end)
-    delta = s - _I2
+    (d00, d01), (d10, d11) = (s - _I2).tolist()
 
     def value_at(x: float) -> np.ndarray:
         r = r_even(x)  # the odd entry r_odd(x) is its conjugate
-        return _I2 + 0.5 * (_I2 - np.diag([r, r.conjugate()])) @ delta
+        a = 0.5 * (1.0 - r)
+        b = 0.5 * (1.0 - r.conjugate())
+        # Adding the identity's complex entries, zeros included, reproduces
+        # 1 + (1/2)(1 - R) delta bit for bit, signed zeros too.
+        return np.array(
+            [[1.0 + 0.0j + a * d00, 0.0j + a * d01], [0.0j + b * d10, 1.0 + 0.0j + b * d11]]
+        )
 
     forward = side is Side.B1
 
@@ -273,7 +333,7 @@ def connector_path(s_end, side: Side = Side.B1) -> BoundaryPath:
             return s.copy()
         return value_at(dilation_coordinate(u))
 
-    worst = max(unitarity_defect(evaluate(float(t))) for t in np.linspace(0.0, 1.0, 41))
+    worst = _max_unitarity_defect([evaluate(t) for t in np.linspace(0.0, 1.0, 41).tolist()])
     if not worst < 1e-10:
         raise NonUnitaryPath(
             f"connector endpoint leaves the unitary family along the path "
@@ -295,19 +355,24 @@ def interpolated_path(side: Side, node_params, node_values) -> BoundaryPath:
         raise ValueError("need matching 1d parameters and (n, 2, 2) values")
     if ts[0] != 0.0 or ts[-1] != 1.0 or np.any(np.diff(ts) <= 0):
         raise ValueError("node parameters must increase strictly from 0 to 1")
-    worst = max(unitarity_defect(u) for u in us)
+    worst = _max_unitarity_defect(us)
     if not worst < 1e-8:
         raise NonUnitaryPath(f"interpolation node is not unitary (defect {worst:.3e})")
+    knots = ts.tolist()
+    entries = us.reshape(-1, 4).tolist()
+    last = len(knots) - 1
 
     def evaluate(t: float) -> np.ndarray:
         t = min(max(float(t), 0.0), 1.0)
-        j = int(np.searchsorted(ts, t, side="right")) - 1
-        if j >= ts.size - 1:
+        j = bisect.bisect_right(knots, t) - 1
+        if j >= last:
             return us[-1].copy()
-        if t == ts[j]:
+        if t == knots[j]:
             return us[j].copy()
-        theta = (t - ts[j]) / (ts[j + 1] - ts[j])
-        return nearest_unitary((1.0 - theta) * us[j] + theta * us[j + 1])
+        theta = (t - knots[j]) / (knots[j + 1] - knots[j])
+        return _polar_factor(
+            *((1.0 - theta) * p + theta * q for p, q in zip(entries[j], entries[j + 1]))
+        )
 
     return BoundaryPath(side=side, eval=evaluate)
 
@@ -334,8 +399,7 @@ def concat_paths(a: BoundaryPath, b: BoundaryPath) -> BoundaryPath:
 
 def path_unitarity_defect(path: BoundaryPath, n_samples: int = 129) -> float:
     """Worst sampled unitarity defect along the path."""
-    ts = np.linspace(0.0, 1.0, n_samples)
-    return max(unitarity_defect(path.eval(float(t))) for t in ts)
+    return _max_unitarity_defect([path.eval(t) for t in np.linspace(0.0, 1.0, n_samples).tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +408,7 @@ def path_unitarity_defect(path: BoundaryPath, n_samples: int = 129) -> float:
 
 def _dets(path: BoundaryPath, ts: np.ndarray) -> np.ndarray:
     """det of the path's value at each parameter, in one stacked call."""
-    return np.linalg.det(np.array([path.eval(float(t)) for t in ts], dtype=complex))
+    return np.linalg.det(np.array([path.eval(t) for t in ts.tolist()], dtype=complex))
 
 
 def _turns(dets: np.ndarray) -> tuple[float, float]:

@@ -99,8 +99,8 @@ def s_beta(beta: float, lam: float) -> complex:
 def interaction_s_matrix(interaction: PointInteraction, lam: float) -> np.ndarray:
     """Full 2x2 scattering matrix in the even/odd basis at energy lam."""
     if interaction.kind == DELTA:
-        return np.diag([s_alpha(interaction.param, lam), 1.0 + 0.0j])
-    return np.diag([1.0 + 0.0j, s_beta(interaction.param, lam)])
+        return np.array([[s_alpha(interaction.param, lam), 0.0j], [0.0j, 1.0 + 0.0j]])
+    return np.array([[1.0 + 0.0j, 0.0j], [0.0j, s_beta(interaction.param, lam)]])
 
 
 def nontrivial_sector(interaction: PointInteraction) -> Sector:

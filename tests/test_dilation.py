@@ -160,6 +160,33 @@ def test_stacked_inverse_matches_columns(evaluator):
         assert np.max(np.abs(stacked[:, col] - single)) <= 1e-14 * np.max(np.abs(single))
 
 
+def test_inverse_kernel_is_built_once_per_targets(monkeypatch):
+    builds = []
+    build = MellinEvaluator._inverse_kernel
+
+    def counted(self, x):
+        builds.append(self.sign)
+        return build(self, x)
+
+    monkeypatch.setattr(MellinEvaluator, "_inverse_kernel", counted)
+    # every probe is inverted at the same ray points; the flipped convention
+    # has a kernel of its own
+    for sign in (1.0, -1.0):
+        suite_residuals(MellinEvaluator(sign=sign))
+    assert builds == [1.0, -1.0]
+
+
+def test_inverse_follows_new_targets(evaluator):
+    ev = evaluator
+    fn = ProbeFunction(GAUSSIAN, width=0.7, center=1.3)
+    spectrum = ev.forward(fn.even_part(ev.x))
+    first, second = np.geomspace(0.05, 6.0, 20), np.linspace(0.1, 3.0, 7)
+    ev.inverse_at(spectrum, first)
+    again = ev.inverse_at(spectrum, second)
+    fresh = MellinEvaluator().inverse_at(spectrum, second)
+    assert np.array_equal(again, fresh)
+
+
 # --- the multiplier identity ------------------------------------------------
 
 

@@ -10,7 +10,9 @@ from levlab.loops import (
     ResonanceClass,
     Side,
     connector_path,
+    dilation_coordinate,
     path_unitarity_defect,
+    r_even,
     winding,
 )
 from levlab.scattering import threshold_matrix
@@ -90,3 +92,30 @@ def test_exceptional_connectors_stay_unitary(magnitude, sign):
         threshold_matrix(ResonanceClass.exceptional(sign * magnitude))
     )
     assert path_unitarity_defect(path, 65) < 1e-10
+
+
+def _matrix_formula(s_end, x):
+    """The connector value as the diag-and-matmul formula of its docstring:
+    1 + (1/2) (1 - diag(r_even(x), r_odd(x))) (s_end - 1)."""
+    one = np.eye(2, dtype=complex)
+    r = r_even(x)
+    return one + 0.5 * (one - np.diag([r, r.conjugate()])) @ (np.asarray(s_end, dtype=complex) - one)
+
+
+ENDPOINTS = {
+    "generic": threshold_matrix(ResonanceClass.generic()),
+    "odd-sector": np.diag([1.0, -1.0]),
+    **{f"gamma={g:g}": threshold_matrix(ResonanceClass.exceptional(g)) for g in GAMMAS},
+}
+
+
+@pytest.mark.parametrize("side", [Side.B1, Side.B3], ids=lambda s: s.name)
+@pytest.mark.parametrize("name", list(ENDPOINTS))
+def test_connector_values_are_the_matrix_formula_bit_for_bit(name, side):
+    end = ENDPOINTS[name]
+    path = connector_path(end, side)
+    for t in np.linspace(0.0, 1.0, 1025)[1:-1].tolist():
+        u = t if side is Side.B1 else 1.0 - t
+        want = _matrix_formula(end, dilation_coordinate(u))
+        got = path.eval(t)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), t

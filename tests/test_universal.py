@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -70,3 +71,36 @@ def test_forward_traversal_crosses_lower_half_plane():
     xs = np.linspace(-5.0, 5.0, 101)
     assert np.all(np.imag(r_even(xs)) < 0)
     assert math.isclose(np.imag(r_even(0.0)), -1.0)
+
+
+def _bits(z):
+    """The two IEEE words of a complex number, so that -0.0 differs from 0.0."""
+    return np.array([z], dtype=complex).view(np.uint64).tolist()
+
+
+@given(st.floats(-60.0, 60.0, allow_nan=False))
+def test_scalar_value_is_the_array_value_bit_for_bit(x):
+    assert _bits(r_even(x)) == _bits(r_even(np.array([x]))[0])
+
+
+CLIP_EDGE = 40.0 / math.pi
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        0.0,
+        -0.0,
+        INF,
+        -INF,
+        CLIP_EDGE,
+        -CLIP_EDGE,
+        math.nextafter(CLIP_EDGE, 0.0),
+        math.nextafter(CLIP_EDGE, INF),
+        math.nextafter(-CLIP_EDGE, 0.0),
+        math.nextafter(-CLIP_EDGE, -INF),
+    ],
+)
+def test_scalar_value_is_the_array_value_at_the_edges(x):
+    assert _bits(r_even(x)) == _bits(r_even(np.array([x]))[0])
+    assert _bits(r_even(np.float64(x))) == _bits(r_even(x))

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from levlab.errors import CornerMismatch, PhaseJumpTooLarge
+from levlab.errors import CornerMismatch, NonUnitaryPath, PhaseJumpTooLarge
 from levlab.loops import (
     BoundaryLoop,
     BoundaryPath,
@@ -13,8 +14,11 @@ from levlab.loops import (
     Side,
     concat_paths,
     constant_path,
+    interpolated_path,
     loop_winding,
+    nearest_unitary,
     reverse_path,
+    unitarity_defect,
     winding,
 )
 
@@ -143,3 +147,47 @@ def test_doubling_evaluates_each_parameter_once():
 @given(st.integers(-3, 3))
 def test_integer_turns_exact(turns):
     assert abs(winding(phase_path(turns)) - turns) < 1e-10
+
+
+def _random_unitary(rng):
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _svd_polar(m):
+    w, _, vh = np.linalg.svd(m)
+    return w @ vh
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.5), st.floats(0.0, 1.0))
+def test_polar_factor_of_interpolants_matches_svd(seed, step, theta):
+    rng = np.random.default_rng(seed)
+    u = _random_unitary(rng)
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    v = u @ scipy.linalg.expm(1j * step * (a + a.conj().T))  # a nearby unitary
+    m = (1.0 - theta) * u + theta * v
+    got = nearest_unitary(m)
+    assert np.max(np.abs(got - _svd_polar(m))) < 1e-14
+    assert unitarity_defect(got) < 1e-14
+
+
+def test_interpolated_path_projects_between_nodes():
+    rng = np.random.default_rng(7)
+    nodes = [_random_unitary(rng) for _ in range(2)]
+    path = interpolated_path(Side.B2, [0.0, 1.0], nodes)
+    assert np.array_equal(path.eval(0.0), nodes[0])
+    assert np.array_equal(path.eval(1.0), nodes[1])
+    m = 0.75 * nodes[0] + 0.25 * nodes[1]
+    assert np.max(np.abs(path.eval(0.25) - _svd_polar(m))) < 1e-14
+
+
+def test_singular_interpolant_raises():
+    # halfway from 1 to -1 the interpolant is the zero matrix: no unitary
+    # factor exists, and the winding must not invent one
+    path = interpolated_path(Side.B2, [0.0, 1.0], [np.eye(2), -np.eye(2)])
+    with pytest.raises(NonUnitaryPath):
+        path.eval(0.5)
+    with pytest.raises(NonUnitaryPath):
+        winding(path)
+    with pytest.raises(NonUnitaryPath):
+        nearest_unitary(np.array([[1.0, 1.0], [1.0, 1.0]]))
