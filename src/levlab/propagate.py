@@ -45,6 +45,17 @@ _GAUSS_HALF_GAP = 0.5 / math.sqrt(3.0)  # offset of the two Gauss nodes from mid
 # bounds the memory of the block-wise loops.
 BLOCK_ELEMENTS = 1 << 14
 
+# Sturm pivots within this of zero are taken as -_PIVMIN.
+_PIVMIN = 1e-290
+# Free runs are stepped in closed form only for |off| in this range, where
+# c^2 is finite and no pivot of the run but a sign change comes near
+# _PIVMIN; finite-difference matrices have |off| = 1/h^2, far inside it.
+_FREE_OFF_MIN = 1e-100
+_FREE_OFF_MAX = 1e100
+
+# Fewest points of a finite-difference count, so small boxes stay resolved.
+FD_MIN_POINTS = 2000
+
 
 @dataclass
 class Mesh:
@@ -303,32 +314,87 @@ def truncation_radius(
 # Finite-difference bound-state oracle
 
 
+def _free_run(d: float, c: float, m: int) -> tuple[float, int]:
+    """Pivot of the last of ``m`` free rows (diagonal 2c, off-diagonal of
+    magnitude c) entered with pivot ``d``, and how many of their pivots are
+    negative.
+
+    With q_(-1) = d the pivots are c q_j / q_(j-1), where q_j = d + (j+1)(d-c)
+    is linear in j because the recurrence has a double root.  So q changes
+    sign at most once, and only when 0 < d < c.
+    """
+    count = 0
+    if not -c <= d <= c:
+        # Step one row as the loop does (this also takes d = +-inf); the
+        # pivot lands in [c, 3c], so q below stays far from overflow.
+        d, m = c + c - c * c / d, m - 1
+    elif 0.0 < d < c:
+        e = d - c
+        # First j + 1 with q_j <= 0.  The quotient underflows to 0 when d is
+        # far below c; then q_0 = 2d - c < 0 and k = 1.
+        k = max(1, math.ceil(d / -e))
+        if k <= m:
+            # The one negative pivot, under the loop's pivmin rule; it is
+            # the only pivot of the run that can come near pivmin.
+            d = min(c * (d + k * e) / (d + (k - 1) * e), -_PIVMIN)
+            count, m = 1, m - k
+            if m and d < -c:
+                d, m = c + c - c * c / d, m - 1
+    if m == 0:
+        return d, count
+    e = d - c
+    return c * (d + m * e) / (d + (m - 1) * e), count
+
+
 def sturm_negative_count(diag: np.ndarray, off: np.ndarray) -> int:
     """Number of negative eigenvalues of a symmetric tridiagonal matrix.
 
     Counts negative pivots of the LDL^T factorisation at shift zero (the
-    classical Sturm sequence); O(n), no eigensolver.
+    classical Sturm sequence); O(n), no eigensolver.  A pivot within pivmin
+    of zero is taken as -pivmin, so a zero eigenvalue counts as negative.
+
+    Free rows are stepped in closed form: row i >= 1 is free when
+    ``diag[i] == 2 * abs(off[i - 1])`` bit for bit (for a finite-difference
+    matrix, V = 0 or below half an ulp of 2/h^2).  A run of free rows with
+    one constant ``abs(off)``, inside 1e-100 to 1e100, costs O(1): it has at
+    most one negative pivot, at an index known in closed form, and its exit
+    pivot follows from the entry pivot.  Runs are found one block at a time
+    and break at block edges.  Every other row takes the row-by-row recurrence, so its pivot,
+    pivmin rule and sign rule are the loop's exactly; pivots after a free
+    run differ from the loop's only at the rounding level.
     """
     if off.size != diag.size - 1:
         raise ValueError("off-diagonal length must be n - 1")
-    pivmin = 1e-290
     count = 0
     d = float(diag[0])
-    if abs(d) < pivmin:
-        d = -pivmin
+    if abs(d) < _PIVMIN:
+        d = -_PIVMIN
     if d < 0.0:
         count += 1
-    # Python floats in blocks: fast to loop over, with memory bounded by the block.
     for start in range(1, diag.size, BLOCK_ELEMENTS):
         stop = start + BLOCK_ELEMENTS
-        b = off[start - 1 : stop - 1]
-        for a, b2 in zip(diag[start:stop].tolist(), (b * b).tolist()):
-            d = a - b2 / d
-            # |d| < pivmin is replaced by -pivmin, so every d below pivmin counts.
-            if d < pivmin:
-                if d > -pivmin:
-                    d = -pivmin
-                count += 1
+        a = diag[start:stop]
+        c = np.abs(off[start - 1 : stop - 1])
+        free = a == c + c
+        # Segments: maximal stretches of free rows with one |off|, or of other rows.
+        change = free[1:] != free[:-1]
+        change |= free[1:] & (c[1:] != c[:-1])
+        cuts = [0, *(np.flatnonzero(change) + 1).tolist(), a.size]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            c_run = float(c[lo])
+            if free[lo] and _FREE_OFF_MIN < c_run < _FREE_OFF_MAX:
+                d, negatives = _free_run(d, c_run, hi - lo)
+                count += negatives
+                continue
+            # Python floats: fast to loop over, with memory bounded by the block.
+            c_seg = c[lo:hi]
+            for a_i, b2 in zip(a[lo:hi].tolist(), (c_seg * c_seg).tolist()):
+                d = a_i - b2 / d
+                # |d| < pivmin is replaced by -pivmin, so every d below pivmin counts.
+                if d < _PIVMIN:
+                    if d > -_PIVMIN:
+                        d = -_PIVMIN
+                    count += 1
     return count
 
 
@@ -336,21 +402,19 @@ def _fd_count_once(potential: Potential, box: float, n: int, parity: str | None)
     if parity is None:
         xs = np.linspace(-box, box, n + 2)[1:-1]
         h = xs[1] - xs[0]
-        diag = 2.0 / (h * h) + potential(xs)
-        off = np.full(n - 1, -1.0 / (h * h))
-        return sturm_negative_count(diag, off)
-    # Half-line grid x_i = (i + 1/2) h with a reflecting condition at 0:
-    # even parity mirrors the first point, odd parity negates it.
-    h = box / n
-    xs = (np.arange(n) + 0.5) * h
+    else:
+        # Half-line grid x_i = (i + 1/2) h with a reflecting condition at 0:
+        # even parity mirrors the first point, odd parity negates it.
+        h = box / n
+        xs = (np.arange(n) + 0.5) * h
     diag = 2.0 / (h * h) + potential(xs)
     if parity == "even":
         diag[0] = 1.0 / (h * h) + potential(xs[:1])[0]
     elif parity == "odd":
         diag[0] = 3.0 / (h * h) + potential(xs[:1])[0]
-    else:
+    elif parity is not None:
         raise ValueError(f"unknown parity {parity!r}")
-    off = np.full(n - 1, -1.0 / (h * h))
+    off = np.broadcast_to(-1.0 / (h * h), n - 1)
     return sturm_negative_count(diag, off)
 
 
@@ -368,8 +432,8 @@ def fd_negative_eigenvalue_count(
     via the Sturm sequence.  Doubling the resolution must not change the
     count; if it does the discretisation cannot be trusted at this size.
     """
-    if n_points < 2000:
-        raise ValueError("n_points must be at least 2000")
+    if n_points < FD_MIN_POINTS:
+        raise ValueError(f"n_points must be at least {FD_MIN_POINTS}")
     if box_half_width <= 0:
         raise ValueError("box_half_width must be positive")
     first = _fd_count_once(potential, box_half_width, n_points, parity)

@@ -46,6 +46,7 @@ from .loops import (
 )
 from .potentials import Potential, integrated_absolute
 from .propagate import (
+    FD_MIN_POINTS,
     TransferEngine,
     build_mesh,
     fd_negative_eigenvalue_count,
@@ -72,8 +73,6 @@ SHALLOW_STRENGTH = 1.2
 SHALLOW_MOMENTUM_FACTOR = 0.45
 SHALLOW_MOMENTUM_FLOOR = 5e-3
 SHALLOW_DECAY_LENGTHS = 8.0
-# Fewest finite-difference points per box, so small boxes stay resolved.
-FD_MIN_POINTS = 2000
 # Probe momenta whose scattering data must stop moving under mesh halving.
 ENGINE_PROBE_KAPPAS = np.geomspace(1e-3, 50.0, 10)
 ENGINE_PROBE_KAPPAS.flags.writeable = False

@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.optimize import brentq
 
 from levlab.errors import ClassificationAmbiguous, DecayTooSlow
 from levlab.loops import Sector
 from levlab.potentials import Potential, gaussian_wells, square_well, zero_potential
-from levlab.propagate import TransferEngine, build_mesh, sturm_negative_count, truncation_radius
+from levlab.propagate import (
+    BLOCK_ELEMENTS,
+    TransferEngine,
+    build_mesh,
+    sturm_negative_count,
+    truncation_radius,
+)
 from levlab.reporting import tuned_resonance_depth
 from levlab.scattering import (
     PotentialAnalysis,
@@ -77,6 +84,173 @@ def test_sturm_count_matches_eigenvalues():
         assert sturm_negative_count(diag, off) == expected
     # a zero pivot counts as negative: [[0, 1], [1, 1]] has one negative eigenvalue
     assert sturm_negative_count(np.array([0.0, 1.0]), np.array([1.0])) == 1
+
+
+def _loop_pivots(diag, off):
+    """Reference: the LDL^T pivots row by row, with the pivmin rule."""
+    pivmin = 1e-290
+    d = float(diag[0])
+    if abs(d) < pivmin:
+        d = -pivmin
+    pivots = [d]
+    for a, b in zip(diag[1:].tolist(), off.tolist()):
+        d = a - b * b / d
+        if -pivmin < d < pivmin:
+            d = -pivmin
+        pivots.append(d)
+    return np.array(pivots)
+
+
+def _loop_count(diag, off):
+    return int(np.sum(_loop_pivots(diag, off) < 0.0))
+
+
+def _eig_count(diag, off):
+    return eigvalsh_tridiagonal(diag, off, select="v", select_range=(-np.inf, 0.0)).size
+
+
+def _fd_matrix(depths, centres, widths, box, n, parity):
+    """The finite-difference matrix of a sum of Gaussian wells, built as the
+    FD bound-state counter builds it."""
+    if parity is None:
+        xs = np.linspace(-box, box, n + 2)[1:-1]
+        h = xs[1] - xs[0]
+    else:
+        h = box / n
+        xs = (np.arange(n) + 0.5) * h
+    v = sum(-d * np.exp(-(((xs - x0) / w) ** 2)) for d, x0, w in zip(depths, centres, widths))
+    diag = 2.0 / (h * h) + v
+    if parity is not None:
+        diag[0] = (1.0 if parity == "even" else 3.0) / (h * h) + v[0]
+    return diag, np.broadcast_to(-1.0 / (h * h), n - 1)
+
+
+@pytest.mark.parametrize("parity", [None, "even", "odd"])
+def test_sturm_free_runs_match_loop_on_random_wells(parity):
+    rng = np.random.default_rng({None: 21, "even": 22, "odd": 23}[parity])
+    crossings_in_free_rows = 0
+    for _ in range(40):
+        k = int(rng.integers(1, 4))
+        box = float(rng.uniform(6.0, 200.0))
+        centres = rng.uniform(-0.5 * box, 0.5 * box, k) if parity is None else rng.uniform(0.0, 0.5 * box, k)
+        diag, off = _fd_matrix(rng.uniform(0.2, 8.0, k), centres, rng.uniform(0.3, 2.0, k), box, 2000, parity)
+        pivots = _loop_pivots(diag, off)
+        free = np.concatenate([[False], diag[1:] == 2.0 * np.abs(off)])
+        crossings_in_free_rows += int(np.sum((pivots < 0.0) & free))
+        count = sturm_negative_count(diag, off)
+        assert count == int(np.sum(pivots < 0.0))
+        assert count == _eig_count(diag, off)
+    assert crossings_in_free_rows > 0
+
+
+def test_sturm_free_run_entry_cases():
+    c = 3.0
+    free = np.full(12, 2.0 * c)
+    off = np.full(11, -c)
+    cases = {
+        "negative entry pivot": [-1.0],
+        "entry pivot zero": [0.0],
+        "entry pivot within pivmin": [1e-300],
+        "entry below c, crossing in the run": [0.7 * c],
+        "entry between c/2 and c, later crossing": [0.9 * c],
+        "entry above c": [5.0 * c],
+        "free row 0": [2.0 * c],
+        "run of length 1": [2.0 * c, 2.0 * c, -4.0, 1.0, 2.0 * c, 7.0],
+        "non-free negative pivot before a run": [1.0, 0.5],
+    }
+    for name, head in cases.items():
+        diag = free.copy()
+        diag[: len(head)] = head
+        expected = _loop_count(diag, off)
+        assert sturm_negative_count(diag, off) == expected, name
+        assert _eig_count(diag, off) == expected, name
+
+
+def test_sturm_free_run_extreme_entry_pivots():
+    # c^2 / pivmin overflows: the non-free row 1 gets an infinite pivot and
+    # the free run from row 2 must go on as the loop does (next pivot 2c).
+    c = 1e10
+    diag = np.full(9, 2.0 * c)
+    diag[:2] = [0.0, 5.0]
+    diag[5] = 0.5 * c
+    off = np.full(8, -c)
+    assert np.isinf(_loop_pivots(diag, off)[1])
+    assert sturm_negative_count(diag, off) == _loop_count(diag, off) == 2
+    # A tiny positive entry pivot far below c: d / (c - d) underflows to 0,
+    # and the run's first pivot is the negative one (-inf here).
+    c = 1e40
+    diag = np.full(9, 2.0 * c)
+    diag[0] = 1e-289
+    diag[6] = 0.9 * c
+    off = np.full(8, -c)
+    assert _loop_pivots(diag, off)[1] == -np.inf
+    assert sturm_negative_count(diag, off) == _loop_count(diag, off) == 2
+
+
+def test_sturm_free_run_crosses_block_edge():
+    # A single lowered row before the block edge; its depth sweeps the one
+    # negative pivot of the following free run from just after the row to
+    # well past the edge, and to no crossing at all.
+    n = BLOCK_ELEMENTS + 3000
+    row = BLOCK_ELEMENTS - 200
+    off = np.broadcast_to(-1.0, n - 1)
+    seen_after_edge = seen_before_edge = False
+    for depth in np.linspace(1e-4, 1e-2, 60):
+        diag = np.full(n, 2.0)
+        diag[row] -= depth
+        pivots = _loop_pivots(diag, off)
+        negative = np.flatnonzero(pivots < 0.0)
+        seen_after_edge |= bool(negative.size and negative[-1] > BLOCK_ELEMENTS)
+        seen_before_edge |= bool(negative.size and negative[-1] <= BLOCK_ELEMENTS)
+        assert sturm_negative_count(diag, off) == negative.size
+    assert seen_after_edge and seen_before_edge
+
+
+def test_sturm_crossing_on_the_last_row_of_a_run():
+    # Tune the well so that its second FD eigenvalue is zero: the matrix
+    # determinant changes sign, so the negative pivot moves on or off the
+    # last row, which ends the free run of the right-hand tail.
+    def matrix(depth):
+        return _fd_matrix([depth], [0.0], [1.0], 10.0, 2000, None)
+
+    def second_eigenvalue(depth):
+        diag, off = matrix(depth)
+        return eigvalsh_tridiagonal(diag, off, select="i", select_range=(1, 1))[0]
+
+    critical = brentq(second_eigenvalue, 2.0, 12.0, xtol=1e-14)
+    for depth, last_negative in ((critical * (1 + 1e-7), True), (critical * (1 - 1e-7), False)):
+        diag, off = matrix(depth)
+        assert diag[-1] == 2.0 * abs(off[-1]) and diag[-200] == diag[-1]
+        pivots = _loop_pivots(diag, off)
+        assert (pivots[-1] < 0.0) == last_negative
+        assert sturm_negative_count(diag, off) == int(np.sum(pivots < 0.0)) == 1 + last_negative
+
+
+def test_sturm_run_breaks_where_off_changes():
+    # diag == 2|off| on every row, but |off| steps from c1 to c2 inside the
+    # stretch: one closed form over the whole stretch would miscount.
+    rng = np.random.default_rng(31)
+    checked = 0
+    for _ in range(200):
+        n = int(rng.integers(6, 60))
+        c1, c2 = rng.uniform(0.2, 5.0, 2)
+        step = int(rng.integers(2, n - 2))
+        mags = np.where(np.arange(n - 1) < step, c1, c2)
+        off = mags * rng.choice([-1.0, 1.0], n - 1)
+        diag = np.concatenate([[rng.uniform(-1.0, 2.0 * c1)], 2.0 * mags])
+        lowered = rng.random(n) < 0.1
+        diag[lowered] -= rng.uniform(0.0, 2.0, int(lowered.sum()))
+        expected = _loop_count(diag, off)
+        assert sturm_negative_count(diag, off) == expected
+        if np.min(np.abs(eigvalsh_tridiagonal(diag, off))) > 1e-9:
+            assert _eig_count(diag, off) == expected
+            checked += 1
+    assert checked > 150
+
+
+def test_sturm_zero_rows_are_not_free():
+    # diag = 2|off| = 0: every pivot is a zero pivot, each counted as negative.
+    assert sturm_negative_count(np.zeros(50), np.zeros(49)) == _loop_count(np.zeros(50), np.zeros(49)) == 50
 
 
 def test_zero_energy_solution_is_computed_once():
