@@ -47,6 +47,9 @@ from .loops import (
     nearest_unitary,
     r_even,
     r_odd,
+    restrict,
+    sector_threshold_class,
+    threshold_matrix,
     unitarity_defect,
     winding,
 )
@@ -54,8 +57,6 @@ from .point import (
     DELTA,
     DELTA_PRIME,
     PointInteraction,
-    s_alpha,
-    s_beta,
     verify_levinson,
 )
 from .potentials import (
@@ -84,7 +85,6 @@ from .scattering import (
     classify_threshold,
     count_bound_states_fd,
     count_bound_states_shooting,
-    threshold_matrix,
     time_delay_integral,
     to_even_odd,
     zero_energy_tail_slope,

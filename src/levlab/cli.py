@@ -110,11 +110,11 @@ def _build_settings(config: dict) -> SolverSettings:
     unknown = sorted(set(overrides) - valid)
     if unknown:
         raise ConfigError(f"unknown numerics keys: {', '.join(unknown)}")
-    if "dead_zone" in overrides:
+    if isinstance(overrides.get("dead_zone"), list):
         overrides = dict(overrides, dead_zone=tuple(overrides["dead_zone"]))
     try:
         return SolverSettings(**overrides)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad numerics value: {exc}")
 
 
@@ -227,7 +227,7 @@ def _cmd_potential(args) -> int:
 def _cmd_tables(args) -> int:
     rows = reproduce_tables()
     print(render_rows(rows))
-    check_golden(rows, tol=1e-6)
+    check_golden(rows)
     print("all golden rows reproduced")
     return 0
 

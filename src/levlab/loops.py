@@ -49,6 +49,12 @@ _I2 = np.eye(2, dtype=complex)
 # norm are singular to rounding: they have no meaningful unitary factor.
 _SINGULAR_DET = 1e-14
 
+# Winding knobs of every boundary loop: initial samples per side, agreement
+# of successive doublings, largest mismatch at a corner.
+WINDING_SAMPLES = 257
+WINDING_TOL = 1e-9
+CORNER_TOL = 1e-8
+
 
 def r_even(x):
     """Universal even-sector multiplier -tanh(pi x) - i sech(pi x).
@@ -84,10 +90,12 @@ def r_odd(x):
 # 2x2 unitary values
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    """Max-norm distance of U^dag U from the identity."""
-    u = np.asarray(u, dtype=complex)
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+def unitarity_defect(us) -> float:
+    """Max-norm distance of U^dag U from the identity, for one square matrix
+    or, in one stacked computation, the largest over an (n, m, m) stack."""
+    us = np.asarray(us, dtype=complex)
+    gram = np.swapaxes(us.conj(), -1, -2) @ us
+    return float(np.max(np.abs(gram - np.eye(us.shape[-1]))))
 
 
 def as_unitary(entries) -> np.ndarray:
@@ -99,14 +107,6 @@ def as_unitary(entries) -> np.ndarray:
     if not defect < 1e-10:  # also rejects nan
         raise ValueError(f"matrix is not unitary: defect {defect:.3e} >= 1e-10")
     return u
-
-
-def _max_unitarity_defect(us: np.ndarray) -> float:
-    """Largest max-norm distance of U^dag U from the identity over a stack
-    of 2x2 matrices, in one stacked computation."""
-    us = np.asarray(us, dtype=complex)
-    gram = us.conj().transpose(0, 2, 1) @ us
-    return float(np.max(np.abs(gram - _I2)))
 
 
 def _polar_factor(m00: complex, m01: complex, m10: complex, m11: complex) -> np.ndarray:
@@ -208,6 +208,63 @@ class ResonanceClass:
     @classmethod
     def from_dict(cls, data: dict) -> "ResonanceClass":
         return cls(data["tag"], data.get("gamma"))
+
+
+# ---------------------------------------------------------------------------
+# Parity sectors and the threshold
+
+
+_SLOT = {Sector.EVEN: 0, Sector.ODD: 1}
+
+
+def threshold_matrix(resonance: ResonanceClass) -> np.ndarray:
+    """Zero-energy scattering matrix in the even-odd basis.
+
+    Generic thresholds give diag(-1, 1); an exceptional threshold with
+    asymptotic ratio gamma gives the real orthogonal matrix with 2 gamma on
+    the diagonal and +-(1 - gamma^2) off it, normalised by 1 + gamma^2.
+    """
+    if not resonance.is_exceptional:
+        return np.diag([-1.0 + 0.0j, 1.0 + 0.0j])
+    g = resonance.gamma
+    return np.array(
+        [[2.0 * g, 1.0 - g * g], [g * g - 1.0, 2.0 * g]], dtype=complex
+    ) / (1.0 + g * g)
+
+
+def restrict(matrices, sector: Sector) -> np.ndarray:
+    """One parity sector's part of even-odd matrices: FULL returns them
+    unchanged, EVEN and ODD embed the sector's diagonal entry s as diag(s, 1)
+    or diag(1, s).  Accepts one 2x2 matrix or an (n, 2, 2) stack."""
+    if sector is Sector.FULL:
+        return matrices
+    m = np.asarray(matrices, dtype=complex)
+    slot = _SLOT[sector]
+    out = np.zeros(m.shape, dtype=complex)
+    out[..., slot, slot] = m[..., slot, slot]
+    out[..., 1 - slot, 1 - slot] = 1.0
+    return out
+
+
+def sector_unitary(value: complex, sector: Sector) -> np.ndarray:
+    """diag(value, 1) for EVEN, diag(1, value) for ODD: one sector's
+    amplitude as a 2x2 unitary, built as one array."""
+    if sector is Sector.EVEN:
+        return np.array([[value, 0.0j], [0.0j, 1.0 + 0.0j]])
+    if sector is Sector.ODD:
+        return np.array([[1.0 + 0.0j, 0.0j], [0.0j, value]])
+    raise ValueError("sector amplitudes exist for parity sectors only")
+
+
+def sector_threshold_class(sector: Sector, value: float) -> ResonanceClass:
+    """Threshold class of a parity sector from its zero-energy amplitude:
+    +1 in the even sector is the even half-bound state, exceptional(+1), -1
+    in the odd sector the odd one, exceptional(-1); anything else is generic."""
+    if sector is Sector.EVEN and value == 1.0:
+        return ResonanceClass.exceptional(1.0)
+    if sector is Sector.ODD and value == -1.0:
+        return ResonanceClass.exceptional(-1.0)
+    return ResonanceClass.generic()
 
 
 @dataclass(frozen=True)
@@ -333,7 +390,7 @@ def connector_path(s_end, side: Side = Side.B1) -> BoundaryPath:
             return s.copy()
         return value_at(dilation_coordinate(u))
 
-    worst = _max_unitarity_defect([evaluate(t) for t in np.linspace(0.0, 1.0, 41).tolist()])
+    worst = unitarity_defect([evaluate(t) for t in np.linspace(0.0, 1.0, 41).tolist()])
     if not worst < 1e-10:
         raise NonUnitaryPath(
             f"connector endpoint leaves the unitary family along the path "
@@ -355,7 +412,7 @@ def interpolated_path(side: Side, node_params, node_values) -> BoundaryPath:
         raise ValueError("need matching 1d parameters and (n, 2, 2) values")
     if ts[0] != 0.0 or ts[-1] != 1.0 or np.any(np.diff(ts) <= 0):
         raise ValueError("node parameters must increase strictly from 0 to 1")
-    worst = _max_unitarity_defect(us)
+    worst = unitarity_defect(us)
     if not worst < 1e-8:
         raise NonUnitaryPath(f"interpolation node is not unitary (defect {worst:.3e})")
     knots = ts.tolist()
@@ -399,7 +456,7 @@ def concat_paths(a: BoundaryPath, b: BoundaryPath) -> BoundaryPath:
 
 def path_unitarity_defect(path: BoundaryPath, n_samples: int = 129) -> float:
     """Worst sampled unitarity defect along the path."""
-    return _max_unitarity_defect([path.eval(t) for t in np.linspace(0.0, 1.0, n_samples).tolist()])
+    return unitarity_defect([path.eval(t) for t in np.linspace(0.0, 1.0, n_samples).tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -411,16 +468,22 @@ def _dets(path: BoundaryPath, ts: np.ndarray) -> np.ndarray:
     return np.linalg.det(np.array([path.eval(t) for t in ts.tolist()], dtype=complex))
 
 
+def phase_steps(dets: np.ndarray) -> np.ndarray:
+    """Phase steps arg(d[i+1] / d[i]) of consecutive determinants, in radians
+    within (-pi, pi]."""
+    return np.angle(dets[1:] * np.conj(dets[:-1]))
+
+
 def _turns(dets: np.ndarray) -> tuple[float, float]:
     """Summed phase steps of consecutive determinants in turns, and the
     largest single step in radians."""
-    steps = np.angle(dets[1:] * np.conj(dets[:-1]))
+    steps = phase_steps(dets)
     return float(steps.sum() / (2.0 * np.pi)), float(np.max(np.abs(steps)))
 
 
 def winding(
     path: BoundaryPath,
-    n_samples: int = 257,
+    n_samples: int = WINDING_SAMPLES,
     *,
     tol: float = 1e-8,
     max_samples: int = 1 << 17,
@@ -490,9 +553,9 @@ def loop_winding(
     *,
     n_bound: int,
     resonance: ResonanceClass,
-    corner_tol: float = 1e-8,
-    n_samples: int = 257,
-    tol: float = 1e-9,
+    corner_tol: float = CORNER_TOL,
+    n_samples: int = WINDING_SAMPLES,
+    tol: float = WINDING_TOL,
 ) -> WindingReport:
     """Complete report of a closed boundary loop: per-side windings, their
     sum, the given bound-state count and threshold class, and the residual

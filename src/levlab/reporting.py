@@ -21,9 +21,12 @@ from .errors import GoldenMismatch
 from .loops import Sector, WindingReport
 from .point import DELTA, DELTA_PRIME, PointInteraction, verify_levinson
 from .potentials import Potential, square_well
-from .scattering import PotentialAnalysis, SolverSettings, zero_energy_tail_slope
+from .scattering import PotentialAnalysis, zero_energy_tail_slope
 
 _COLUMNS = ("w1", "w2", "w3", "w4", "total", "n_bound")
+
+# Largest admitted gap between a computed winding or total and its frozen value.
+GOLDEN_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -150,11 +153,11 @@ _WELL_GOLDEN = (
 )
 
 
-def well_table_rows(settings: SolverSettings | None = None) -> list[TableRow]:
+def well_table_rows() -> list[TableRow]:
     """Square-well sector table: generic plus both tuned resonant depths."""
     rows = []
     for stem, factory, expectations in _WELL_GOLDEN:
-        analysis = PotentialAnalysis(factory(), settings)
+        analysis = PotentialAnalysis(factory())
         for sector in (Sector.FULL, Sector.EVEN, Sector.ODD):
             expected_w, expected_n = expectations[sector]
             report = analysis.report(sector)
@@ -163,15 +166,15 @@ def well_table_rows(settings: SolverSettings | None = None) -> list[TableRow]:
     return rows
 
 
-def reproduce_tables(settings: SolverSettings | None = None) -> list[TableRow]:
+def reproduce_tables() -> list[TableRow]:
     """All golden rows: point interactions first, then the square wells."""
-    return point_table_rows() + well_table_rows(settings)
+    return point_table_rows() + well_table_rows()
 
 
-def check_golden(rows, tol: float = 1e-6) -> None:
+def check_golden(rows) -> None:
     """Raise GoldenMismatch naming the first offending row and column."""
     for row in rows:
-        bad = row.mismatches(tol)
+        bad = row.mismatches(GOLDEN_TOL)
         if bad:
             column, got, want = bad[0]
             raise GoldenMismatch(
@@ -189,7 +192,7 @@ def render_rows(rows) -> str:
     )
     lines = [header, "-" * len(header)]
     for r in rows:
-        bad = r.mismatches(1e-6)
+        bad = r.mismatches(GOLDEN_TOL)
         status = "ok" if not bad else "MISMATCH " + ",".join(b[0] for b in bad)
         cells = "".join(f"{v:>9.4f}" for v in (*r.w, r.total))
         lines.append(f"{r.label:<{width}}{cells}{r.n_bound:>4}  {status}")

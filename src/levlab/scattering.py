@@ -11,7 +11,9 @@ Everything the index bookkeeping needs from a potential is produced here:
   Hamiltonian),
 * the spectral-shift (time-delay) integral along the momentum side of the
   boundary square, summed from eigenphase increments,
-* assembled boundary loops, full line or per parity sector.
+* assembled boundary loops, full line or per parity sector.  The sector
+  rules (which diagonal entry a sector keeps, and which zero-energy value is
+  a half-bound state) live in ``loops``, shared with the point interactions.
 
 Momenta and matrices live in the plane-wave basis (transmission on the
 diagonal) or the even-odd basis; the index constructions use even-odd, where
@@ -21,7 +23,7 @@ the threshold forms are real orthogonal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -34,6 +36,9 @@ from .errors import (
     SymmetryRequired,
 )
 from .loops import (
+    CORNER_TOL,
+    WINDING_SAMPLES,
+    WINDING_TOL,
     BoundaryLoop,
     ResonanceClass,
     Sector,
@@ -43,6 +48,11 @@ from .loops import (
     constant_path,
     interpolated_path,
     loop_winding,
+    phase_steps,
+    restrict,
+    sector_threshold_class,
+    threshold_matrix,
+    unitarity_defect,
 )
 from .potentials import Potential, integrated_absolute
 from .propagate import (
@@ -109,9 +119,29 @@ class SolverSettings:
     fd_box_margin: float = 1.3
     fd_growth: float = 2.0
     fd_max_growth: int = 5
-    winding_samples: int = 257
-    winding_tol: float = 1e-9
-    corner_tol: float = 1e-8
+    winding_samples: int = WINDING_SAMPLES
+    winding_tol: float = WINDING_TOL
+    corner_tol: float = CORNER_TOL
+
+    def __post_init__(self):
+        """Every knob is a finite positive number of its field's type (an int
+        field takes no bool or float); ``dead_zone`` is an increasing pair and
+        ``winding_samples`` at least the 16 that ``winding`` needs."""
+        if not (isinstance(self.dead_zone, tuple) and len(self.dead_zone) == 2):
+            raise TypeError(f"dead_zone must be a pair of numbers, got {self.dead_zone!r}")
+        for field in fields(self):
+            integer = type(field.default) is int
+            values = self.dead_zone if field.name == "dead_zone" else (getattr(self, field.name),)
+            for value in values:
+                if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+                    kind = "an integer" if integer else "a number"
+                    raise TypeError(f"{field.name} must be {kind}, got {value!r}")
+                if not (math.isfinite(value) and value > 0):
+                    raise ValueError(f"{field.name} must be finite and positive, got {value!r}")
+        if not self.dead_zone[0] < self.dead_zone[1]:
+            raise ValueError(f"dead_zone must increase, got {self.dead_zone!r}")
+        if self.winding_samples < 16:
+            raise ValueError(f"winding_samples must be at least 16, got {self.winding_samples}")
 
 
 def to_even_odd(matrices: np.ndarray) -> np.ndarray:
@@ -139,14 +169,12 @@ class ScatteringData:
 
     def unitarity_defect(self) -> float:
         """Worst entrywise distance of S^dag S from the identity on the grid."""
-        prod = np.conj(np.transpose(self.matrices, (0, 2, 1))) @ self.matrices
-        return float(np.max(np.abs(prod - _I2)))
+        return unitarity_defect(self.matrices)
 
     def det_phases(self) -> np.ndarray:
         """Continuously unwrapped argument of det S along the grid."""
         dets = np.linalg.det(self.matrices)
-        steps = np.angle(dets[1:] * np.conj(dets[:-1]))
-        return np.angle(dets[0]) + np.concatenate([[0.0], np.cumsum(steps)])
+        return np.angle(dets[0]) + np.concatenate([[0.0], np.cumsum(phase_steps(dets))])
 
     def eigenphase_curves(self) -> np.ndarray:
         """Unwrapped eigenphases (n, 2), branches matched by eigenvector overlap."""
@@ -216,8 +244,7 @@ def s_matrix_grid(engine: TransferEngine, settings: SolverSettings) -> Scatterin
     kappas = np.geomspace(settings.kappa_min, settings.kappa_max, n0)
     mats = _plane_matrices(engine, kappas)
     for _ in range(settings.max_refine_rounds):
-        dets = np.linalg.det(mats)
-        dphi = np.abs(np.angle(dets[1:] * np.conj(dets[:-1])))
+        dphi = np.abs(phase_steps(np.linalg.det(mats)))
         dent = np.sqrt(np.sum(np.abs(np.diff(mats, axis=0)) ** 2, axis=(1, 2)))
         need = (dphi > settings.refine_phase_step) | (dent > settings.refine_entry_step)
         if not need.any():
@@ -236,21 +263,6 @@ def s_matrix_grid(engine: TransferEngine, settings: SolverSettings) -> Scatterin
 
 # ---------------------------------------------------------------------------
 # Threshold behaviour
-
-
-def threshold_matrix(resonance: ResonanceClass) -> np.ndarray:
-    """Zero-energy scattering matrix in the even-odd basis.
-
-    Generic thresholds give diag(-1, 1); an exceptional threshold with
-    asymptotic ratio gamma gives the real orthogonal matrix with 2 gamma on
-    the diagonal and +-(1 - gamma^2) off it, normalised by 1 + gamma^2.
-    """
-    if not resonance.is_exceptional:
-        return np.diag([-1.0 + 0.0j, 1.0 + 0.0j])
-    g = resonance.gamma
-    return np.array(
-        [[2.0 * g, 1.0 - g * g], [g * g - 1.0, 2.0 * g]], dtype=complex
-    ) / (1.0 + g * g)
 
 
 def zero_energy_tail(engine: TransferEngine) -> tuple[float, float, float, float]:
@@ -396,32 +408,6 @@ def time_delay_integral(matrices) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Sector helpers
-
-
-_SECTOR_SLOT = {Sector.EVEN: 0, Sector.ODD: 1}
-
-
-def sector_threshold_value(sector: Sector, resonance: ResonanceClass) -> float:
-    """Zero-energy scattering value of one parity sector: the even sector is
-    -1 generic / +1 exceptional, the odd sector +1 generic / -1 exceptional."""
-    if sector is Sector.EVEN:
-        return 1.0 if resonance.is_exceptional else -1.0
-    if sector is Sector.ODD:
-        return -1.0 if resonance.is_exceptional else 1.0
-    raise ValueError("sector threshold values exist for parity sectors only")
-
-
-def _embed_sector(values: np.ndarray, sector: Sector) -> np.ndarray:
-    """diag(s, 1) or diag(1, s): one sector's scalar data as 2x2 unitaries."""
-    out = np.zeros(values.shape + (2, 2), dtype=complex)
-    slot = _SECTOR_SLOT[sector]
-    out[..., slot, slot] = values
-    out[..., 1 - slot, 1 - slot] = 1.0
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Full analysis
 
 
@@ -497,7 +483,10 @@ class PotentialAnalysis:
         return self.n_bound_shooting
 
     def sector_bound_states(self, sector: Sector) -> int:
-        """Half-line bound states of one parity sector (symmetric potentials)."""
+        """Certified bound states of the full line, or the half-line bound
+        states of one parity sector (symmetric potentials)."""
+        if sector is Sector.FULL:
+            return self.bound_states()
         self._require_symmetric(sector)
         if sector not in self._sector_counts:
             parity = "even" if sector is Sector.EVEN else "odd"
@@ -509,26 +498,23 @@ class PotentialAnalysis:
     def sector_resonance(self, sector: Sector) -> ResonanceClass:
         """Threshold class of one parity sector.
 
-        A symmetric potential can only be exceptional with gamma = +1 (even
-        resonance) or -1 (odd resonance); the matching sector inherits the
-        exceptional tag, the other stays generic.
+        The full line keeps the certified class.  A symmetric potential can
+        only be exceptional with gamma = +1 (even resonance) or -1 (odd
+        resonance), where the zero-energy matrix is +-1 in both sectors; the
+        sector rule of ``loops`` then tags the matching sector exceptional.
         """
         self._require_symmetric(sector)
         full = self.resonance
+        if sector is Sector.FULL:
+            return full
         if not full.is_exceptional:
             return ResonanceClass.generic()
         g = full.gamma
-        if abs(g - 1.0) <= SYMMETRIC_GAMMA_TOL:
-            resonant = Sector.EVEN
-        elif abs(g + 1.0) <= SYMMETRIC_GAMMA_TOL:
-            resonant = Sector.ODD
-        else:
+        if abs(abs(g) - 1.0) > SYMMETRIC_GAMMA_TOL:
             raise ClassificationAmbiguous(
                 f"symmetric potential with exceptional gamma {g:.6f} not at +-1"
             )
-        if sector is resonant:
-            return ResonanceClass.exceptional(1.0 if resonant is Sector.EVEN else -1.0)
-        return ResonanceClass.generic()
+        return sector_threshold_class(sector, math.copysign(1.0, g))
 
     def _require_symmetric(self, sector: Sector) -> None:
         if sector is Sector.FULL:
@@ -540,14 +526,8 @@ class PotentialAnalysis:
 
     def _b2_nodes(self, sector: Sector) -> tuple[np.ndarray, np.ndarray]:
         data = self.scattering.in_even_odd()
-        if sector is Sector.FULL:
-            start = threshold_matrix(self.resonance)
-            mats = data.matrices
-        else:
-            start_value = sector_threshold_value(sector, self.sector_resonance(sector))
-            start = _embed_sector(np.array(start_value, dtype=complex), sector)
-            slot = _SECTOR_SLOT[sector]
-            mats = _embed_sector(data.matrices[:, slot, slot], sector)
+        start = restrict(threshold_matrix(self.sector_resonance(sector)), sector)
+        mats = restrict(data.matrices, sector)
         ts = data.kappas / (1.0 + data.kappas)
         params = np.concatenate([[0.0], ts, [1.0]])
         values = np.concatenate([[start], mats, [_I2]])
@@ -577,15 +557,11 @@ class PotentialAnalysis:
         if sector in self._reports:
             return self._reports[sector]
         loop = self.loop(sector)
-        if sector is Sector.FULL:
-            n, resonance = self.bound_states(), self.resonance
-        else:
-            n, resonance = self.sector_bound_states(sector), self.sector_resonance(sector)
         s = self.settings
         report = loop_winding(
             loop,
-            n_bound=n,
-            resonance=resonance,
+            n_bound=self.sector_bound_states(sector),
+            resonance=self.sector_resonance(sector),
             corner_tol=s.corner_tol,
             n_samples=s.winding_samples,
             tol=s.winding_tol,
@@ -594,10 +570,10 @@ class PotentialAnalysis:
         return report
 
 
-def zero_energy_tail_slope(potential: Potential, settings: SolverSettings | None = None) -> float:
+def zero_energy_tail_slope(potential: Potential) -> float:
     """Normalised tail slope of the zero-energy solution (the classification
     ratio, with sign).  Vanishes exactly at an exceptional threshold, so roots
     in a potential-family parameter locate resonant members."""
-    analysis = PotentialAnalysis(potential, settings)
+    analysis = PotentialAnalysis(potential)
     _, c2, scale, _ = zero_energy_tail(analysis.engine)
     return c2 * max(1.0, analysis.engine.x_max) / scale

@@ -164,6 +164,17 @@ def test_potential_config_errors(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize(
+    "numerics",
+    [{"winding_samples": "abc"}, {"winding_samples": 8}, {"dead_zone": 5}],
+    ids=["samples-not-int", "samples-below-16", "dead-zone-not-pair"],
+)
+def test_potential_malformed_numerics_is_config_error(tmp_path, capsys, numerics):
+    cfg = write_config(tmp_path, dict(WELL_CONFIG, numerics=numerics))
+    assert main(["potential", "--config", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_potential_numerics_override(tmp_path, capsys):
     cfg = write_config(
         tmp_path, dict(WELL_CONFIG, numerics={"winding_samples": 129})

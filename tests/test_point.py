@@ -7,23 +7,28 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from levlab.loops import Sector
-from levlab.point import (
-    DELTA,
-    DELTA_PRIME,
-    PointInteraction,
-    bound_state_count,
-    build_loop,
-    interaction_s_matrix,
-    nontrivial_sector,
-    resonance_for_sector,
-    s_alpha,
-    s_beta,
-    sector_bound_state_count,
-    verify_levinson,
-)
+from levlab import point
+from levlab.loops import Sector, restrict, sector_threshold_class, sector_unitary
+from levlab.point import DELTA, DELTA_PRIME, PointInteraction, verify_levinson
 
 INF = math.inf
+
+
+def s_alpha(alpha, lam):
+    """Even-sector amplitude of the delta member at energy lam."""
+    return PointInteraction(DELTA, alpha).amplitude(math.sqrt(lam))
+
+
+def s_beta(beta, lam):
+    """Odd-sector amplitude of the delta-prime member at energy lam."""
+    return PointInteraction(DELTA_PRIME, beta).amplitude(math.sqrt(lam))
+
+
+def zero_energy_class(interaction, sector):
+    """Threshold class of a sector from its zero-energy amplitude; the
+    uncoupled sector scatters as 1."""
+    value = interaction.amplitude(0.0).real if sector is interaction.sector else 1.0
+    return sector_threshold_class(sector, value)
 
 COUPLINGS = [-5.0, -1.0, -0.1, 0.1, 1.0, 5.0, INF]
 
@@ -83,12 +88,16 @@ def test_amplitudes_on_unit_circle(magnitude, sign, lam):
 
 
 def test_interaction_matrix_embeds_by_sector():
-    m = interaction_s_matrix(PointInteraction(DELTA, -2.0), 1.0)
+    m = sector_unitary(s_alpha(-2.0, 1.0), PointInteraction(DELTA, -2.0).sector)
     assert m[0, 0] == s_alpha(-2.0, 1.0)
     assert m[1, 1] == 1.0
-    m = interaction_s_matrix(PointInteraction(DELTA_PRIME, 2.0), 1.0)
+    m = sector_unitary(s_beta(2.0, 1.0), PointInteraction(DELTA_PRIME, 2.0).sector)
     assert m[0, 0] == 1.0
     assert m[1, 1] == s_beta(2.0, 1.0)
+    full = np.array([[s_alpha(-2.0, 1.0), 0.3], [0.4, s_beta(2.0, 1.0)]])
+    assert np.array_equal(restrict(full, Sector.EVEN), sector_unitary(full[0, 0], Sector.EVEN))
+    assert np.array_equal(restrict(full, Sector.ODD), sector_unitary(full[1, 1], Sector.ODD))
+    assert restrict(full, Sector.FULL) is full
 
 
 # --- construction validation ------------------------------------------------
@@ -112,28 +121,35 @@ def test_full_sector_has_no_single_report():
 
 
 def test_bound_state_counts():
-    assert bound_state_count(PointInteraction(DELTA, -1.0)) == 1
-    assert bound_state_count(PointInteraction(DELTA, 1.0)) == 0
-    assert bound_state_count(PointInteraction(DELTA, INF)) == 0
-    assert sector_bound_state_count(PointInteraction(DELTA, -1.0), Sector.EVEN) == 1
-    assert sector_bound_state_count(PointInteraction(DELTA, -1.0), Sector.ODD) == 0
-    assert sector_bound_state_count(PointInteraction(DELTA_PRIME, -1.0), Sector.ODD) == 1
+    assert PointInteraction(DELTA, -1.0).n_bound == 1
+    assert PointInteraction(DELTA, 1.0).n_bound == 0
+    assert PointInteraction(DELTA, INF).n_bound == 0
+    assert verify_levinson(PointInteraction(DELTA, -1.0), Sector.EVEN).n_bound == 1
+    assert verify_levinson(PointInteraction(DELTA, -1.0), Sector.ODD).n_bound == 0
+    assert verify_levinson(PointInteraction(DELTA_PRIME, -1.0), Sector.ODD).n_bound == 1
 
 
 def test_threshold_classes():
     # even sector resonates when the even amplitude is +1 at zero energy
-    assert resonance_for_sector(PointInteraction(DELTA, 0.0), Sector.EVEN).is_exceptional
-    assert not resonance_for_sector(PointInteraction(DELTA, 1.0), Sector.EVEN).is_exceptional
+    assert zero_energy_class(PointInteraction(DELTA, 0.0), Sector.EVEN).is_exceptional
+    assert not zero_energy_class(PointInteraction(DELTA, 1.0), Sector.EVEN).is_exceptional
     # the free odd half line stays generic, the free even half line resonates
-    assert not resonance_for_sector(PointInteraction(DELTA, 1.0), Sector.ODD).is_exceptional
-    assert resonance_for_sector(PointInteraction(DELTA_PRIME, 1.0), Sector.EVEN).is_exceptional
-    assert resonance_for_sector(PointInteraction(DELTA_PRIME, INF), Sector.ODD).is_exceptional
-    assert not resonance_for_sector(PointInteraction(DELTA_PRIME, 1.0), Sector.ODD).is_exceptional
+    assert not zero_energy_class(PointInteraction(DELTA, 1.0), Sector.ODD).is_exceptional
+    assert zero_energy_class(PointInteraction(DELTA_PRIME, 1.0), Sector.EVEN).is_exceptional
+    assert zero_energy_class(PointInteraction(DELTA_PRIME, INF), Sector.ODD).is_exceptional
+    assert not zero_energy_class(PointInteraction(DELTA_PRIME, 1.0), Sector.ODD).is_exceptional
+    # verify_levinson reports the same classes
+    for kind in (DELTA, DELTA_PRIME):
+        for coupling in (0.0, 1.0, INF):
+            interaction = PointInteraction(kind, coupling)
+            for sector in (Sector.EVEN, Sector.ODD):
+                report = verify_levinson(interaction, sector)
+                assert report.resonance == zero_energy_class(interaction, sector)
 
 
 def test_nontrivial_sector():
-    assert nontrivial_sector(PointInteraction(DELTA, 2.0)) is Sector.EVEN
-    assert nontrivial_sector(PointInteraction(DELTA_PRIME, 2.0)) is Sector.ODD
+    assert PointInteraction(DELTA, 2.0).sector is Sector.EVEN
+    assert PointInteraction(DELTA_PRIME, 2.0).sector is Sector.ODD
 
 
 # --- the full table ---------------------------------------------------------
@@ -143,7 +159,7 @@ def test_nontrivial_sector():
 @pytest.mark.parametrize("coupling", COUPLINGS + [0.0])
 def test_winding_table(kind, coupling):
     interaction = PointInteraction(kind, coupling)
-    active = nontrivial_sector(interaction)
+    active = interaction.sector
     report = verify_levinson(interaction, active)
     expected = expected_windings(kind, coupling)
     assert max(abs(g - w) for g, w in zip(report.w, expected)) < 1e-9
@@ -167,8 +183,16 @@ def test_duality_swaps_dilation_sides(coupling):
     assert max(abs(a - b) for a, b in zip(odd.w, swapped)) < 1e-9
 
 
-def test_loop_corners_close():
+def test_loop_corners_close(monkeypatch):
+    loops = []
+
+    def capture(loop, **kwargs):
+        loops.append(loop)
+        return winding_report(loop, **kwargs)
+
+    winding_report = point.loop_winding
+    monkeypatch.setattr(point, "loop_winding", capture)
     for kind, coupling in [(DELTA, -1.0), (DELTA, INF), (DELTA_PRIME, 0.5)]:
         interaction = PointInteraction(kind, coupling)
-        loop = build_loop(interaction, nontrivial_sector(interaction))
-        assert loop.corner_defect() < 1e-12
+        verify_levinson(interaction, interaction.sector)
+        assert loops.pop().corner_defect() < 1e-12

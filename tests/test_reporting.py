@@ -27,13 +27,13 @@ def point_rows():
 def test_point_table_matches_golden(point_rows):
     for row in point_rows:
         assert row.mismatches(1e-6) == []
-    check_golden(point_rows, tol=1e-6)
+    check_golden(point_rows)
 
 
 def test_tampered_row_is_named(point_rows):
     bad = dataclasses.replace(point_rows[0], w=(0.25, -0.5, 0.0, 0.0))
     with pytest.raises(GoldenMismatch) as err:
-        check_golden([point_rows[1], bad], tol=1e-6)
+        check_golden([point_rows[1], bad])
     message = str(err.value)
     assert bad.label in message
     assert "w1" in message
@@ -42,7 +42,7 @@ def test_tampered_row_is_named(point_rows):
 def test_wrong_bound_count_is_named(point_rows):
     bad = dataclasses.replace(point_rows[0], n_bound=3)
     with pytest.raises(GoldenMismatch, match="n_bound"):
-        check_golden([bad], tol=1e-6)
+        check_golden([bad])
 
 
 def test_render_rows_lists_every_label(point_rows):
