@@ -167,6 +167,9 @@ def _cmd_potential(args) -> int:
     potential = _build_potential(config["potential"])
     settings = _build_settings(config)
     sectors = _sectors_from(config, potential)
+    output = config.get("output", {})
+    if not isinstance(output, dict):
+        raise ConfigError("'output' must be an object")
     analysis = PotentialAnalysis(potential, settings)
 
     print(f"potential: {potential.label}")
@@ -200,9 +203,6 @@ def _cmd_potential(args) -> int:
             f"(n + correction = {predicted:.6f}, gap = {delay_gap:.2e})"
         )
 
-    output = config.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigError("'output' must be an object")
     csv_path = args.csv or output.get("csv")
     if csv_path:
         analysis.scattering.write_csv(csv_path)

@@ -18,6 +18,10 @@ import numpy as np
 # Integrability of (1 + |x|)^(1/2 + eps) V requires faster decay than this.
 MIN_DECAY_EXPONENT = 2.5
 
+# np.exp(-x) is exactly 0.0 for x >= this (it underflows past 745.2), so a
+# Gaussian well is exactly 0.0 from sqrt(2 * this) widths off its centre.
+_GAUSS_ZERO_EXPONENT = 750.0
+
 
 @dataclass(eq=False)
 class Potential:
@@ -27,6 +31,11 @@ class Potential:
     a slow tail only warns, but the solver will refuse a truncation radius it
     cannot certify.  ``features`` lists (center, width) pairs marking zones the
     propagation mesh must refine.
+
+    ``zero_radius`` is the radius beyond which the profile returns exactly
+    ``0.0``; the finite-difference count evaluates the profile only inside
+    it.  It defaults to ``support_radius``, and to infinity (no window) when
+    neither is declared.
     """
 
     profile: Callable[[np.ndarray], np.ndarray]
@@ -36,8 +45,11 @@ class Potential:
     breakpoints: tuple[float, ...] = ()
     features: tuple[tuple[float, float], ...] = ()
     label: str = "potential"
+    zero_radius: Optional[float] = None
 
     def __post_init__(self):
+        if math.isnan(self.decay_exponent):
+            raise ValueError("decay_exponent must be finite or +inf")
         if self.decay_exponent <= MIN_DECAY_EXPONENT:
             warnings.warn(
                 f"declared tail decay exponent {self.decay_exponent:g} <= "
@@ -45,17 +57,22 @@ class Potential:
                 "may not converge",
                 stacklevel=3,
             )
-        if self.support_radius is not None and self.support_radius <= 0:
+        if self.support_radius is not None and not self.support_radius > 0:
             raise ValueError("support_radius must be positive")
+        if self.zero_radius is None:
+            self.zero_radius = math.inf if self.support_radius is None else self.support_radius
+        if not self.zero_radius > 0:
+            raise ValueError("zero_radius must be positive")
         if self.symmetric:
-            xs = np.linspace(0.1, self._probe_radius(), 37)
+            xs = np.linspace(0.1, self.probe_radius(), 37)
             left = self(-xs)
             right = self(xs)
             scale = max(1.0, float(np.max(np.abs(right))))
             if np.max(np.abs(left - right)) > 1e-10 * scale:
                 raise ValueError("potential declared symmetric but V(-x) != V(x)")
 
-    def _probe_radius(self) -> float:
+    def probe_radius(self) -> float:
+        """Radius at which symmetry checks and the truncation search start."""
         if self.support_radius is not None:
             return self.support_radius
         if self.features:
@@ -68,6 +85,8 @@ class Potential:
 
 def square_well(depth: float, half_width: float) -> Potential:
     """V = -depth on [-half_width, half_width], zero elsewhere."""
+    if not (math.isfinite(depth) and math.isfinite(half_width)):
+        raise ValueError("depth and half_width must be finite")
     if half_width <= 0:
         raise ValueError("half_width must be positive")
     a = float(half_width)
@@ -88,9 +107,14 @@ def square_well(depth: float, half_width: float) -> Potential:
 
 def gaussian_wells(wells: Sequence[tuple[float, float, float]]) -> Potential:
     """Sum of Gaussian wells; each entry is (depth, center, width) with the
-    well contributing -depth * exp(-(x - center)^2 / (2 width^2))."""
+    well contributing -depth * exp(-(x - center)^2 / (2 width^2)).
+
+    The profile is exactly 0.0 beyond max |center| + width sqrt(1500), since
+    each exponent there is below -750."""
     entries = [(float(d), float(c), float(w)) for d, c, w in wells]
     for d, c, w in entries:
+        if not all(math.isfinite(v) for v in (d, c, w)):
+            raise ValueError("well depths, centres and widths must be finite")
         if w <= 0:
             raise ValueError("well widths must be positive")
 
@@ -110,6 +134,10 @@ def gaussian_wells(wells: Sequence[tuple[float, float, float]]) -> Potential:
         symmetric=symmetric,
         features=tuple((c, w) for _, c, w in entries),
         label=label,
+        zero_radius=max(
+            (abs(c) + w * math.sqrt(2.0 * _GAUSS_ZERO_EXPONENT) for _, c, w in entries),
+            default=None,
+        ),
     )
 
 
@@ -124,6 +152,8 @@ def tabulated_potential(
     v = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.size < 2 or x.shape != v.shape:
         raise ValueError("need matching 1d abscissae and values, at least two points")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+        raise ValueError("abscissae and values must be finite")
     if np.any(np.diff(x) <= 0):
         raise ValueError("abscissae must be strictly increasing")
 

@@ -25,11 +25,14 @@ built from the same primitive once per engine and handed out read-only.
 
 The module also hosts the finite-difference bound-state oracle: a tridiagonal
 discretisation whose negative eigenvalues are counted by the Sturm sequence of
-its LDL^T factorisation, with no diagonalisation.
+its LDL^T factorisation, with no diagonalisation.  Only the rows inside the
+potential's ``zero_radius`` are built; the free rows beyond it are stepped in
+closed form.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -290,7 +293,7 @@ def truncation_radius(
     """
     if potential.support_radius is not None:
         return float(potential.support_radius)
-    r = potential._probe_radius()
+    r = potential.probe_radius()
     while r <= cap:
         xs = np.geomspace(r, 3.0 * r, 65)
         tail = float(np.trapezoid(np.abs(potential(xs)) + np.abs(potential(-xs)), xs))
@@ -346,7 +349,32 @@ def _free_run(d: float, c: float, m: int) -> tuple[float, int]:
     return c * (d + m * e) / (d + (m - 1) * e), count
 
 
-def sturm_negative_count(diag: np.ndarray, off: np.ndarray) -> int:
+def _step_rows(d: float, count: int, a, b2) -> tuple[float, int]:
+    """Row-by-row recurrence over diagonal entries ``a`` and squared
+    off-diagonals ``b2`` (iterables of Python floats), entered with pivot
+    ``d``; returns the last pivot and ``count`` plus the negative pivots."""
+    for a_i, b2_i in zip(a, b2):
+        d = a_i - b2_i / d
+        # |d| < pivmin is replaced by -pivmin, so every d below pivmin counts.
+        if d < _PIVMIN:
+            if d > -_PIVMIN:
+                d = -_PIVMIN
+            count += 1
+    return d, count
+
+
+def _step_free(d: float, count: int, c: float, m: int) -> tuple[float, int]:
+    """``m`` free rows with off-diagonal magnitude ``c``: in closed form when
+    ``c`` allows it, else by the recurrence."""
+    if m == 0:
+        return d, count
+    if _FREE_OFF_MIN < c < _FREE_OFF_MAX:
+        d, negatives = _free_run(d, c, m)
+        return d, count + negatives
+    return _step_rows(d, count, itertools.repeat(c + c, m), itertools.repeat(c * c, m))
+
+
+def sturm_negative_count(diag: np.ndarray, off: np.ndarray, *, head: int = 0, tail: int = 0) -> int:
     """Number of negative eigenvalues of a symmetric tridiagonal matrix.
 
     Counts negative pivots of the LDL^T factorisation at shift zero (the
@@ -362,51 +390,69 @@ def sturm_negative_count(diag: np.ndarray, off: np.ndarray) -> int:
     and break at block edges.  Every other row takes the row-by-row recurrence, so its pivot,
     pivmin rule and sign rule are the loop's exactly; pivots after a free
     run differ from the loop's only at the rounding level.
+
+    ``head`` and ``tail`` free rows, never materialised, may precede and
+    follow ``diag``.  Each is one more free run, with the off-diagonal
+    magnitude of its junction: ``off`` then starts with the coupling of
+    the head to ``diag[0]`` and ends with that of ``diag[-1]`` to the tail.
     """
-    if off.size != diag.size - 1:
-        raise ValueError("off-diagonal length must be n - 1")
-    count = 0
-    d = float(diag[0])
+    lead = head > 0
+    if off.size != diag.size - 1 + lead + (tail > 0):
+        raise ValueError("off-diagonal length must be n - 1, plus one per padded end")
+    d = 2.0 * abs(float(off[0])) if lead else float(diag[0])
     if abs(d) < _PIVMIN:
         d = -_PIVMIN
-    if d < 0.0:
-        count += 1
-    for start in range(1, diag.size, BLOCK_ELEMENTS):
-        stop = start + BLOCK_ELEMENTS
-        a = diag[start:stop]
-        c = np.abs(off[start - 1 : stop - 1])
+    count = int(d < 0.0)
+    if lead:
+        d, count = _step_free(d, count, abs(float(off[0])), head - 1)
+    # diag[i] couples to the row before it through off[i - 1 + lead].
+    for start in range(1 - lead, diag.size, BLOCK_ELEMENTS):
+        a = diag[start : start + BLOCK_ELEMENTS]
+        c = np.abs(off[start - 1 + lead :][: a.size])
         free = a == c + c
         # Segments: maximal stretches of free rows with one |off|, or of other rows.
         change = free[1:] != free[:-1]
         change |= free[1:] & (c[1:] != c[:-1])
         cuts = [0, *(np.flatnonzero(change) + 1).tolist(), a.size]
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            c_run = float(c[lo])
-            if free[lo] and _FREE_OFF_MIN < c_run < _FREE_OFF_MAX:
-                d, negatives = _free_run(d, c_run, hi - lo)
-                count += negatives
-                continue
-            # Python floats: fast to loop over, with memory bounded by the block.
-            c_seg = c[lo:hi]
-            for a_i, b2 in zip(a[lo:hi].tolist(), (c_seg * c_seg).tolist()):
-                d = a_i - b2 / d
-                # |d| < pivmin is replaced by -pivmin, so every d below pivmin counts.
-                if d < _PIVMIN:
-                    if d > -_PIVMIN:
-                        d = -_PIVMIN
-                    count += 1
+            if free[lo]:
+                d, count = _step_free(d, count, float(c[lo]), hi - lo)
+            else:
+                # Python floats: fast to loop over, with memory bounded by the block.
+                c_seg = c[lo:hi]
+                d, count = _step_rows(d, count, a[lo:hi].tolist(), (c_seg * c_seg).tolist())
+    if tail:
+        d, count = _step_free(d, count, abs(float(off[-1])), tail)
     return count
 
 
 def _fd_count_once(potential: Potential, box: float, n: int, parity: str | None) -> int:
+    # Only rows [lo, hi) can feel V: elsewhere |x| > zero_radius, V(x) is
+    # exactly 0.0 and diag is 2/h^2 bit for bit, so those rows are free and
+    # are stepped as the head and tail runs, never materialised.
+    box = float(box)
+    r = min(potential.zero_radius, box)
     if parity is None:
-        xs = np.linspace(-box, box, n + 2)[1:-1]
-        h = xs[1] - xs[0]
+        # Row i sits at np.linspace(-box, box, n + 2)[i + 1], evaluated as
+        # np.linspace does: j * step + start with step = (stop - start) / div.
+        step = (box - -box) / (n + 1)
+
+        def abscissae(lo: int, hi: int) -> np.ndarray:
+            return np.arange(lo + 1, hi + 1, dtype=float) * step + -box
+
+        first, second = abscissae(0, 2)
+        h = second - first
+        # One spare row each side absorbs the rounding of the index bounds.
+        lo = max(0, math.floor((box - r) / step) - 2)
+        hi = min(n, math.ceil((box + r) / step) + 1)
+        xs = abscissae(lo, hi)
     else:
         # Half-line grid x_i = (i + 1/2) h with a reflecting condition at 0:
         # even parity mirrors the first point, odd parity negates it.
         h = box / n
-        xs = (np.arange(n) + 0.5) * h
+        lo = 0
+        hi = min(n, math.ceil(r / h) + 1)
+        xs = (np.arange(hi) + 0.5) * h
     diag = 2.0 / (h * h) + potential(xs)
     if parity == "even":
         diag[0] = 1.0 / (h * h) + potential(xs[:1])[0]
@@ -414,8 +460,8 @@ def _fd_count_once(potential: Potential, box: float, n: int, parity: str | None)
         diag[0] = 3.0 / (h * h) + potential(xs[:1])[0]
     elif parity is not None:
         raise ValueError(f"unknown parity {parity!r}")
-    off = np.broadcast_to(-1.0 / (h * h), n - 1)
-    return sturm_negative_count(diag, off)
+    off = np.broadcast_to(-1.0 / (h * h), hi - lo - 1 + (lo > 0) + (hi < n))
+    return sturm_negative_count(diag, off, head=lo, tail=n - hi)
 
 
 def fd_negative_eigenvalue_count(

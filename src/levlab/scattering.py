@@ -392,18 +392,20 @@ def time_delay_integral(matrices) -> float:
     minus the winding of det S along the side, i.e. the integral of the
     properly normalised time delay over all energies.
     """
-    mats = [np.asarray(m, dtype=complex) for m in matrices]
-    if len(mats) < 2:
+    v = np.asarray(matrices, dtype=complex)
+    if len(v) < 2:
         raise ValueError("need at least two matrices along the side")
+    angles = np.angle(np.linalg.eigvals(v[1:] @ v[:-1].conj().swapaxes(-1, -2)))
+    worst = np.max(np.abs(angles), axis=1)
+    too_large = np.flatnonzero(worst > 0.5 * np.pi + 1e-12)
+    if too_large.size:
+        raise PhaseJumpTooLarge(
+            f"eigenphase step {worst[too_large[0]]:.3f} rad exceeds pi/2; grid too coarse"
+        )
+    # A left fold in step order: sum() and np.sum would round differently.
     total = 0.0
-    for prev, nxt in zip(mats[:-1], mats[1:]):
-        angles = np.angle(np.linalg.eigvals(nxt @ prev.conj().T))
-        worst = float(np.max(np.abs(angles)))
-        if worst > 0.5 * np.pi + 1e-12:
-            raise PhaseJumpTooLarge(
-                f"eigenphase step {worst:.3f} rad exceeds pi/2; grid too coarse"
-            )
-        total += float(angles.sum())
+    for step in angles.sum(axis=1).tolist():
+        total += step
     return -total / (2.0 * np.pi)
 
 

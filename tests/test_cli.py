@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, outputs, CSV determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -173,6 +174,45 @@ def test_potential_malformed_numerics_is_config_error(tmp_path, capsys, numerics
     cfg = write_config(tmp_path, dict(WELL_CONFIG, numerics=numerics))
     assert main(["potential", "--config", cfg]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "potential",
+    [
+        {"kind": "square-well", "depth": 1.0, "half_width": math.inf},
+        {"kind": "square-well", "depth": math.nan, "half_width": 1.0},
+        {"kind": "gaussian-sum", "wells": [[math.nan, 0.0, 1.0]]},
+        {"kind": "gaussian-sum", "wells": [[1.0, -math.inf, 1.0]]},
+        {"kind": "gaussian-sum", "wells": [[1.0, 0.0, math.inf]]},
+        {"kind": "tabulated", "xs": [-1.0, 0.0, 1.0], "values": [0.0, math.nan, 0.0]},
+        {"kind": "tabulated", "xs": [-1.0, 0.0, math.inf], "values": [0.0, -1.0, 0.0]},
+        {"kind": "tabulated", "xs": [-1.0, 1.0], "values": [-1.0, -1.0], "decay_exponent": math.nan},
+    ],
+    ids=[
+        "square-infinite-width",
+        "square-nan-depth",
+        "gaussian-nan-depth",
+        "gaussian-infinite-centre",
+        "gaussian-infinite-width",
+        "tabulated-nan-value",
+        "tabulated-infinite-abscissa",
+        "tabulated-nan-decay",
+    ],
+)
+def test_potential_non_finite_parameter_is_config_error(tmp_path, capsys, potential):
+    cfg = write_config(tmp_path, {"potential": potential})
+    assert main(["potential", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "finite" in captured.err
+    assert captured.out == ""
+
+
+def test_potential_bad_output_is_refused_before_analysis(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(WELL_CONFIG, output=5))
+    assert main(["potential", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'output' must be an object" in captured.err
 
 
 def test_potential_numerics_override(tmp_path, capsys):

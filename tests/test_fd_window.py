@@ -1,0 +1,221 @@
+"""The finite-difference count on the window where V can be felt.
+
+Beyond ``Potential.zero_radius`` the profile is exactly 0.0, so the FD rows
+there are free (diagonal 2/h^2 bit for bit) and are stepped as a head and a
+tail run without being materialised.  These tests hold the windowed count
+to the full-grid construction it replaced: equal counts, and a window
+``diag`` and abscissae bit-identical to the full grid's rows.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.linalg import eigvalsh_tridiagonal
+
+import levlab.propagate as propagate
+from levlab.potentials import Potential, gaussian_wells, square_well, tabulated_potential
+from levlab.propagate import sturm_negative_count
+
+PARITIES = [None, "even", "odd"]
+
+
+def _full_grid(potential, box, n, parity):
+    """Abscissae, spacing and diagonal of the FD matrix over every row, as
+    the full-grid counter built them."""
+    if parity is None:
+        xs = np.linspace(-box, box, n + 2)[1:-1]
+        h = xs[1] - xs[0]
+    else:
+        h = box / n
+        xs = (np.arange(n) + 0.5) * h
+    diag = 2.0 / (h * h) + potential(xs)
+    if parity == "even":
+        diag[0] = 1.0 / (h * h) + potential(xs[:1])[0]
+    elif parity == "odd":
+        diag[0] = 3.0 / (h * h) + potential(xs[:1])[0]
+    return xs, h, diag
+
+
+def _full_count(potential, box, n, parity):
+    _, h, diag = _full_grid(potential, box, n, parity)
+    return sturm_negative_count(diag, np.broadcast_to(-1.0 / (h * h), n - 1))
+
+
+@pytest.fixture
+def windows(monkeypatch):
+    """Each call the FD count makes to sturm_negative_count, as
+    (window diag, head, tail)."""
+    calls = []
+    inner = propagate.sturm_negative_count
+
+    def spy(diag, off, *, head=0, tail=0):
+        calls.append((np.array(diag), head, tail))
+        return inner(diag, off, head=head, tail=tail)
+
+    monkeypatch.setattr(propagate, "sturm_negative_count", spy)
+    return calls
+
+
+def _windowed(windows, potential, box, n, parity):
+    """Windowed count, the window's diag and the head (its first row)."""
+    count = propagate._fd_count_once(potential, box, n, parity)
+    diag, head, tail = windows[-1]
+    assert head + diag.size + tail == n
+    return count, diag, head
+
+
+def _random_potentials(kind, rng, count=10):
+    for _ in range(count):
+        if kind == "gaussian":
+            wells = [
+                (rng.uniform(0.05, 8.0), rng.uniform(-3.0, 3.0), rng.uniform(0.05, 1.5))
+                for _ in range(int(rng.integers(1, 4)))
+            ]
+            yield gaussian_wells(wells)
+        elif kind == "square":
+            yield square_well(rng.uniform(0.5, 10.0), rng.uniform(0.3, 5.0))
+        else:
+            xs = np.sort(rng.uniform(-4.0, 4.0, int(rng.integers(2, 30))))
+            yield tabulated_potential(xs, rng.uniform(-6.0, 1.0, xs.size))
+
+
+@pytest.mark.parametrize("parity", PARITIES)
+@pytest.mark.parametrize("kind", ["gaussian", "square", "tabulated"])
+def test_window_count_and_diag_match_full_grid(windows, kind, parity):
+    rng = np.random.default_rng(["gaussian", "square", "tabulated"].index(kind) * 3 + PARITIES.index(parity))
+    counts = []
+    for potential in _random_potentials(kind, rng):
+        for box, n in ((40.0, 2000), (300.0, 6001)):
+            count, diag, lo = _windowed(windows, potential, box, n, parity)
+            _, h, full = _full_grid(potential, box, n, parity)
+            assert count == _full_count(potential, box, n, parity)
+            # The exactness proof: every row left out is free, and every row
+            # kept is the full grid's row bit for bit.
+            hi = lo + diag.size
+            free = 2.0 / (h * h)
+            assert np.all(full[:lo] == free) and np.all(full[hi:] == free)
+            assert diag.tobytes() == full[lo:hi].tobytes()
+            counts.append(count)
+    assert max(counts) > 1
+
+
+@pytest.mark.parametrize("parity", PARITIES)
+def test_box_narrower_than_window_takes_whole_grid(windows, parity):
+    wide = gaussian_wells([(0.5, 0.0, 2.0)])
+    assert wide.zero_radius > 40.0
+    count, diag, head = _windowed(windows, wide, 40.0, 2000, parity)
+    assert (head, diag.size) == (0, 2000)
+    assert count == _full_count(wide, 40.0, 2000, parity) == {None: 2, "even": 1, "odd": 1}[parity]
+
+
+@pytest.mark.parametrize("parity", PARITIES)
+def test_box_wider_than_window_materialises_only_the_window(windows, parity):
+    well = square_well(4.0, 1.0)
+    count, diag, head = _windowed(windows, well, 300.0, 6000, parity)
+    tail = windows[-1][2]
+    assert diag.size < 60 and tail > 0
+    assert (head > 0) == (parity is None)
+    assert count == _full_count(well, 300.0, 6000, parity) == {None: 2, "even": 1, "odd": 1}[parity]
+
+
+@pytest.mark.parametrize("parity", PARITIES)
+def test_window_edge_one_row_from_box_edge(windows, parity):
+    box, n = 40.0, 2000
+    # Radii that leave exactly one free row at the box edge(s).
+    if parity is None:
+        step = 2.0 * box / (n + 1)
+        radius = box - 3.5 * step
+    else:
+        radius = (n - 2.5) * (box / n)
+    well = square_well(0.002, radius)
+    count, diag, head = _windowed(windows, well, box, n, parity)
+    tail = windows[-1][2]
+    assert (head, tail) == ((1, 1) if parity is None else (0, 1))
+    assert count == _full_count(well, box, n, parity)
+    _, _, full = _full_grid(well, box, n, parity)
+    assert diag.tobytes() == full[head : head + diag.size].tobytes()
+
+
+@pytest.mark.parametrize("parity", PARITIES)
+def test_window_abscissae_equal_the_full_grid(windows, parity):
+    seen = []
+
+    def profile(x):
+        seen.append(x.copy())
+        return np.where(np.abs(x) <= 3.0, -1.0, 0.0)
+
+    potential = Potential(profile=profile, zero_radius=3.0)
+    box, n = 50.0, 4001
+    _, diag, lo = _windowed(windows, potential, box, n, parity)
+    xs, _, _ = _full_grid(potential, box, n, parity)
+    assert seen[0].tobytes() == xs[lo : lo + diag.size].tobytes()
+    assert 0 < diag.size < n
+
+
+@pytest.mark.parametrize("depth", [-1e3, 1e-6, 1.0, 1e3])
+def test_gaussian_profile_is_exactly_zero_at_and_beyond_its_radius(depth):
+    for width in np.geomspace(1e-3, 1e2, 11):
+        for centre in (-5.0, 0.0, 2.5):
+            wells = [(depth, centre, width), (0.5 * depth, -0.5 * centre, 0.5 * width)]
+            potential = gaussian_wells(wells)
+            r = potential.zero_radius
+            assert r == abs(centre) + width * math.sqrt(1500.0)
+            edge = np.array([r, -r, np.nextafter(r, np.inf), np.nextafter(-r, -np.inf)])
+            assert np.all(potential(edge) == 0.0), (depth, width, centre)
+
+
+def test_zero_radius_defaults():
+    assert square_well(1.0, 2.5).zero_radius == 2.5
+    assert tabulated_potential([-1.0, 3.0], [-1.0, -1.0]).zero_radius == 3.0
+    assert Potential(profile=np.sin).zero_radius == math.inf
+    with pytest.raises(ValueError, match="zero_radius"):
+        Potential(profile=np.sin, zero_radius=math.nan)
+    with pytest.raises(ValueError, match="support_radius"):
+        Potential(profile=np.sin, support_radius=math.nan)
+
+
+@pytest.mark.parametrize("c", [1.0 / 0.02**2, 1e-120, 1e120])
+def test_sturm_padding_equals_materialised_free_rows(c):
+    """Padding with free rows counts like the materialised matrix; the
+    extreme magnitudes take the row-by-row fallback."""
+    rng = np.random.default_rng(3)
+    for head, tail in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 700), (5000, 3)):
+        window = 2.0 * c + c * rng.uniform(-3.0, 0.5, 40)
+        diag = np.concatenate([np.full(head, 2.0 * c), window, np.full(tail, 2.0 * c)])
+        off = np.full(diag.size - 1, -c)
+        padded_off = off[: window.size - 1 + (head > 0) + (tail > 0)]
+        padded = sturm_negative_count(window, padded_off, head=head, tail=tail)
+        assert padded == sturm_negative_count(diag, off), (head, tail)
+        if c == 1.0 / 0.02**2:
+            expected = eigvalsh_tridiagonal(diag / c, off / c, select="v", select_range=(-np.inf, 0.0)).size
+            assert padded == expected
+
+
+def test_sturm_padding_lengths_are_exact():
+    """Windows on which one padded row more or less changes the count."""
+    c = 1.0 / 0.02**2
+
+    def materialised(window, head, tail):
+        diag = np.concatenate([np.full(head, 2.0 * c), window, np.full(tail, 2.0 * c)])
+        return sturm_negative_count(diag, np.full(diag.size - 1, -c))
+
+    for head in range(1, 12):
+        # After `head` free rows the pivot is c (head + 1) / head; this row's
+        # pivot is positive after exactly `head` of them, negative after one more.
+        a = 0.5 * c * (head / (head + 1) + (head + 1) / (head + 2))
+        window = np.array([a])
+        padded = sturm_negative_count(window, np.full(1, -c), head=head)
+        assert padded == materialised(window, head, 0) == 0, head
+    for tail in range(1, 12):
+        # Entered with pivot 7c/8, a free run turns negative on its 7th row.
+        window = np.array([0.875 * c])
+        padded = sturm_negative_count(window, np.full(1, -c), tail=tail)
+        assert padded == materialised(window, 0, tail) == int(tail >= 7), tail
+
+
+def test_sturm_padding_checks_the_junction_couplings():
+    with pytest.raises(ValueError, match="off-diagonal length"):
+        sturm_negative_count(np.ones(4), np.ones(3), head=2)
+    with pytest.raises(ValueError, match="off-diagonal length"):
+        sturm_negative_count(np.ones(4), np.ones(4), head=2, tail=1)

@@ -48,3 +48,21 @@ def _private_uses(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_private_imports_across_modules(path):
     assert _private_uses(path) == []
+
+
+def _foreign_private_attributes(path: Path) -> list[str]:
+    """Underscore attributes the file reads off anything but ``self`` or
+    ``cls``; another object's private state is not part of its interface."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{ast.unparse(node.value)}.{node.attr} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and _is_private(node.attr)
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_private_attributes_read_off_other_objects(path):
+    assert _foreign_private_attributes(path) == []

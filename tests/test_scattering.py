@@ -5,7 +5,8 @@ import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
 
-from levlab.errors import ClassificationAmbiguous, DecayTooSlow
+from levlab import scattering
+from levlab.errors import ClassificationAmbiguous, DecayTooSlow, PhaseJumpTooLarge
 from levlab.loops import Sector
 from levlab.potentials import Potential, gaussian_wells, square_well, zero_potential
 from levlab.propagate import (
@@ -20,6 +21,7 @@ from levlab.scattering import (
     PotentialAnalysis,
     SolverSettings,
     count_bound_states_shooting,
+    time_delay_integral,
     to_even_odd,
     zero_energy_tail,
     zero_energy_tail_slope,
@@ -314,3 +316,68 @@ def test_slow_tail_warns_then_fails_truncation():
         )
     with pytest.raises(DecayTooSlow):
         truncation_radius(pot)
+
+
+def _loop_time_delay(matrices):
+    """Reference: the per-step loop the stacked time delay replaced."""
+    mats = [np.asarray(m, dtype=complex) for m in matrices]
+    if len(mats) < 2:
+        raise ValueError("need at least two matrices along the side")
+    total = 0.0
+    for prev, nxt in zip(mats[:-1], mats[1:]):
+        angles = np.angle(np.linalg.eigvals(nxt @ prev.conj().T))
+        worst = float(np.max(np.abs(angles)))
+        if worst > 0.5 * np.pi + 1e-12:
+            raise PhaseJumpTooLarge(f"eigenphase step {worst:.3f} rad exceeds pi/2; grid too coarse")
+        total += float(angles.sum())
+    return -total / (2.0 * np.pi)
+
+
+@pytest.fixture
+def delay_sides(well_family, monkeypatch):
+    """The momentum sides whose time delays members 9, 2 and 3 integrate."""
+    sides = []
+    inner = scattering.time_delay_integral
+
+    def spy(matrices):
+        sides.append(np.array(matrices))
+        return inner(matrices)
+
+    monkeypatch.setattr(scattering, "time_delay_integral", spy)
+    for member in (9, 2, 3):
+        well_family[member].time_delay()
+    return sides
+
+
+def test_time_delay_equals_step_loop(delay_sides):
+    assert len(delay_sides) == 3
+    for side in delay_sides:
+        assert time_delay_integral(side).hex() == _loop_time_delay(side).hex()
+        assert time_delay_integral(list(side)).hex() == _loop_time_delay(side).hex()
+
+
+def test_time_delay_refuses_coarse_grid_at_first_step(delay_sides):
+    stride = 1
+    side = delay_sides[0]
+    while True:
+        stride *= 2
+        coarse = side[::stride]
+        try:
+            _loop_time_delay(coarse)
+        except PhaseJumpTooLarge as exc:
+            expected = str(exc)
+            break
+    with pytest.raises(PhaseJumpTooLarge) as caught:
+        time_delay_integral(coarse)
+    assert str(caught.value) == expected
+    # Steps of 1.0, 2.0 and then 3.0 rad: the first offending step is named.
+    phases = np.cumsum([0.0, 1.0, 2.0, 3.0])
+    steps = [np.diag([np.exp(1j * p), 1.0]) for p in phases]
+    with pytest.raises(PhaseJumpTooLarge, match="step 2.000 rad"):
+        time_delay_integral(steps)
+
+
+def test_time_delay_needs_two_matrices():
+    for matrices in ([], [np.eye(2)]):
+        with pytest.raises(ValueError, match="at least two"):
+            time_delay_integral(matrices)
