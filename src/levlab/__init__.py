@@ -12,7 +12,6 @@ behind the construction.
 from .dilation import (
     MellinEvaluator,
     ProbeFunction,
-    apply_half_one_minus_r,
     apply_halfline_fourier,
     default_suite,
     identity_residual,
@@ -40,6 +39,7 @@ from .loops import (
     Sector,
     Side,
     WindingReport,
+    boundary_loop,
     connector_path,
     constant_path,
     interpolated_path,
@@ -69,9 +69,7 @@ from .potentials import (
 from .reporting import (
     TableRow,
     check_golden,
-    parse_report,
     point_table_rows,
-    render_report,
     render_rows,
     reproduce_tables,
     tuned_exceptional_well,

@@ -148,6 +148,23 @@ def _load_config(path: str) -> dict:
     return config
 
 
+def _output_path(flag, output: dict, key: str):
+    """The flag's path, else the config's ``output`` entry; a path that is
+    not a string (``open`` would take an int or bool as a file descriptor) is
+    a config error."""
+    path = flag or output.get(key)
+    if path is not None and not isinstance(path, str):
+        raise ConfigError(f"output {key!r} must be a file path string, got {path!r}")
+    return path
+
+
+def _write_output(writer, path: str) -> None:
+    try:
+        writer(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}")
+
+
 def _cmd_potential(args) -> int:
     config = _load_config(args.config)
     system = config.get("system", "potential")
@@ -170,6 +187,8 @@ def _cmd_potential(args) -> int:
     output = config.get("output", {})
     if not isinstance(output, dict):
         raise ConfigError("'output' must be an object")
+    csv_path = _output_path(args.csv, output, "csv")
+    phase_path = _output_path(args.phase_csv, output, "phase_csv")
     analysis = PotentialAnalysis(potential, settings)
 
     print(f"potential: {potential.label}")
@@ -203,13 +222,11 @@ def _cmd_potential(args) -> int:
             f"(n + correction = {predicted:.6f}, gap = {delay_gap:.2e})"
         )
 
-    csv_path = args.csv or output.get("csv")
     if csv_path:
-        analysis.scattering.write_csv(csv_path)
+        _write_output(analysis.scattering.write_csv, csv_path)
         print(f"wrote scattering matrices to {csv_path}")
-    phase_path = args.phase_csv or output.get("phase_csv")
     if phase_path:
-        analysis.scattering.write_phase_csv(phase_path)
+        _write_output(analysis.scattering.write_phase_csv, phase_path)
         print(f"wrote phase curves to {phase_path}")
     if args.json:
         print(json.dumps({k: r.to_dict() for k, r in reports.items()}, sort_keys=True))

@@ -283,21 +283,6 @@ def _multiplier_halves(
     return even_half, odd_half
 
 
-def apply_half_one_minus_r(
-    fn: ProbeFunction,
-    r,
-    omega: int,
-    evaluator: MellinEvaluator | None = None,
-) -> np.ndarray:
-    """The claimed multiplier form of T f on the ray of direction omega:
-    (1/2)(1 - r_even) on the even part plus omega times the odd analogue."""
-    if omega not in (-1, 1):
-        raise ValueError("omega must be +1 or -1")
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    even_half, odd_half = _multiplier_halves(fn, r, evaluator or MellinEvaluator())
-    return even_half + omega * odd_half
-
-
 def identity_residual(
     fn: ProbeFunction,
     evaluator: MellinEvaluator | None = None,

@@ -14,6 +14,10 @@ Each side carries a norm-continuous family of 2x2 unitaries; a closed loop
 has a well defined winding number of the determinant, computed here by phase
 unwrapping of determinant step ratios with adaptive sample doubling.
 
+Every system supplies only its momentum side B2; ``boundary_loop`` builds the
+other three from B2's end values, so the loop has one shape for point
+interactions and potentials alike.
+
 Infinite endpoint coordinates are represented by exact endpoint values at
 t = 0 and t = 1 of each side's unit-interval parametrisation; no floating
 infinity ever enters a quadrature.
@@ -205,10 +209,6 @@ class ResonanceClass:
     def to_dict(self) -> dict:
         return {"tag": self.tag, "gamma": self.gamma}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ResonanceClass":
-        return cls(data["tag"], data.get("gamma"))
-
 
 # ---------------------------------------------------------------------------
 # Parity sectors and the threshold
@@ -294,17 +294,6 @@ class WindingReport:
             "residual": self.residual,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "WindingReport":
-        return cls(
-            w=tuple(data["w"]),
-            total=data["total"],
-            n_bound=data["n_bound"],
-            correction=data["correction"],
-            resonance=ResonanceClass.from_dict(data["resonance"]),
-            residual=data["residual"],
-        )
-
 
 # ---------------------------------------------------------------------------
 # Paths
@@ -363,11 +352,15 @@ def connector_path(s_end, side: Side = Side.B1) -> BoundaryPath:
 
     The construction stays unitary for the admitted endpoint shapes (identity,
     +-1 blocks, and both zero-energy scattering forms); endpoints outside that
-    family are rejected by a unitarity check at 41 sampled parameters.
+    family are rejected by a unitarity check at 41 sampled parameters.  An
+    endpoint equal to the identity gives the constant identity path: the
+    formula's values there are the identity bit for bit, signed zeros too.
     """
     if side not in (Side.B1, Side.B3):
         raise ValueError("connector paths live on the dilation sides B1/B3")
     s = as_unitary(s_end)
+    if np.array_equal(s, _I2):
+        return constant_path(side, _I2)
     (d00, d01), (d10, d11) = (s - _I2).tolist()
 
     def value_at(x: float) -> np.ndarray:
@@ -434,31 +427,6 @@ def interpolated_path(side: Side, node_params, node_values) -> BoundaryPath:
     return BoundaryPath(side=side, eval=evaluate)
 
 
-def reverse_path(path: BoundaryPath) -> BoundaryPath:
-    """The same values traversed in the opposite direction."""
-    return BoundaryPath(side=path.side, eval=lambda t: path.eval(1.0 - t))
-
-
-def concat_paths(a: BoundaryPath, b: BoundaryPath) -> BoundaryPath:
-    """Concatenation of two paths on the side of `a`; the end of `a` must
-    match the start of `b` to 1e-8."""
-    gap = float(np.max(np.abs(a.end_value() - b.start_value())))
-    if not gap < 1e-8:
-        raise ValueError(f"paths do not join: endpoint gap {gap:.3e}")
-
-    def evaluate(t: float) -> np.ndarray:
-        if t <= 0.5:
-            return a.eval(2.0 * t)
-        return b.eval(2.0 * t - 1.0)
-
-    return BoundaryPath(side=a.side, eval=evaluate)
-
-
-def path_unitarity_defect(path: BoundaryPath, n_samples: int = 129) -> float:
-    """Worst sampled unitarity defect along the path."""
-    return unitarity_defect([path.eval(t) for t in np.linspace(0.0, 1.0, n_samples).tolist()])
-
-
 # ---------------------------------------------------------------------------
 # Winding numbers
 
@@ -485,7 +453,7 @@ def winding(
     path: BoundaryPath,
     n_samples: int = WINDING_SAMPLES,
     *,
-    tol: float = 1e-8,
+    tol: float = WINDING_TOL,
     max_samples: int = 1 << 17,
 ) -> float:
     """Winding number of det along the path via unwrapped phase steps.
@@ -546,6 +514,20 @@ class BoundaryLoop:
             there = self.sides[(i + 1) % 4].start_value()
             worst = max(worst, float(np.max(np.abs(here - there))))
         return worst
+
+
+def boundary_loop(b2: BoundaryPath) -> BoundaryLoop:
+    """The boundary square around a momentum side B2 running from S(0) to
+    S(inf): B1 connects the identity to S(0), B3 connects S(inf) back to the
+    identity, and B4 is the identity."""
+    return BoundaryLoop(
+        (
+            connector_path(b2.start_value(), Side.B1),
+            b2,
+            connector_path(b2.end_value(), Side.B3),
+            constant_path(Side.B4, _I2),
+        )
+    )
 
 
 def loop_winding(

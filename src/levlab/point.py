@@ -4,9 +4,10 @@ The family has two named members.  Delta couples only the even sector,
 delta-prime only the odd one; the uncoupled sector scatters as the identity.
 The coupled sector's amplitude is the Moebius map z / conj(z) of the
 momentum, so every loop here is analytic and serves as ground truth for the
-winding machinery.  Sector embedding and the threshold class of a sector's
-zero-energy value follow the rules of ``loops``, the same ones the potential
-pipeline uses.
+winding machinery.  Only the momentum side is built here, and
+``loops.boundary_loop`` closes it into the loop.  Sector embedding and the
+threshold class of a sector's zero-energy value follow the rules of
+``loops``, the same ones the potential pipeline uses.
 """
 
 from __future__ import annotations
@@ -14,16 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .loops import (
-    BoundaryLoop,
     BoundaryPath,
     Sector,
     Side,
     WindingReport,
-    connector_path,
-    constant_path,
+    boundary_loop,
     loop_winding,
     momentum_coordinate,
     sector_threshold_class,
@@ -35,8 +32,6 @@ DELTA_PRIME = "delta-prime"
 
 # Coupled sector and the sign sigma of the amplitude at infinite momentum.
 _MEMBERS = {DELTA: (Sector.EVEN, 1.0), DELTA_PRIME: (Sector.ODD, -1.0)}
-
-_I2 = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -100,32 +95,21 @@ def verify_levinson(interaction: PointInteraction, sector: Sector) -> WindingRep
     """Full report for one parity sector: windings, bound states, and the
     residual of the index identity total = -n_bound.
 
-    The loop joins the identity to the sector's zero-energy value on B1,
-    follows the amplitude along the momentum side B2, returns from its
-    infinite-energy value on B3 and is the identity on B4.  The uncoupled
-    sector scatters as the identity, so its loop is the identity throughout.
+    The momentum side B2 follows the sector's amplitude from kappa = 0 to
+    kappa = inf, and ``boundary_loop`` closes it.  The uncoupled sector
+    scatters as the identity, so its loop is the identity throughout.
     """
     if sector is Sector.FULL:
         raise ValueError("point-interaction verification runs per parity sector")
     coupled = sector is interaction.sector
     amplitude = interaction.amplitude if coupled else (lambda kappa: 1.0 + 0.0j)
-    s_inf = sector_unitary(amplitude(math.inf), sector)
 
-    def b2_eval(t: float) -> np.ndarray:
-        if t >= 1.0:
-            return s_inf.copy()
-        return sector_unitary(amplitude(momentum_coordinate(float(t))), sector)
+    def b2_eval(t: float):
+        kappa = math.inf if t >= 1.0 else momentum_coordinate(float(t))
+        return sector_unitary(amplitude(kappa), sector)
 
-    loop = BoundaryLoop(
-        (
-            connector_path(b2_eval(0.0), Side.B1),
-            BoundaryPath(side=Side.B2, eval=b2_eval),
-            connector_path(s_inf, Side.B3),
-            constant_path(Side.B4, _I2),
-        )
-    )
     return loop_winding(
-        loop,
+        boundary_loop(BoundaryPath(side=Side.B2, eval=b2_eval)),
         n_bound=interaction.n_bound if coupled else 0,
         resonance=sector_threshold_class(sector, amplitude(0.0).real),
     )

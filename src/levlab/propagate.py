@@ -57,7 +57,15 @@ _FREE_OFF_MIN = 1e-100
 _FREE_OFF_MAX = 1e100
 
 # Fewest points of a finite-difference count, so small boxes stay resolved.
-FD_MIN_POINTS = 2000
+_FD_MIN_POINTS = 2000
+
+# Defaults of the mesh and the truncation radius, shared with SolverSettings:
+# coarse cell width, cells per declared feature width, tail tolerance of |V|
+# and the largest radius tried.
+COARSE_H = 0.05
+FEATURE_CELLS = 32
+TAIL_TOL = 1e-10
+RADIUS_CAP = 2048.0
 
 
 @dataclass
@@ -91,8 +99,8 @@ def build_mesh(
     x_min: float,
     x_max: float,
     *,
-    coarse_h: float = 0.05,
-    feature_cells: int = 32,
+    coarse_h: float = COARSE_H,
+    feature_cells: int = FEATURE_CELLS,
 ) -> Mesh:
     """Cells covering [x_min, x_max], aligned with declared breakpoints and
     refined to width/feature_cells inside each declared feature zone."""
@@ -282,8 +290,8 @@ class TransferEngine:
 def truncation_radius(
     potential: Potential,
     *,
-    tol: float = 1e-10,
-    cap: float = 2048.0,
+    tol: float = TAIL_TOL,
+    cap: float = RADIUS_CAP,
 ) -> float:
     """Radius beyond which the remaining tail of |V| is below ``tol``.
 
@@ -467,21 +475,22 @@ def _fd_count_once(potential: Potential, box: float, n: int, parity: str | None)
 def fd_negative_eigenvalue_count(
     potential: Potential,
     box_half_width: float,
-    n_points: int,
+    h: float,
     *,
     parity: str | None = None,
 ) -> int:
     """Bound states from a hard-wall finite-difference Hamiltonian.
 
     Counts eigenvalues below zero of the standard three-point discretisation
-    on [-box, box] (or the half-line with a parity condition at the origin)
-    via the Sturm sequence.  Doubling the resolution must not change the
-    count; if it does the discretisation cannot be trusted at this size.
+    on [-box, box] (or the half-line [0, box] with a parity condition at the
+    origin) via the Sturm sequence.  The grid has length / h points, and no
+    fewer than ``_FD_MIN_POINTS``.  Doubling the resolution must not change
+    the count; if it does the discretisation cannot be trusted at this size.
     """
-    if n_points < FD_MIN_POINTS:
-        raise ValueError(f"n_points must be at least {FD_MIN_POINTS}")
     if box_half_width <= 0:
         raise ValueError("box_half_width must be positive")
+    length = 2.0 * box_half_width if parity is None else box_half_width
+    n_points = max(_FD_MIN_POINTS, int(round(length / h)))
     first = _fd_count_once(potential, box_half_width, n_points, parity)
     second = _fd_count_once(potential, box_half_width, 2 * n_points, parity)
     if second != first:

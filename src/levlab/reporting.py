@@ -1,4 +1,4 @@
-"""Golden result tables and serialisable winding reports.
+"""Golden result tables of the verified configurations.
 
 The tables pin down every verified configuration: the solvable point
 interactions over attractive, trivial, repulsive, and infinitely strong
@@ -10,7 +10,6 @@ row and column of any disagreement.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -198,16 +197,3 @@ def render_rows(rows) -> str:
         lines.append(f"{r.label:<{width}}{cells}{r.n_bound:>4}  {status}")
     return "\n".join(lines)
 
-
-# ---------------------------------------------------------------------------
-# Report serialisation
-
-
-def render_report(report: WindingReport) -> str:
-    """Loss-free JSON form of a winding report."""
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2)
-
-
-def parse_report(text: str) -> WindingReport:
-    """Inverse of render_report; round-trips every field exactly."""
-    return WindingReport.from_dict(json.loads(text))

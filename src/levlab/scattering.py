@@ -11,9 +11,10 @@ Everything the index bookkeeping needs from a potential is produced here:
   Hamiltonian),
 * the spectral-shift (time-delay) integral along the momentum side of the
   boundary square, summed from eigenphase increments,
-* assembled boundary loops, full line or per parity sector.  The sector
-  rules (which diagonal entry a sector keeps, and which zero-energy value is
-  a half-bound state) live in ``loops``, shared with the point interactions.
+* the momentum side of the boundary loop, full line or per parity sector,
+  closed into the loop by ``loops.boundary_loop``.  The sector rules (which
+  diagonal entry a sector keeps, and which zero-energy value is a half-bound
+  state) live in ``loops``, shared with the point interactions.
 
 Momenta and matrices live in the plane-wave basis (transmission on the
 diagonal) or the even-odd basis; the index constructions use even-odd, where
@@ -39,13 +40,11 @@ from .loops import (
     CORNER_TOL,
     WINDING_SAMPLES,
     WINDING_TOL,
-    BoundaryLoop,
     ResonanceClass,
     Sector,
     Side,
     WindingReport,
-    connector_path,
-    constant_path,
+    boundary_loop,
     interpolated_path,
     loop_winding,
     phase_steps,
@@ -56,7 +55,10 @@ from .loops import (
 )
 from .potentials import Potential, integrated_absolute
 from .propagate import (
-    FD_MIN_POINTS,
+    COARSE_H,
+    FEATURE_CELLS,
+    RADIUS_CAP,
+    TAIL_TOL,
     TransferEngine,
     build_mesh,
     fd_negative_eigenvalue_count,
@@ -104,12 +106,12 @@ class SolverSettings:
     refine_phase_step: float = 0.35
     refine_entry_step: float = 0.3
     max_refine_rounds: int = 14
-    coarse_h: float = 0.05
-    feature_cells: int = 32
+    coarse_h: float = COARSE_H
+    feature_cells: int = FEATURE_CELLS
     solver_tol: float = 2e-10
     max_halvings: int = 6
-    tail_tol: float = 1e-10
-    radius_cap: float = 2048.0
+    tail_tol: float = TAIL_TOL
+    radius_cap: float = RADIUS_CAP
     dead_zone: tuple[float, float] = (1e-6, 1e-3)
     classify_probe: float = 2e-4
     classify_cross_tol: float = 1e-3
@@ -341,12 +343,6 @@ def count_bound_states_shooting(engine: TransferEngine, settings: SolverSettings
     return nodes
 
 
-def _fd_count(potential: Potential, box: float, h: float, parity: str | None) -> int:
-    length = 2.0 * box if parity is None else box
-    n = max(FD_MIN_POINTS, int(round(length / h)))
-    return fd_negative_eigenvalue_count(potential, box, n, parity=parity)
-
-
 def count_bound_states_fd(
     potential: Potential,
     radius: float,
@@ -367,10 +363,10 @@ def count_bound_states_fd(
         momentum = max(SHALLOW_MOMENTUM_FACTOR * strength, SHALLOW_MOMENTUM_FLOOR)
         box = max(box, SHALLOW_DECAY_LENGTHS / momentum)
     box = min(box, FD_BOX_CAP)
-    count = _fd_count(potential, box, settings.fd_h, parity)
+    count = fd_negative_eigenvalue_count(potential, box, settings.fd_h, parity=parity)
     for _ in range(settings.fd_max_growth):
         bigger = settings.fd_growth * box
-        again = _fd_count(potential, bigger, settings.fd_h, parity)
+        again = fd_negative_eigenvalue_count(potential, bigger, settings.fd_h, parity=parity)
         if again == count:
             return count
         box, count = bigger, again
@@ -535,20 +531,6 @@ class PotentialAnalysis:
         values = np.concatenate([[start], mats, [_I2]])
         return params, values
 
-    def loop(self, sector: Sector = Sector.FULL) -> BoundaryLoop:
-        """The boundary square: threshold connector, momentum side, identity
-        sides at infinite energy and at the left end of the dilation axis."""
-        self._require_symmetric(sector)
-        params, values = self._b2_nodes(sector)
-        return BoundaryLoop(
-            sides=(
-                connector_path(values[0], Side.B1),
-                interpolated_path(Side.B2, params, values),
-                constant_path(Side.B3, _I2),
-                constant_path(Side.B4, _I2),
-            )
-        )
-
     def time_delay(self) -> float:
         """Spectral-shift integral over the momentum side (full line)."""
         params, values = self._b2_nodes(Sector.FULL)
@@ -558,7 +540,8 @@ class PotentialAnalysis:
         """Windings, bound states, and the residual of total = -n_bound."""
         if sector in self._reports:
             return self._reports[sector]
-        loop = self.loop(sector)
+        self._require_symmetric(sector)
+        loop = boundary_loop(interpolated_path(Side.B2, *self._b2_nodes(sector)))
         s = self.settings
         report = loop_winding(
             loop,

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from levlab.cli import main
+from levlab.loops import Sector
+from levlab.point import PointInteraction, verify_levinson
 
 WELL_CONFIG = {"potential": {"kind": "square-well", "depth": 1.0, "half_width": 1.0}}
 
@@ -39,6 +41,18 @@ def test_point_json_reports(capsys):
     reports = json.loads(payload)
     assert set(reports) == {"even", "odd"}
     assert reports["even"]["n_bound"] == 0
+
+
+def test_point_json_is_the_report_dict(capsys):
+    # coupling 0: an exceptional even sector (gamma = 1) and a generic odd one
+    assert main(["point", "--kind", "delta", "--param", "0", "--json"]) == 0
+    payload = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("{"))
+    interaction = PointInteraction("delta", 0.0)
+    reports = {
+        s.value: verify_levinson(interaction, s).to_dict()
+        for s in (Sector.EVEN, Sector.ODD)
+    }
+    assert payload == json.dumps(reports, sort_keys=True)
 
 
 def test_point_rejects_unknown_kind(capsys):
@@ -213,6 +227,32 @@ def test_potential_bad_output_is_refused_before_analysis(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "'output' must be an object" in captured.err
+
+
+@pytest.mark.parametrize("key", ["csv", "phase_csv"])
+@pytest.mark.parametrize("value", [True, 2, ["s.csv"]], ids=["bool", "int", "list"])
+def test_potential_non_string_output_path_is_refused_before_analysis(tmp_path, capsys, key, value):
+    # open() would take an int or bool as a file descriptor
+    cfg = write_config(tmp_path, dict(WELL_CONFIG, output={key: value}))
+    assert main(["potential", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err and repr(key) in captured.err
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("key", ["csv", "phase_csv"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_potential_unwritable_output_path_is_config_error(tmp_path, capsys, via, key, target):
+    path = str(tmp_path / "absent" / "out.csv") if target == "missing-directory" else str(tmp_path)
+    argv = ["potential"]
+    if via == "flag":
+        argv += ["--" + key.replace("_", "-"), path]
+        config = WELL_CONFIG
+    else:
+        config = dict(WELL_CONFIG, output={key: path})
+    assert main(argv + ["--config", write_config(tmp_path, config)]) == 2
+    assert "config error: cannot write output file" in capsys.readouterr().err
 
 
 def test_potential_numerics_override(tmp_path, capsys):

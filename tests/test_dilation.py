@@ -13,7 +13,6 @@ from levlab.dilation import (
     HERMITE,
     MellinEvaluator,
     ProbeFunction,
-    apply_half_one_minus_r,
     apply_halfline_fourier,
     default_suite,
     identity_residual,
@@ -108,12 +107,10 @@ def test_quadrature_reports_nonconvergence():
         apply_halfline_fourier(fn, 1.0, 1, max_nodes=64)
 
 
-def test_omega_must_be_a_sign(evaluator):
+def test_omega_must_be_a_sign():
     fn = ProbeFunction(GAUSSIAN, width=1.0)
     with pytest.raises(ValueError):
         apply_halfline_fourier(fn, 1.0, 2)
-    with pytest.raises(ValueError):
-        apply_half_one_minus_r(fn, 1.0, 0, evaluator)
 
 
 # --- the Mellin transform ---------------------------------------------------

@@ -1,4 +1,4 @@
-"""Golden tables, mismatch reporting, and report serialisation."""
+"""Golden tables and mismatch reporting."""
 
 import dataclasses
 import math
@@ -6,13 +6,9 @@ import math
 import pytest
 
 from levlab.errors import GoldenMismatch
-from levlab.loops import Sector
-from levlab.point import PointInteraction, verify_levinson
 from levlab.reporting import (
     check_golden,
-    parse_report,
     point_table_rows,
-    render_report,
     render_rows,
     tuned_exceptional_well,
     tuned_resonance_depth,
@@ -56,18 +52,6 @@ def test_render_rows_lists_every_label(point_rows):
 def test_render_rows_flags_mismatch(point_rows):
     bad = dataclasses.replace(point_rows[0], total=17.0)
     assert "MISMATCH" in render_rows([bad])
-
-
-def test_report_round_trip():
-    report = verify_levinson(PointInteraction("delta", -1.0), Sector.EVEN)
-    assert parse_report(render_report(report)) == report
-
-
-def test_report_round_trip_exceptional():
-    report = verify_levinson(PointInteraction("delta", 0.0), Sector.EVEN)
-    again = parse_report(render_report(report))
-    assert again == report
-    assert again.resonance.is_exceptional
 
 
 def test_tuned_depths_hit_closed_form_values():

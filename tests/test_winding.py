@@ -12,12 +12,11 @@ from levlab.loops import (
     BoundaryPath,
     ResonanceClass,
     Side,
-    concat_paths,
+    boundary_loop,
     constant_path,
     interpolated_path,
     loop_winding,
     nearest_unitary,
-    reverse_path,
     unitarity_defect,
     winding,
 )
@@ -57,7 +56,8 @@ def test_half_turn():
 
 def test_reversal_negates():
     path = phase_path(2)
-    assert abs(winding(reverse_path(path)) + 2.0) < 1e-12
+    reversed_path = BoundaryPath(side=path.side, eval=lambda t: path.eval(1.0 - t))
+    assert abs(winding(reversed_path) + 2.0) < 1e-12
 
 
 def test_reparametrisation_invariance():
@@ -73,15 +73,10 @@ def test_reparametrisation_invariance():
 def test_concatenation_adds():
     a = arc_path(0.0, np.pi)
     b = arc_path(np.pi, 3.0 * np.pi)
-    joined = concat_paths(a, b)
+    joined = BoundaryPath(
+        side=a.side, eval=lambda t: a.eval(2.0 * t) if t <= 0.5 else b.eval(2.0 * t - 1.0)
+    )
     assert abs(winding(joined) - (winding(a) + winding(b))) < 1e-9
-
-
-def test_concatenation_rejects_gap():
-    a = arc_path(0.0, 1.0)
-    b = arc_path(2.0, 3.0)
-    with pytest.raises(ValueError):
-        concat_paths(a, b)
 
 
 def test_jump_discontinuity_is_detected():
@@ -120,6 +115,22 @@ def test_closed_identity_loop():
     assert report.w == (0.0, 0.0, 0.0, 0.0)
     assert report.total == 0.0
     assert report.correction == 0.0
+
+
+def test_boundary_loop_closes_the_momentum_side():
+    """B1 runs from the identity to B2's start, B3 from B2's end back to the
+    identity, B4 is the identity; an identity end gives a constant side."""
+    b2 = arc_path(-np.pi, 0.0)  # diag(-1, 1) to the identity, half a turn up
+    loop = boundary_loop(b2)
+    b1, same, b3, b4 = loop.sides
+    assert same is b2
+    assert np.array_equal(b1.start_value(), np.eye(2))
+    assert np.array_equal(b1.end_value(), b2.start_value())
+    for t in np.linspace(0.0, 1.0, 9).tolist():
+        assert b3.eval(t).tobytes() == b4.eval(t).tobytes() == np.eye(2, dtype=complex).tobytes()
+    assert loop.corner_defect() == 0.0
+    report = loop_winding(loop, n_bound=0, resonance=ResonanceClass.generic())
+    assert np.allclose(report.w, (-0.5, 0.5, 0.0, 0.0), atol=1e-12)
 
 
 def test_doubling_evaluates_each_parameter_once():
