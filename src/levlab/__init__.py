@@ -33,18 +33,14 @@ from .errors import (
     WindingNotConverged,
 )
 from .loops import (
-    BoundaryLoop,
     BoundaryPath,
     ResonanceClass,
     Sector,
-    Side,
     WindingReport,
-    boundary_loop,
     connector_path,
     constant_path,
     interpolated_path,
     loop_winding,
-    nearest_unitary,
     r_even,
     r_odd,
     restrict,

@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 from .dilation import MellinEvaluator, suite_residuals
@@ -149,12 +150,19 @@ def _load_config(path: str) -> dict:
 
 
 def _output_path(flag, output: dict, key: str):
-    """The flag's path, else the config's ``output`` entry; a path that is
-    not a string (``open`` would take an int or bool as a file descriptor) is
-    a config error."""
+    """The flag's path, else the config's ``output`` entry.  A path that is
+    not a string (``open`` would take an int or bool as a file descriptor),
+    names a directory, or lies in a missing directory is a config error,
+    raised before any computation; the file itself is not touched here."""
     path = flag or output.get(key)
-    if path is not None and not isinstance(path, str):
+    if path is None:
+        return None
+    if not isinstance(path, str):
         raise ConfigError(f"output {key!r} must be a file path string, got {path!r}")
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write output file: {path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"cannot write output file: no directory for {path!r}")
     return path
 
 
@@ -167,6 +175,7 @@ def _write_output(writer, path: str) -> None:
 
 def _cmd_potential(args) -> int:
     config = _load_config(args.config)
+    settings = _build_settings(config)
     system = config.get("system", "potential")
     if system in (DELTA, DELTA_PRIME):
         if "param" not in config:
@@ -182,7 +191,6 @@ def _cmd_potential(args) -> int:
         raise ConfigError("config needs a 'potential' entry")
 
     potential = _build_potential(config["potential"])
-    settings = _build_settings(config)
     sectors = _sectors_from(config, potential)
     output = config.get("output", {})
     if not isinstance(output, dict):

@@ -14,9 +14,9 @@ Each side carries a norm-continuous family of 2x2 unitaries; a closed loop
 has a well defined winding number of the determinant, computed here by phase
 unwrapping of determinant step ratios with adaptive sample doubling.
 
-Every system supplies only its momentum side B2; ``boundary_loop`` builds the
-other three from B2's end values, so the loop has one shape for point
-interactions and potentials alike.
+Every system supplies only its momentum side B2; ``loop_winding`` builds the
+other three from B2's end values and winds the closed loop, so the loop has
+one shape for point interactions and potentials alike.
 
 Infinite endpoint coordinates are represented by exact endpoint values at
 t = 0 and t = 1 of each side's unit-interval parametrisation; no floating
@@ -137,30 +137,6 @@ def _polar_factor(m00: complex, m01: complex, m10: complex, m11: complex) -> np.
             [n10 * inv, (m11 + phase * m00.conjugate()) * inv],
         ]
     )
-
-
-def nearest_unitary(m: np.ndarray) -> np.ndarray:
-    """Polar projection of an almost-unitary 2x2 matrix back onto U(2).
-
-    Raises NonUnitaryPath when the matrix is singular to rounding, where the
-    projection is undefined."""
-    (m00, m01), (m10, m11) = np.asarray(m, dtype=complex).tolist()
-    return _polar_factor(m00, m01, m10, m11)
-
-
-class Side(Enum):
-    """Sides of the boundary square in traversal order.
-
-    B1 holds the zero-energy threshold connector (dilation sweep up), B2 the
-    physical scattering matrices (momentum sweep up), B3 the infinite-energy
-    connector (dilation sweep back), and B4 the return momentum sweep on the
-    free edge, identically the identity for decaying systems.
-    """
-
-    B1 = 1
-    B2 = 2
-    B3 = 3
-    B4 = 4
 
 
 class Sector(Enum):
@@ -301,22 +277,15 @@ class WindingReport:
 
 @dataclass
 class BoundaryPath:
-    """One side of the boundary square: t in [0, 1] mapped to a 2x2 unitary.
+    """A path of 2x2 unitaries: t in [0, 1] mapped to one value.
 
-    t = 0 is the start of the traversal in the side's stated orientation.
-    ``eval`` takes one float and returns one 2x2 array; it is never called
-    with an array of parameters.  The benchmark tracer relies on that: it
-    wraps ``eval`` and counts one path evaluation per call.
+    t = 0 is the start of the traversal.  ``eval`` takes one float and
+    returns one 2x2 array; it is never called with an array of parameters.
+    The benchmark tracer relies on that: it wraps ``eval`` and counts one
+    path evaluation per call.
     """
 
-    side: Side
     eval: Callable[[float], np.ndarray]
-
-    def start_value(self) -> np.ndarray:
-        return self.eval(0.0)
-
-    def end_value(self) -> np.ndarray:
-        return self.eval(1.0)
 
 
 def dilation_coordinate(t: float) -> float:
@@ -329,26 +298,25 @@ def momentum_coordinate(t: float) -> float:
     return t / (1.0 - t)
 
 
-def constant_path(side: Side, value) -> BoundaryPath:
-    """A side holding a single unitary value for the whole traversal."""
+def constant_path(value) -> BoundaryPath:
+    """A path holding a single unitary value for the whole traversal."""
     v = as_unitary(value)
 
     def evaluate(t: float) -> np.ndarray:
         return v.copy()
 
-    return BoundaryPath(side=side, eval=evaluate)
+    return BoundaryPath(evaluate)
 
 
-def connector_path(s_end, side: Side = Side.B1) -> BoundaryPath:
-    """Dilation-side path joining the identity to a unitary endpoint.
+def connector_path(s_end) -> BoundaryPath:
+    """Dilation-side path from the identity to a unitary endpoint.
 
     At dilation parameter x the value is
 
         1 + (1/2) (1 - R(x)) (s_end - 1),   R(x) = diag(r_even(x), r_odd(x)),
 
-    which equals the identity at x = -inf and s_end at x = +inf.  On side B1
-    the traversal runs with increasing x; on B3 it is reversed, starting at
-    s_end and ending at the identity.
+    which equals the identity at x = -inf (t = 0) and s_end at x = +inf
+    (t = 1); the traversal runs with increasing x.
 
     The construction stays unitary for the admitted endpoint shapes (identity,
     +-1 blocks, and both zero-energy scattering forms); endpoints outside that
@@ -356,11 +324,9 @@ def connector_path(s_end, side: Side = Side.B1) -> BoundaryPath:
     endpoint equal to the identity gives the constant identity path: the
     formula's values there are the identity bit for bit, signed zeros too.
     """
-    if side not in (Side.B1, Side.B3):
-        raise ValueError("connector paths live on the dilation sides B1/B3")
     s = as_unitary(s_end)
     if np.array_equal(s, _I2):
-        return constant_path(side, _I2)
+        return constant_path(_I2)
     (d00, d01), (d10, d11) = (s - _I2).tolist()
 
     def value_at(x: float) -> np.ndarray:
@@ -373,15 +339,12 @@ def connector_path(s_end, side: Side = Side.B1) -> BoundaryPath:
             [[1.0 + 0.0j + a * d00, 0.0j + a * d01], [0.0j + b * d10, 1.0 + 0.0j + b * d11]]
         )
 
-    forward = side is Side.B1
-
     def evaluate(t: float) -> np.ndarray:
-        u = t if forward else 1.0 - t
-        if u <= 0.0:
+        if t <= 0.0:
             return _I2.copy()
-        if u >= 1.0:
+        if t >= 1.0:
             return s.copy()
-        return value_at(dilation_coordinate(u))
+        return value_at(dilation_coordinate(t))
 
     worst = unitarity_defect([evaluate(t) for t in np.linspace(0.0, 1.0, 41).tolist()])
     if not worst < 1e-10:
@@ -389,10 +352,10 @@ def connector_path(s_end, side: Side = Side.B1) -> BoundaryPath:
             f"connector endpoint leaves the unitary family along the path "
             f"(worst defect {worst:.3e} >= 1e-10)"
         )
-    return BoundaryPath(side=side, eval=evaluate)
+    return BoundaryPath(evaluate)
 
 
-def interpolated_path(side: Side, node_params, node_values) -> BoundaryPath:
+def interpolated_path(node_params, node_values) -> BoundaryPath:
     """Piecewise-linear path through unitary nodes, re-projected onto U(2).
 
     Node parameters must be strictly increasing and span [0, 1]; each node must
@@ -424,7 +387,7 @@ def interpolated_path(side: Side, node_params, node_values) -> BoundaryPath:
             *((1.0 - theta) * p + theta * q for p, q in zip(entries[j], entries[j + 1]))
         )
 
-    return BoundaryPath(side=side, eval=evaluate)
+    return BoundaryPath(evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -492,46 +455,8 @@ def winding(
         n, dets, est = n2, fine, est2
 
 
-@dataclass
-class BoundaryLoop:
-    """The four sides of the boundary square in traversal order B1..B4."""
-
-    sides: tuple[BoundaryPath, BoundaryPath, BoundaryPath, BoundaryPath]
-
-    def __post_init__(self):
-        if len(self.sides) != 4:
-            raise ValueError("a boundary loop has exactly four sides")
-        expected = (Side.B1, Side.B2, Side.B3, Side.B4)
-        got = tuple(p.side for p in self.sides)
-        if got != expected:
-            raise ValueError(f"sides out of order: {got}")
-
-    def corner_defect(self) -> float:
-        """Largest mismatch between the end of one side and the start of the next."""
-        worst = 0.0
-        for i in range(4):
-            here = self.sides[i].end_value()
-            there = self.sides[(i + 1) % 4].start_value()
-            worst = max(worst, float(np.max(np.abs(here - there))))
-        return worst
-
-
-def boundary_loop(b2: BoundaryPath) -> BoundaryLoop:
-    """The boundary square around a momentum side B2 running from S(0) to
-    S(inf): B1 connects the identity to S(0), B3 connects S(inf) back to the
-    identity, and B4 is the identity."""
-    return BoundaryLoop(
-        (
-            connector_path(b2.start_value(), Side.B1),
-            b2,
-            connector_path(b2.end_value(), Side.B3),
-            constant_path(Side.B4, _I2),
-        )
-    )
-
-
 def loop_winding(
-    loop: BoundaryLoop,
+    b2: BoundaryPath,
     *,
     n_bound: int,
     resonance: ResonanceClass,
@@ -539,13 +464,24 @@ def loop_winding(
     n_samples: int = WINDING_SAMPLES,
     tol: float = WINDING_TOL,
 ) -> WindingReport:
-    """Complete report of a closed boundary loop: per-side windings, their
-    sum, the given bound-state count and threshold class, and the residual
-    |total + n_bound| of the index identity."""
-    defect = loop.corner_defect()
+    """Complete report of the boundary loop around a momentum side B2 that
+    runs from S(0) to S(inf): per-side windings, their sum, the given
+    bound-state count and threshold class, and the residual |total + n_bound|
+    of the index identity.
+
+    B1 connects the identity to S(0), B3 runs the connector to S(inf)
+    backwards to the identity, and B4 is the identity.
+    """
+    near = connector_path(b2.eval(0.0))
+    far = connector_path(b2.eval(1.0))
+    sides = (near, b2, BoundaryPath(lambda t: far.eval(1.0 - t)), constant_path(_I2))
+    defect = max(
+        float(np.max(np.abs(sides[i].eval(1.0) - sides[(i + 1) % 4].eval(0.0))))
+        for i in range(4)
+    )
     if not defect < corner_tol:
         raise CornerMismatch(f"loop corners differ by {defect:.3e} >= {corner_tol:g}")
-    ws = tuple(winding(p, n_samples=n_samples, tol=tol) for p in loop.sides)
+    ws = tuple(winding(p, n_samples=n_samples, tol=tol) for p in sides)
     total = float(sum(ws))
     return WindingReport(
         w=ws,

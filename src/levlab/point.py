@@ -5,9 +5,9 @@ delta-prime only the odd one; the uncoupled sector scatters as the identity.
 The coupled sector's amplitude is the Moebius map z / conj(z) of the
 momentum, so every loop here is analytic and serves as ground truth for the
 winding machinery.  Only the momentum side is built here, and
-``loops.boundary_loop`` closes it into the loop.  Sector embedding and the
-threshold class of a sector's zero-energy value follow the rules of
-``loops``, the same ones the potential pipeline uses.
+``loops.loop_winding`` closes it into the loop and winds it.  Sector
+embedding and the threshold class of a sector's zero-energy value follow the
+rules of ``loops``, the same ones the potential pipeline uses.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from .loops import (
     BoundaryPath,
     Sector,
-    Side,
     WindingReport,
-    boundary_loop,
     loop_winding,
     momentum_coordinate,
     sector_threshold_class,
@@ -96,7 +94,7 @@ def verify_levinson(interaction: PointInteraction, sector: Sector) -> WindingRep
     residual of the index identity total = -n_bound.
 
     The momentum side B2 follows the sector's amplitude from kappa = 0 to
-    kappa = inf, and ``boundary_loop`` closes it.  The uncoupled sector
+    kappa = inf, and ``loop_winding`` closes it.  The uncoupled sector
     scatters as the identity, so its loop is the identity throughout.
     """
     if sector is Sector.FULL:
@@ -109,7 +107,7 @@ def verify_levinson(interaction: PointInteraction, sector: Sector) -> WindingRep
         return sector_unitary(amplitude(kappa), sector)
 
     return loop_winding(
-        boundary_loop(BoundaryPath(side=Side.B2, eval=b2_eval)),
+        BoundaryPath(b2_eval),
         n_bound=interaction.n_bound if coupled else 0,
         resonance=sector_threshold_class(sector, amplitude(0.0).real),
     )

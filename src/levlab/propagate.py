@@ -181,8 +181,7 @@ def _tree_product(cells: np.ndarray) -> np.ndarray:
 class TransferEngine:
     """Propagates (psi, psi') across the interaction region for momentum batches."""
 
-    def __init__(self, potential: Potential, mesh: Mesh):
-        self.potential = potential
+    def __init__(self, mesh: Mesh):
         self.mesh = mesh
         h = np.diff(mesh.edges)
         self._h = h

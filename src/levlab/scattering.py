@@ -12,9 +12,9 @@ Everything the index bookkeeping needs from a potential is produced here:
 * the spectral-shift (time-delay) integral along the momentum side of the
   boundary square, summed from eigenphase increments,
 * the momentum side of the boundary loop, full line or per parity sector,
-  closed into the loop by ``loops.boundary_loop``.  The sector rules (which
-  diagonal entry a sector keeps, and which zero-energy value is a half-bound
-  state) live in ``loops``, shared with the point interactions.
+  closed into the loop and wound by ``loops.loop_winding``.  The sector
+  rules (which diagonal entry a sector keeps, and which zero-energy value is
+  a half-bound state) live in ``loops``, shared with the point interactions.
 
 Momenta and matrices live in the plane-wave basis (transmission on the
 diagonal) or the even-odd basis; the index constructions use even-odd, where
@@ -42,9 +42,7 @@ from .loops import (
     WINDING_TOL,
     ResonanceClass,
     Sector,
-    Side,
     WindingReport,
-    boundary_loop,
     interpolated_path,
     loop_winding,
     phase_steps,
@@ -439,7 +437,7 @@ class PotentialAnalysis:
         )
         previous = None
         for _ in range(s.max_halvings + 1):
-            engine = TransferEngine(self.potential, mesh)
+            engine = TransferEngine(mesh)
             t, r_l, r_r = engine.plane_wave_coefficients(ENGINE_PROBE_KAPPAS)
             c1, c2, scale, _ = zero_energy_tail(engine)
             snapshot = np.concatenate(
@@ -541,10 +539,9 @@ class PotentialAnalysis:
         if sector in self._reports:
             return self._reports[sector]
         self._require_symmetric(sector)
-        loop = boundary_loop(interpolated_path(Side.B2, *self._b2_nodes(sector)))
         s = self.settings
         report = loop_winding(
-            loop,
+            interpolated_path(*self._b2_nodes(sector)),
             n_bound=self.sector_bound_states(sector),
             resonance=self.sector_resonance(sector),
             corner_tol=s.corner_tol,

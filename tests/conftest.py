@@ -43,3 +43,20 @@ def well_family():
     from levlab.scattering import PotentialAnalysis
 
     return [PotentialAnalysis(gaussian_wells(w)) for w in random_well_family()]
+
+
+@pytest.fixture
+def wound_paths(monkeypatch):
+    """Every path handed to ``loops.winding`` during the test, in call order;
+    ``loop_winding`` calls it through the module global."""
+    from levlab import loops
+
+    seen = []
+    wind = loops.winding
+
+    def capture(path, *args, **kwargs):
+        seen.append(path)
+        return wind(path, *args, **kwargs)
+
+    monkeypatch.setattr(loops, "winding", capture)
+    return seen

@@ -90,6 +90,17 @@ def test_potential_point_system_config(tmp_path, capsys):
     assert "index identity: OK" in out
 
 
+def test_potential_point_system_config_checks_numerics(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        {"system": "delta", "param": -1, "numerics": {"winding_samples": 8, "bogus": 1}},
+    )
+    assert main(["potential", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: unknown numerics keys: bogus" in captured.err
+
+
 def test_potential_csv_outputs_are_deterministic(tmp_path, capsys):
     cfg = write_config(tmp_path, WELL_CONFIG)
     first, second = tmp_path / "s1.csv", tmp_path / "s2.csv"
@@ -252,7 +263,9 @@ def test_potential_unwritable_output_path_is_config_error(tmp_path, capsys, via,
     else:
         config = dict(WELL_CONFIG, output={key: path})
     assert main(argv + ["--config", write_config(tmp_path, config)]) == 2
-    assert "config error: cannot write output file" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: cannot write output file" in captured.err
 
 
 def test_potential_numerics_override(tmp_path, capsys):

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from levlab.errors import NonUnitaryPath
 from levlab.loops import (
     ResonanceClass,
-    Side,
     connector_path,
+    constant_path,
     dilation_coordinate,
+    loop_winding,
     r_even,
     unitarity_defect,
     winding,
@@ -63,33 +64,35 @@ def test_odd_sector_connector_winds_plus_half():
     assert abs(winding(path) - 0.5) < 1e-9
 
 
-def test_endpoints_are_exact():
+def wound_sides(wound_paths, b2_value):
+    """The four sides ``loop_winding`` winds around a constant momentum side,
+    and its report."""
+    report = loop_winding(constant_path(b2_value), n_bound=0, resonance=ResonanceClass.generic())
+    return wound_paths[-4:], report
+
+
+def test_endpoints_are_exact(wound_paths):
     target = threshold_matrix(ResonanceClass.exceptional(2.0))
-    forward = connector_path(target, Side.B1)
-    assert np.array_equal(forward.start_value(), np.eye(2, dtype=complex))
-    assert np.array_equal(forward.end_value(), target)
-    reverse = connector_path(target, Side.B3)
-    assert np.array_equal(reverse.start_value(), target)
-    assert np.array_equal(reverse.end_value(), np.eye(2, dtype=complex))
+    forward = connector_path(target)
+    assert np.array_equal(forward.eval(0.0), np.eye(2, dtype=complex))
+    assert np.array_equal(forward.eval(1.0), target)
+    (_, _, reverse, _), _ = wound_sides(wound_paths, target)
+    assert np.array_equal(reverse.eval(0.0), target)
+    assert np.array_equal(reverse.eval(1.0), np.eye(2, dtype=complex))
 
 
-def test_reversed_side_negates_winding():
+def test_reversed_side_negates_winding(wound_paths):
+    """Around a constant momentum side, B3 runs B1's connector backwards."""
     target = threshold_matrix(ResonanceClass.generic())
-    assert abs(
-        winding(connector_path(target, Side.B1))
-        + winding(connector_path(target, Side.B3))
-    ) < 1e-9
+    _, report = wound_sides(wound_paths, target)
+    assert abs(report.w[0] + 0.5) < 1e-9
+    assert abs(report.w[0] + report.w[2]) < 1e-9
 
 
 def test_connector_rejects_unitary_outside_family():
     # the swap matrix is unitary but the connector through it degenerates
     with pytest.raises(NonUnitaryPath):
         connector_path(np.array([[0.0, 1.0], [1.0, 0.0]]))
-
-
-def test_connector_rejects_momentum_sides():
-    with pytest.raises(ValueError):
-        connector_path(np.eye(2), Side.B2)
 
 
 @given(st.floats(0.1, 10.0), st.sampled_from([-1.0, 1.0]))
@@ -116,13 +119,19 @@ ENDPOINTS = {
 }
 
 
-@pytest.mark.parametrize("side", [Side.B1, Side.B3], ids=lambda s: s.name)
+@pytest.mark.parametrize("side", ["B1", "B3"])
 @pytest.mark.parametrize("name", list(ENDPOINTS))
-def test_connector_values_are_the_matrix_formula_bit_for_bit(name, side):
+def test_connector_values_are_the_matrix_formula_bit_for_bit(name, side, wound_paths):
+    """B1 is the connector itself; B3 is the path ``loop_winding`` hands to
+    ``winding`` for a momentum side ending at the endpoint, the connector
+    run backwards."""
     end = ENDPOINTS[name]
-    path = connector_path(end, side)
+    if side == "B1":
+        path = connector_path(end)
+    else:
+        (_, _, path, _), _ = wound_sides(wound_paths, end)
     for t in np.linspace(0.0, 1.0, 1025)[1:-1].tolist():
-        u = t if side is Side.B1 else 1.0 - t
+        u = t if side == "B1" else 1.0 - t
         want = _matrix_formula(end, dilation_coordinate(u))
         got = path.eval(t)
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), t

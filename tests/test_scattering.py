@@ -61,7 +61,7 @@ def test_symmetric_well_reflections_coincide():
     pot = gaussian_wells([(2.0, 0.7, 0.5), (2.0, -0.7, 0.5)])
     assert pot.symmetric
     radius = truncation_radius(pot)
-    engine = TransferEngine(pot, build_mesh(pot, -radius, radius))
+    engine = TransferEngine(build_mesh(pot, -radius, radius))
     kappas = np.geomspace(0.02, 10.0, 15)
     _, r_left, r_right = engine.plane_wave_coefficients(kappas)
     assert np.max(np.abs(r_left - r_right)) < 1e-8
@@ -71,7 +71,7 @@ def test_asymmetric_well_reflections_differ():
     pot = gaussian_wells([(2.0, 0.7, 0.5)])
     assert not pot.symmetric
     radius = truncation_radius(pot)
-    engine = TransferEngine(pot, build_mesh(pot, -radius, radius))
+    engine = TransferEngine(build_mesh(pot, -radius, radius))
     kappas = np.geomspace(0.02, 10.0, 15)
     _, r_left, r_right = engine.plane_wave_coefficients(kappas)
     assert np.max(np.abs(r_left - r_right)) > 1e-3
@@ -259,7 +259,7 @@ def test_zero_energy_solution_is_computed_once():
     pot = gaussian_wells([(6.0, 0.4, 0.8), (3.0, -1.1, 0.5)])
     radius = truncation_radius(pot)
     mesh = build_mesh(pot, -radius, radius)
-    engine = TransferEngine(pot, mesh)
+    engine = TransferEngine(mesh)
     first = engine.edge_states()
     second = engine.edge_states()
     for a, b in zip(first, second):
@@ -268,7 +268,7 @@ def test_zero_energy_solution_is_computed_once():
         with pytest.raises(ValueError):
             a[0] = 0.0
     settings = SolverSettings()
-    fresh = TransferEngine(pot, mesh)
+    fresh = TransferEngine(mesh)
     assert count_bound_states_shooting(engine, settings) == count_bound_states_shooting(fresh, settings)
     assert zero_energy_tail(engine) == zero_energy_tail(fresh)
     assert np.array_equal(engine.edge_states()[1], fresh.edge_states()[1])

@@ -64,7 +64,7 @@ def test_oracle_threshold_reflection():
 def test_transfer_matches_closed_form(depth, half_width):
     pot = square_well(depth, half_width)
     mesh = build_mesh(pot, -half_width, half_width)
-    engine = TransferEngine(pot, mesh)
+    engine = TransferEngine(mesh)
     t_num, r_left, r_right = engine.plane_wave_coefficients(KAPPAS)
     for i, kappa in enumerate(KAPPAS):
         t_ref, r_ref = closed_form_amplitudes(depth, half_width, kappa)
@@ -86,7 +86,7 @@ WIDE_KAPPAS = np.geomspace(1e-3, 50.0, 200)
 @pytest.fixture(scope="module")
 def wide_engine():
     pot = square_well(WIDE_DEPTH, WIDE_HALF_WIDTH)
-    engine = TransferEngine(pot, build_mesh(pot, -WIDE_HALF_WIDTH, WIDE_HALF_WIDTH + 5.0))
+    engine = TransferEngine(build_mesh(pot, -WIDE_HALF_WIDTH, WIDE_HALF_WIDTH + 5.0))
     assert engine.mesh.n_cells % 2 == 1
     assert 2 * engine.mesh.n_cells > BLOCK_ELEMENTS
     return engine
