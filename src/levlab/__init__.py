@@ -37,8 +37,7 @@ from .loops import (
     ResonanceClass,
     Sector,
     WindingReport,
-    connector_path,
-    constant_path,
+    connector_winding,
     interpolated_path,
     loop_winding,
     r_even,

@@ -55,11 +55,12 @@ def _report_line(sector: Sector, report: WindingReport) -> str:
 # point
 
 
-def _run_point_system(interaction: PointInteraction, as_json: bool) -> int:
+def _run_point_system(interaction: PointInteraction, as_json: bool, **knobs) -> int:
+    """Report both parity sectors; ``knobs`` go to ``verify_levinson``."""
     print(interaction.describe())
     reports = {}
     for sector in (Sector.EVEN, Sector.ODD):
-        report = verify_levinson(interaction, sector)
+        report = verify_levinson(interaction, sector, **knobs)
         reports[sector.value] = report
         print(_report_line(sector, report))
     if as_json:
@@ -184,7 +185,13 @@ def _cmd_potential(args) -> int:
             interaction = PointInteraction(system, float(config["param"]))
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc))
-        return _run_point_system(interaction, args.json)
+        return _run_point_system(
+            interaction,
+            args.json,
+            corner_tol=settings.corner_tol,
+            n_samples=settings.winding_samples,
+            tol=settings.winding_tol,
+        )
     if system != "potential":
         raise ConfigError(f"unknown system {system!r}")
     if "potential" not in config:

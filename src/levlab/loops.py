@@ -11,21 +11,25 @@ counterclockwise:
     B4: energy side at x = -inf, kappa from +inf back to 0
 
 Each side carries a norm-continuous family of 2x2 unitaries; a closed loop
-has a well defined winding number of the determinant, computed here by phase
-unwrapping of determinant step ratios with adaptive sample doubling.
+has a well defined winding number of the determinant.
 
-Every system supplies only its momentum side B2; ``loop_winding`` builds the
-other three from B2's end values and winds the closed loop, so the loop has
-one shape for point interactions and potentials alike.
+Every system supplies only its momentum side B2, and ``loop_winding`` closes
+it, so the loop has one shape for point interactions and potentials alike.
+B2 is wound by phase unwrapping of determinant step ratios with adaptive
+sample doubling.  The other three sides are fixed by B2's end values and
+wound in closed form: B1 is the threshold connector from the identity to
+S(0), B3 the connector to S(inf) run backwards, B4 the identity, which does
+not wind.
 
-Infinite endpoint coordinates are represented by exact endpoint values at
-t = 0 and t = 1 of each side's unit-interval parametrisation; no floating
-infinity ever enters a quadrature.
+B2's infinite momentum is represented by its exact end value at t = 1 of
+its unit-interval parametrisation; no floating infinity ever enters a
+quadrature.
 """
 
 from __future__ import annotations
 
 import bisect
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -64,17 +68,8 @@ def r_even(x):
     """Universal even-sector multiplier -tanh(pi x) - i sech(pi x).
 
     Accepts scalars or arrays; +-inf map to the exact limits -+1.  The value
-    lies on the unit circle for every real argument.  A float argument skips
-    the array machinery but still uses numpy's tanh and cosh, so it returns
-    the array path's value bit for bit.
+    lies on the unit circle for every real argument.
     """
-    if isinstance(x, (float, int)):
-        if x == INF:
-            return -1.0 + 0.0j
-        if x == -INF:
-            return 1.0 + 0.0j
-        z = min(max(math.pi * x, -_ARG_CAP), _ARG_CAP)
-        return complex(-np.tanh(z), -1.0 / np.cosh(z))
     arr = np.asarray(x, dtype=float)
     z = np.clip(np.pi * arr, -_ARG_CAP, _ARG_CAP)
     out = -np.tanh(z) - 1j / np.cosh(z)
@@ -100,17 +95,6 @@ def unitarity_defect(us) -> float:
     us = np.asarray(us, dtype=complex)
     gram = np.swapaxes(us.conj(), -1, -2) @ us
     return float(np.max(np.abs(gram - np.eye(us.shape[-1]))))
-
-
-def as_unitary(entries) -> np.ndarray:
-    """Coerce input to a 2x2 complex matrix that is unitary to 1e-10."""
-    u = np.array(entries, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-    defect = unitarity_defect(u)
-    if not defect < 1e-10:  # also rejects nan
-        raise ValueError(f"matrix is not unitary: defect {defect:.3e} >= 1e-10")
-    return u
 
 
 def _polar_factor(m00: complex, m01: complex, m10: complex, m11: complex) -> np.ndarray:
@@ -288,71 +272,9 @@ class BoundaryPath:
     eval: Callable[[float], np.ndarray]
 
 
-def dilation_coordinate(t: float) -> float:
-    """Map the open unit interval onto the dilation axis, x = tan(pi (t - 1/2))."""
-    return math.tan(math.pi * (t - 0.5))
-
-
 def momentum_coordinate(t: float) -> float:
     """Map the open unit interval onto the momentum half-line, kappa = t / (1 - t)."""
     return t / (1.0 - t)
-
-
-def constant_path(value) -> BoundaryPath:
-    """A path holding a single unitary value for the whole traversal."""
-    v = as_unitary(value)
-
-    def evaluate(t: float) -> np.ndarray:
-        return v.copy()
-
-    return BoundaryPath(evaluate)
-
-
-def connector_path(s_end) -> BoundaryPath:
-    """Dilation-side path from the identity to a unitary endpoint.
-
-    At dilation parameter x the value is
-
-        1 + (1/2) (1 - R(x)) (s_end - 1),   R(x) = diag(r_even(x), r_odd(x)),
-
-    which equals the identity at x = -inf (t = 0) and s_end at x = +inf
-    (t = 1); the traversal runs with increasing x.
-
-    The construction stays unitary for the admitted endpoint shapes (identity,
-    +-1 blocks, and both zero-energy scattering forms); endpoints outside that
-    family are rejected by a unitarity check at 41 sampled parameters.  An
-    endpoint equal to the identity gives the constant identity path: the
-    formula's values there are the identity bit for bit, signed zeros too.
-    """
-    s = as_unitary(s_end)
-    if np.array_equal(s, _I2):
-        return constant_path(_I2)
-    (d00, d01), (d10, d11) = (s - _I2).tolist()
-
-    def value_at(x: float) -> np.ndarray:
-        r = r_even(x)  # the odd entry r_odd(x) is its conjugate
-        a = 0.5 * (1.0 - r)
-        b = 0.5 * (1.0 - r.conjugate())
-        # Adding the identity's complex entries, zeros included, reproduces
-        # 1 + (1/2)(1 - R) delta bit for bit, signed zeros too.
-        return np.array(
-            [[1.0 + 0.0j + a * d00, 0.0j + a * d01], [0.0j + b * d10, 1.0 + 0.0j + b * d11]]
-        )
-
-    def evaluate(t: float) -> np.ndarray:
-        if t <= 0.0:
-            return _I2.copy()
-        if t >= 1.0:
-            return s.copy()
-        return value_at(dilation_coordinate(t))
-
-    worst = unitarity_defect([evaluate(t) for t in np.linspace(0.0, 1.0, 41).tolist()])
-    if not worst < 1e-10:
-        raise NonUnitaryPath(
-            f"connector endpoint leaves the unitary family along the path "
-            f"(worst defect {worst:.3e} >= 1e-10)"
-        )
-    return BoundaryPath(evaluate)
 
 
 def interpolated_path(node_params, node_values) -> BoundaryPath:
@@ -455,6 +377,50 @@ def winding(
         n, dets, est = n2, fine, est2
 
 
+def connector_winding(s_end) -> float:
+    """Winding of the dilation-side connector from the identity to s_end.
+
+    At dilation parameter x the connector is
+
+        C(x) = 1 + (1/2) (1 - R(x)) (s_end - 1),   R(x) = diag(r_even(x), r_odd(x)),
+
+    the identity at x = -inf and s_end at x = +inf.  With y = exp(-pi x),
+    (1 - r_even) / 2 = 1 / (1 - i y) and (1 - r_odd) / 2 = 1 / (1 + i y), so
+
+        (1 + y^2) det C = y^2 + i (s00 - s11) y + det s_end.
+
+    y runs from +inf down to 0 as x increases, and each root rho of that
+    quadratic turns arg(y - rho) from 0 to arg(-rho): the winding is the sum
+    of arg(-rho) over both roots, in turns.  A generic endpoint diag(-1, 1)
+    gives (y - i)^2, that is -1/2.
+
+    The connector stays unitary for the admitted endpoint shapes (identity,
+    +-1 blocks, and both zero-energy scattering forms); endpoints outside that
+    family are rejected by a unitarity check of C at the 41 dilation
+    parameters x = tan(pi (t - 1/2)), t evenly spaced in [0, 1].
+    """
+    s = np.asarray(s_end, dtype=complex)
+    (s00, s01), (s10, s11) = s.tolist()
+    r = r_even(np.tan(np.pi * (np.linspace(0.0, 1.0, 41) - 0.5)))
+    halves = 0.5 * (1.0 - np.stack([r, r.conjugate()], axis=-1))
+    worst = unitarity_defect(_I2 + halves[:, :, None] * (s - _I2))
+    if not worst < 1e-10:
+        raise NonUnitaryPath(
+            f"connector endpoint leaves the unitary family along the path "
+            f"(worst defect {worst:.3e} >= 1e-10)"
+        )
+    # Roots of y^2 + b y + c without cancellation: q takes the larger of
+    # -(b +- sqrt(b^2 - 4c)) / 2, and the other root is c / q.  q is never
+    # zero: c = det s_end, and the check above admits unitary s_end only.
+    b = 1j * (s00 - s11)
+    c = s00 * s11 - s01 * s10
+    root = cmath.sqrt(b * b - 4.0 * c)
+    if (b.conjugate() * root).real < 0.0:
+        root = -root
+    q = -0.5 * (b + root)
+    return (cmath.phase(-q) + cmath.phase(-c / q)) / (2.0 * math.pi)
+
+
 def loop_winding(
     b2: BoundaryPath,
     *,
@@ -469,19 +435,23 @@ def loop_winding(
     bound-state count and threshold class, and the residual |total + n_bound|
     of the index identity.
 
-    B1 connects the identity to S(0), B3 runs the connector to S(inf)
-    backwards to the identity, and B4 is the identity.
+    B1 connects the identity to S(0) and B3 runs the connector to S(inf)
+    backwards, so both are wound in closed form by ``connector_winding``; B4
+    is the identity and does not wind.  Only B2 is sampled, by ``winding``.
+    The end values read for the connectors must match fresh evaluations of
+    B2 to ``corner_tol``.
     """
-    near = connector_path(b2.eval(0.0))
-    far = connector_path(b2.eval(1.0))
-    sides = (near, b2, BoundaryPath(lambda t: far.eval(1.0 - t)), constant_path(_I2))
+    start, end = b2.eval(0.0), b2.eval(1.0)
+    w1 = connector_winding(start)
+    # 0.0 - w keeps an unwound B3 at +0.0 where -w would give -0.0
+    w3 = 0.0 - connector_winding(end)
     defect = max(
-        float(np.max(np.abs(sides[i].eval(1.0) - sides[(i + 1) % 4].eval(0.0))))
-        for i in range(4)
+        float(np.max(np.abs(start - b2.eval(0.0)))),
+        float(np.max(np.abs(b2.eval(1.0) - end))),
     )
     if not defect < corner_tol:
         raise CornerMismatch(f"loop corners differ by {defect:.3e} >= {corner_tol:g}")
-    ws = tuple(winding(p, n_samples=n_samples, tol=tol) for p in sides)
+    ws = (w1, winding(b2, n_samples=n_samples, tol=tol), w3, 0.0)
     total = float(sum(ws))
     return WindingReport(
         w=ws,

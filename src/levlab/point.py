@@ -89,13 +89,15 @@ class PointInteraction:
         return z / z.conjugate()
 
 
-def verify_levinson(interaction: PointInteraction, sector: Sector) -> WindingReport:
+def verify_levinson(interaction: PointInteraction, sector: Sector, **knobs) -> WindingReport:
     """Full report for one parity sector: windings, bound states, and the
     residual of the index identity total = -n_bound.
 
     The momentum side B2 follows the sector's amplitude from kappa = 0 to
-    kappa = inf, and ``loop_winding`` closes it.  The uncoupled sector
-    scatters as the identity, so its loop is the identity throughout.
+    kappa = inf, and ``loop_winding`` closes it; ``knobs`` are its keyword
+    arguments ``corner_tol``, ``n_samples`` and ``tol``, which default to
+    ``loop_winding``'s own.  The uncoupled sector scatters as the identity,
+    so its loop is the identity throughout.
     """
     if sector is Sector.FULL:
         raise ValueError("point-interaction verification runs per parity sector")
@@ -110,4 +112,5 @@ def verify_levinson(interaction: PointInteraction, sector: Sector) -> WindingRep
         BoundaryPath(b2_eval),
         n_bound=interaction.n_bound if coupled else 0,
         resonance=sector_threshold_class(sector, amplitude(0.0).real),
+        **knobs,
     )

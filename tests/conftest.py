@@ -48,7 +48,8 @@ def well_family():
 @pytest.fixture
 def wound_paths(monkeypatch):
     """Every path handed to ``loops.winding`` during the test, in call order;
-    ``loop_winding`` calls it through the module global."""
+    ``loop_winding`` calls it through the module global, for its momentum
+    side B2 only."""
     from levlab import loops
 
     seen = []

@@ -101,6 +101,24 @@ def test_potential_point_system_config_checks_numerics(tmp_path, capsys):
     assert "config error: unknown numerics keys: bogus" in captured.err
 
 
+def test_potential_point_system_config_applies_numerics(tmp_path, capsys, monkeypatch):
+    """A point config's winding knobs reach ``loops.winding``."""
+    from levlab import loops
+
+    seen = []
+    wind = loops.winding
+
+    def capture(path, *args, **kwargs):
+        seen.append(kwargs)
+        return wind(path, *args, **kwargs)
+
+    monkeypatch.setattr(loops, "winding", capture)
+    cfg = write_config(tmp_path, {"system": "delta", "param": -1, "numerics": {"winding_samples": 17}})
+    assert main(["potential", "--config", cfg]) == 0
+    assert "index identity: OK" in capsys.readouterr().out
+    assert [kw["n_samples"] for kw in seen] == [17, 17]
+
+
 def test_potential_csv_outputs_are_deterministic(tmp_path, capsys):
     cfg = write_config(tmp_path, WELL_CONFIG)
     first, second = tmp_path / "s1.csv", tmp_path / "s2.csv"

@@ -1,4 +1,10 @@
-"""Threshold connector paths: unitarity and half-integer windings."""
+"""Threshold connectors: unitarity and half-integer windings.
+
+The closed-form ``connector_winding`` is checked against the sampled
+connector path it replaced, kept here as the reference.
+"""
+
+import math
 
 import numpy as np
 import pytest
@@ -7,16 +13,72 @@ from hypothesis import strategies as st
 
 from levlab.errors import NonUnitaryPath
 from levlab.loops import (
+    BoundaryPath,
     ResonanceClass,
-    connector_path,
-    constant_path,
-    dilation_coordinate,
+    Sector,
+    connector_winding,
     loop_winding,
     r_even,
+    restrict,
+    sector_unitary,
     unitarity_defect,
     winding,
 )
+from levlab.point import DELTA, DELTA_PRIME, PointInteraction
 from levlab.scattering import threshold_matrix
+
+I2 = np.eye(2, dtype=complex)
+
+
+def dilation_coordinate(t):
+    """Map the open unit interval onto the dilation axis, x = tan(pi (t - 1/2))."""
+    return math.tan(math.pi * (t - 0.5))
+
+
+def sampled_connector(s_end):
+    """The connector 1 + (1/2) (1 - diag(r_even(x), r_odd(x))) (s_end - 1) as
+    a path over x = tan(pi (t - 1/2)), the identity at t = 0 and s_end at
+    t = 1: the reference for ``connector_winding``.  Like it, refuses an
+    endpoint whose connector leaves U(2) at one of 41 parameters."""
+    s = np.asarray(s_end, dtype=complex)
+    (d00, d01), (d10, d11) = (s - I2).tolist()
+
+    def evaluate(t):
+        if t <= 0.0:
+            return I2.copy()
+        if t >= 1.0:
+            return s.copy()
+        r = r_even(dilation_coordinate(t))  # the odd entry r_odd(x) is its conjugate
+        a = 0.5 * (1.0 - r)
+        b = 0.5 * (1.0 - r.conjugate())
+        return np.array(
+            [[1.0 + 0.0j + a * d00, 0.0j + a * d01], [0.0j + b * d10, 1.0 + 0.0j + b * d11]]
+        )
+
+    worst = unitarity_defect([evaluate(t) for t in np.linspace(0.0, 1.0, 41).tolist()])
+    if not worst < 1e-10:
+        raise NonUnitaryPath(f"connector leaves U(2) (defect {worst:.3e})")
+    return BoundaryPath(evaluate)
+
+
+def reversed_path(path):
+    return BoundaryPath(lambda t: path.eval(1.0 - t))
+
+
+def constant_path(value):
+    return BoundaryPath(lambda t: np.array(value, dtype=complex))
+
+
+def assert_closed_form_matches_sampled(s_end):
+    """``connector_winding`` equals the sampled connector's winding to 1e-12,
+    or both refuse the endpoint."""
+    try:
+        path = sampled_connector(s_end)
+    except NonUnitaryPath:
+        with pytest.raises(NonUnitaryPath):
+            connector_winding(s_end)
+        return
+    assert abs(connector_winding(s_end) - winding(path)) < 1e-12
 
 
 def sampled_defect(path, n_samples):
@@ -46,61 +108,74 @@ def test_exceptional_form_at_unit_gamma():
 
 
 def test_generic_connector_winds_minus_half():
-    path = connector_path(threshold_matrix(ResonanceClass.generic()))
+    end = threshold_matrix(ResonanceClass.generic())
+    path = sampled_connector(end)
     assert sampled_defect(path, 257) < 1e-10
     assert abs(winding(path) + 0.5) < 1e-9
+    assert connector_winding(end) == -0.5
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_exceptional_connector_winds_zero(gamma):
-    path = connector_path(threshold_matrix(ResonanceClass.exceptional(gamma)))
+    end = threshold_matrix(ResonanceClass.exceptional(gamma))
+    path = sampled_connector(end)
     assert sampled_defect(path, 257) < 1e-10
     assert abs(winding(path)) < 1e-9
+    assert abs(connector_winding(end)) < 1e-12
 
 
 def test_odd_sector_connector_winds_plus_half():
     # diag(1, -1) routes the jump through the odd multiplier instead
-    path = connector_path(np.diag([1.0, -1.0]))
-    assert abs(winding(path) - 0.5) < 1e-9
+    end = np.diag([1.0, -1.0])
+    assert abs(winding(sampled_connector(end)) - 0.5) < 1e-9
+    assert connector_winding(end) == 0.5
 
 
-def wound_sides(wound_paths, b2_value):
-    """The four sides ``loop_winding`` winds around a constant momentum side,
-    and its report."""
-    report = loop_winding(constant_path(b2_value), n_bound=0, resonance=ResonanceClass.generic())
-    return wound_paths[-4:], report
+def wound_report(wound_paths, b2_value, **kwargs):
+    """The report ``loop_winding`` gives around a constant momentum side; the
+    side is the only path it samples."""
+    b2 = constant_path(b2_value)
+    report = loop_winding(b2, n_bound=0, resonance=ResonanceClass.generic(), **kwargs)
+    assert wound_paths == [b2]
+    return report
 
 
 def test_endpoints_are_exact(wound_paths):
+    """The reference connector starts at the identity and ends on its
+    endpoint bit for bit, and the loop's corners around a constant side meet
+    exactly: the smallest positive corner tolerance passes."""
     target = threshold_matrix(ResonanceClass.exceptional(2.0))
-    forward = connector_path(target)
-    assert np.array_equal(forward.eval(0.0), np.eye(2, dtype=complex))
+    forward = sampled_connector(target)
+    assert np.array_equal(forward.eval(0.0), I2)
     assert np.array_equal(forward.eval(1.0), target)
-    (_, _, reverse, _), _ = wound_sides(wound_paths, target)
-    assert np.array_equal(reverse.eval(0.0), target)
-    assert np.array_equal(reverse.eval(1.0), np.eye(2, dtype=complex))
+    report = wound_report(wound_paths, target, corner_tol=math.ulp(0.0))
+    assert report.w == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_reversed_side_negates_winding(wound_paths):
-    """Around a constant momentum side, B3 runs B1's connector backwards."""
+    """Around a constant momentum side, B3 runs B1's connector backwards:
+    its winding is B1's negated, and the loop does not wind."""
     target = threshold_matrix(ResonanceClass.generic())
-    _, report = wound_sides(wound_paths, target)
-    assert abs(report.w[0] + 0.5) < 1e-9
-    assert abs(report.w[0] + report.w[2]) < 1e-9
+    report = wound_report(wound_paths, target)
+    assert report.w == (-0.5, 0.0, 0.5, 0.0)
+    assert report.total == 0.0
+    assert abs(report.w[2] - winding(reversed_path(sampled_connector(target)))) < 1e-12
 
 
 def test_connector_rejects_unitary_outside_family():
     # the swap matrix is unitary but the connector through it degenerates
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(NonUnitaryPath):
-        connector_path(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        connector_winding(swap)
+    with pytest.raises(NonUnitaryPath):
+        loop_winding(constant_path(swap), n_bound=0, resonance=ResonanceClass.generic())
 
 
 @given(st.floats(0.1, 10.0), st.sampled_from([-1.0, 1.0]))
 def test_exceptional_connectors_stay_unitary(magnitude, sign):
-    path = connector_path(
-        threshold_matrix(ResonanceClass.exceptional(sign * magnitude))
-    )
-    assert sampled_defect(path, 65) < 1e-10
+    end = threshold_matrix(ResonanceClass.exceptional(sign * magnitude))
+    assert sampled_defect(sampled_connector(end), 65) < 1e-10
+    assert abs(connector_winding(end)) < 1e-12
 
 
 def _matrix_formula(s_end, x):
@@ -122,16 +197,40 @@ ENDPOINTS = {
 @pytest.mark.parametrize("side", ["B1", "B3"])
 @pytest.mark.parametrize("name", list(ENDPOINTS))
 def test_connector_values_are_the_matrix_formula_bit_for_bit(name, side, wound_paths):
-    """B1 is the connector itself; B3 is the path ``loop_winding`` hands to
-    ``winding`` for a momentum side ending at the endpoint, the connector
-    run backwards."""
+    """B1 is the reference connector itself, B3 the connector run backwards;
+    the loop around a momentum side from and to the endpoint reports the
+    sampled winding of each to 1e-12."""
     end = ENDPOINTS[name]
-    if side == "B1":
-        path = connector_path(end)
-    else:
-        (_, _, path, _), _ = wound_sides(wound_paths, end)
+    forward = sampled_connector(end)
+    path = forward if side == "B1" else reversed_path(forward)
     for t in np.linspace(0.0, 1.0, 1025)[1:-1].tolist():
         u = t if side == "B1" else 1.0 - t
         want = _matrix_formula(end, dilation_coordinate(u))
         got = path.eval(t)
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), t
+    report = wound_report(wound_paths, end)
+    assert abs(report.w[0 if side == "B1" else 2] - winding(path)) < 1e-12
+
+
+@pytest.mark.parametrize("sector", list(Sector), ids=lambda s: s.value)
+@pytest.mark.parametrize("name", list(ENDPOINTS))
+def test_closed_form_matches_sampled_connector(name, sector):
+    """A parity sector keeps one diagonal entry; where that entry is not
+    unimodular (gamma != +-1) both routes refuse the endpoint."""
+    assert_closed_form_matches_sampled(restrict(ENDPOINTS[name], sector))
+
+
+def test_closed_form_matches_sampled_connector_on_golden_point_ends():
+    """S(0) and S(inf) of both sectors of every golden point row."""
+    for kind in (DELTA, DELTA_PRIME):
+        for coupling in (-1.0, 0.0, 1.0, math.inf):
+            interaction = PointInteraction(kind, coupling)
+            for sector in (Sector.EVEN, Sector.ODD):
+                for kappa in (0.0, math.inf):
+                    value = interaction.amplitude(kappa) if sector is interaction.sector else 1.0
+                    assert_closed_form_matches_sampled(sector_unitary(value, sector))
+
+
+@given(st.floats(0.01, 100.0), st.sampled_from([-1.0, 1.0]))
+def test_closed_form_matches_sampled_exceptional_connectors(magnitude, sign):
+    assert_closed_form_matches_sampled(threshold_matrix(ResonanceClass.exceptional(sign * magnitude)))
