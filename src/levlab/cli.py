@@ -42,6 +42,13 @@ def _parse_param(text: str) -> float:
         raise ConfigError(f"coupling parameter {text!r} is not a number or 'inf'")
 
 
+def _real(value) -> float:
+    """``float(value)``, refusing JSON booleans, which ``float`` reads as 0 and 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{json.dumps(value)} is a boolean, not a number")
+    return float(value)
+
+
 def _report_line(sector: Sector, report: WindingReport) -> str:
     w = ", ".join(f"{v:+.6f}" for v in report.w)
     return (
@@ -88,14 +95,14 @@ def _build_potential(cfg) -> Potential:
     kind = cfg.get("kind")
     try:
         if kind == "square-well":
-            return square_well(float(cfg["depth"]), float(cfg["half_width"]))
+            return square_well(_real(cfg["depth"]), _real(cfg["half_width"]))
         if kind == "gaussian-sum":
-            return gaussian_wells([tuple(map(float, well)) for well in cfg["wells"]])
+            return gaussian_wells([tuple(map(_real, well)) for well in cfg["wells"]])
         if kind == "tabulated":
             return tabulated_potential(
-                [float(v) for v in cfg["xs"]],
-                [float(v) for v in cfg["values"]],
-                decay_exponent=float(cfg.get("decay_exponent", math.inf)),
+                [_real(v) for v in cfg["xs"]],
+                [_real(v) for v in cfg["values"]],
+                decay_exponent=_real(cfg.get("decay_exponent", math.inf)),
             )
     except KeyError as exc:
         raise ConfigError(f"potential config is missing {exc.args[0]!r}")
@@ -133,7 +140,12 @@ def _sectors_from(config: dict, potential: Potential) -> list[Sector]:
     for name in names:
         if name not in _SECTOR_BY_NAME:
             raise ConfigError(f"unknown sector {name!r}")
-        sectors.append(_SECTOR_BY_NAME[name])
+        sector = _SECTOR_BY_NAME[name]
+        if sector in sectors:
+            raise ConfigError(f"sector {name!r} is listed twice")
+        if sector is not Sector.FULL and not potential.symmetric:
+            raise ConfigError(f"sector {name!r}: parity sectors exist only for potentials declared symmetric")
+        sectors.append(sector)
     return sectors
 
 
@@ -182,7 +194,7 @@ def _cmd_potential(args) -> int:
         if "param" not in config:
             raise ConfigError(f"system {system!r} needs a 'param' entry")
         try:
-            interaction = PointInteraction(system, float(config["param"]))
+            interaction = PointInteraction(system, _real(config["param"]))
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc))
         return _run_point_system(

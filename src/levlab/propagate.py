@@ -25,14 +25,14 @@ built from the same primitive once per engine and handed out read-only.
 
 The module also hosts the finite-difference bound-state oracle: a tridiagonal
 discretisation whose negative eigenvalues are counted by the Sturm sequence of
-its LDL^T factorisation, with no diagonalisation.  Only the rows inside the
-potential's ``zero_radius`` are built; the free rows beyond it are stepped in
-closed form.
+its LDL^T factorisation, entered at pivot +inf, with no diagonalisation.  The
+matrix has one coupling, every off-diagonal being -1/h^2.  Only the rows
+inside the potential's ``zero_radius`` are built; the free rows beyond it are
+stepped in closed form.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -50,11 +50,6 @@ BLOCK_ELEMENTS = 1 << 14
 
 # Sturm pivots within this of zero are taken as -_PIVMIN.
 _PIVMIN = 1e-290
-# Free runs are stepped in closed form only for |off| in this range, where
-# c^2 is finite and no pivot of the run but a sign change comes near
-# _PIVMIN; finite-difference matrices have |off| = 1/h^2, far inside it.
-_FREE_OFF_MIN = 1e-100
-_FREE_OFF_MAX = 1e100
 
 # Fewest points of a finite-difference count, so small boxes stay resolved.
 _FD_MIN_POINTS = 2000
@@ -325,16 +320,16 @@ def truncation_radius(
 
 
 def _free_run(d: float, c: float, m: int) -> tuple[float, int]:
-    """Pivot of the last of ``m`` free rows (diagonal 2c, off-diagonal of
-    magnitude c) entered with pivot ``d``, and how many of their pivots are
-    negative.
+    """Pivot of the last of ``m`` free rows (diagonal 2c, off-diagonal -c)
+    entered with pivot ``d``, and how many of their pivots are negative;
+    ``(d, 0)`` when ``m`` is 0.
 
     With q_(-1) = d the pivots are c q_j / q_(j-1), where q_j = d + (j+1)(d-c)
     is linear in j because the recurrence has a double root.  So q changes
     sign at most once, and only when 0 < d < c.
     """
     count = 0
-    if not -c <= d <= c:
+    if m and not -c <= d <= c:
         # Step one row as the loop does (this also takes d = +-inf); the
         # pivot lands in [c, 3c], so q below stays far from overflow.
         d, m = c + c - c * c / d, m - 1
@@ -356,12 +351,13 @@ def _free_run(d: float, c: float, m: int) -> tuple[float, int]:
     return c * (d + m * e) / (d + (m - 1) * e), count
 
 
-def _step_rows(d: float, count: int, a, b2) -> tuple[float, int]:
-    """Row-by-row recurrence over diagonal entries ``a`` and squared
-    off-diagonals ``b2`` (iterables of Python floats), entered with pivot
-    ``d``; returns the last pivot and ``count`` plus the negative pivots."""
-    for a_i, b2_i in zip(a, b2):
-        d = a_i - b2_i / d
+def _step_rows(d: float, a, b2: float) -> tuple[float, int]:
+    """Row-by-row recurrence over the diagonal entries ``a`` (Python
+    floats), with squared off-diagonal ``b2``, entered with pivot ``d``;
+    returns the last pivot and the number of negative pivots."""
+    count = 0
+    for a_i in a:
+        d = a_i - b2 / d
         # |d| < pivmin is replaced by -pivmin, so every d below pivmin counts.
         if d < _PIVMIN:
             if d > -_PIVMIN:
@@ -370,67 +366,44 @@ def _step_rows(d: float, count: int, a, b2) -> tuple[float, int]:
     return d, count
 
 
-def _step_free(d: float, count: int, c: float, m: int) -> tuple[float, int]:
-    """``m`` free rows with off-diagonal magnitude ``c``: in closed form when
-    ``c`` allows it, else by the recurrence."""
-    if m == 0:
-        return d, count
-    if _FREE_OFF_MIN < c < _FREE_OFF_MAX:
-        d, negatives = _free_run(d, c, m)
-        return d, count + negatives
-    return _step_rows(d, count, itertools.repeat(c + c, m), itertools.repeat(c * c, m))
-
-
-def sturm_negative_count(diag: np.ndarray, off: np.ndarray, *, head: int = 0, tail: int = 0) -> int:
-    """Number of negative eigenvalues of a symmetric tridiagonal matrix.
+def sturm_negative_count(diag: np.ndarray, c: float, *, head: int = 0, tail: int = 0) -> int:
+    """Number of negative eigenvalues of the finite-difference matrix with
+    diagonal ``diag`` and every off-diagonal -``c``, padded with ``head``
+    and ``tail`` free rows (diagonal 2c) that are never materialised.
 
     Counts negative pivots of the LDL^T factorisation at shift zero (the
-    classical Sturm sequence); O(n), no eigensolver.  A pivot within pivmin
-    of zero is taken as -pivmin, so a zero eigenvalue counts as negative.
+    classical Sturm sequence), entered at pivot +inf, so the first row's
+    pivot is its diagonal entry; O(n), no eigensolver.  A pivot within
+    pivmin of zero is taken as -pivmin, so a zero eigenvalue counts as
+    negative.  ``c`` must be positive with c*c a normal double; a
+    finite-difference coupling 1/h^2 is far inside that range.
 
-    Free rows are stepped in closed form: row i >= 1 is free when
-    ``diag[i] == 2 * abs(off[i - 1])`` bit for bit (for a finite-difference
-    matrix, V = 0 or below half an ulp of 2/h^2).  A run of free rows with
-    one constant ``abs(off)``, inside 1e-100 to 1e100, costs O(1): it has at
-    most one negative pivot, at an index known in closed form, and its exit
-    pivot follows from the entry pivot.  Runs are found one block at a time
-    and break at block edges.  Every other row takes the row-by-row recurrence, so its pivot,
-    pivmin rule and sign rule are the loop's exactly; pivots after a free
-    run differ from the loop's only at the rounding level.
-
-    ``head`` and ``tail`` free rows, never materialised, may precede and
-    follow ``diag``.  Each is one more free run, with the off-diagonal
-    magnitude of its junction: ``off`` then starts with the coupling of
-    the head to ``diag[0]`` and ends with that of ``diag[-1]`` to the tail.
+    Free rows are stepped in closed form: a row is free when its diagonal
+    entry is 2c bit for bit (V = 0, or below half an ulp of 2/h^2).  A run
+    of free rows costs O(1): it has at most one negative pivot, at an index
+    known in closed form, and its exit pivot follows from the entry pivot.
+    The head and the tail are one run each; runs inside ``diag`` are found
+    one block at a time and break at block edges.  Every other row takes
+    the row-by-row recurrence, so its pivot, pivmin rule and sign rule are
+    the loop's exactly; pivots after a free run differ from the loop's only
+    at the rounding level.
     """
-    lead = head > 0
-    if off.size != diag.size - 1 + lead + (tail > 0):
-        raise ValueError("off-diagonal length must be n - 1, plus one per padded end")
-    d = 2.0 * abs(float(off[0])) if lead else float(diag[0])
-    if abs(d) < _PIVMIN:
-        d = -_PIVMIN
-    count = int(d < 0.0)
-    if lead:
-        d, count = _step_free(d, count, abs(float(off[0])), head - 1)
-    # diag[i] couples to the row before it through off[i - 1 + lead].
-    for start in range(1 - lead, diag.size, BLOCK_ELEMENTS):
+    c = float(c)
+    d, count = _free_run(math.inf, c, head)
+    for start in range(0, diag.size, BLOCK_ELEMENTS):
         a = diag[start : start + BLOCK_ELEMENTS]
-        c = np.abs(off[start - 1 + lead :][: a.size])
         free = a == c + c
-        # Segments: maximal stretches of free rows with one |off|, or of other rows.
-        change = free[1:] != free[:-1]
-        change |= free[1:] & (c[1:] != c[:-1])
-        cuts = [0, *(np.flatnonzero(change) + 1).tolist(), a.size]
+        # Segments: maximal stretches of free rows, or of other rows.
+        cuts = [0, *(np.flatnonzero(free[1:] != free[:-1]) + 1).tolist(), a.size]
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             if free[lo]:
-                d, count = _step_free(d, count, float(c[lo]), hi - lo)
+                d, negatives = _free_run(d, c, hi - lo)
             else:
                 # Python floats: fast to loop over, with memory bounded by the block.
-                c_seg = c[lo:hi]
-                d, count = _step_rows(d, count, a[lo:hi].tolist(), (c_seg * c_seg).tolist())
-    if tail:
-        d, count = _step_free(d, count, abs(float(off[-1])), tail)
-    return count
+                d, negatives = _step_rows(d, a[lo:hi].tolist(), c * c)
+            count += negatives
+    d, negatives = _free_run(d, c, tail)
+    return count + negatives
 
 
 def _fd_count_once(potential: Potential, box: float, n: int, parity: str | None) -> int:
@@ -467,8 +440,7 @@ def _fd_count_once(potential: Potential, box: float, n: int, parity: str | None)
         diag[0] = 3.0 / (h * h) + potential(xs[:1])[0]
     elif parity is not None:
         raise ValueError(f"unknown parity {parity!r}")
-    off = np.broadcast_to(-1.0 / (h * h), hi - lo - 1 + (lo > 0) + (hi < n))
-    return sturm_negative_count(diag, off, head=lo, tail=n - hi)
+    return sturm_negative_count(diag, 1.0 / (h * h), head=lo, tail=n - hi)
 
 
 def fd_negative_eigenvalue_count(

@@ -250,6 +250,43 @@ def test_potential_non_finite_parameter_is_config_error(tmp_path, capsys, potent
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"potential": {"kind": "gaussian-sum", "wells": [[2.0, 0.7, 0.5]]}, "sectors": ["even"]},
+        {"potential": {"kind": "gaussian-sum", "wells": [[2.0, 0.7, 0.5]]}, "sectors": ["full", "odd"]},
+        dict(WELL_CONFIG, sectors=["full", "full"]),
+        dict(WELL_CONFIG, sectors=["even", "odd", "even"]),
+    ],
+    ids=["asymmetric-even", "asymmetric-odd", "full-twice", "even-twice"],
+)
+def test_potential_bad_sector_list_is_refused_before_analysis(tmp_path, capsys, config):
+    cfg = write_config(tmp_path, config)
+    assert main(["potential", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: sector" in captured.err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"system": "delta", "param": True},
+        {"system": "delta-prime", "param": False},
+        {"potential": {"kind": "square-well", "depth": True, "half_width": 1.0}},
+        {"potential": {"kind": "gaussian-sum", "wells": [[True, 0.0, 0.5]]}},
+        {"potential": {"kind": "tabulated", "xs": [-1.0, 1.0], "values": [-1.0, -1.0], "decay_exponent": True}},
+    ],
+    ids=["delta-param", "delta-prime-param", "square-depth", "gaussian-well", "tabulated-decay"],
+)
+def test_boolean_number_is_config_error(tmp_path, capsys, config):
+    cfg = write_config(tmp_path, config)
+    assert main(["potential", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err and "boolean" in captured.err
+
+
 def test_potential_bad_output_is_refused_before_analysis(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(WELL_CONFIG, output=5))
     assert main(["potential", "--config", cfg]) == 2

@@ -1,11 +1,13 @@
 """Numerical scattering pipeline: grids, bases, threshold classification."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
 
-from levlab import scattering
+from levlab import propagate, scattering
 from levlab.errors import ClassificationAmbiguous, DecayTooSlow, PhaseJumpTooLarge
 from levlab.loops import Sector
 from levlab.potentials import Potential, gaussian_wells, square_well, zero_potential
@@ -77,43 +79,74 @@ def test_asymmetric_well_reflections_differ():
     assert np.max(np.abs(r_left - r_right)) > 1e-3
 
 
-def test_sturm_count_matches_eigenvalues():
-    rng = np.random.default_rng(11)
-    for n in (1, 2, 7, 200):
-        diag = rng.normal(size=n)
-        off = rng.normal(size=n - 1)
-        expected = int(np.sum(eigvalsh_tridiagonal(diag, off) < 0.0))
-        assert sturm_negative_count(diag, off) == expected
-    # a zero pivot counts as negative: [[0, 1], [1, 1]] has one negative eigenvalue
-    assert sturm_negative_count(np.array([0.0, 1.0]), np.array([1.0])) == 1
-
-
-def _loop_pivots(diag, off):
-    """Reference: the LDL^T pivots row by row, with the pivmin rule."""
+def _loop_pivots(diag, c):
+    """Reference: the LDL^T pivots row by row, every off-diagonal -c, with
+    the pivmin rule."""
     pivmin = 1e-290
     d = float(diag[0])
     if abs(d) < pivmin:
         d = -pivmin
     pivots = [d]
-    for a, b in zip(diag[1:].tolist(), off.tolist()):
-        d = a - b * b / d
+    for a in diag[1:].tolist():
+        d = a - c * c / d
         if -pivmin < d < pivmin:
             d = -pivmin
         pivots.append(d)
     return np.array(pivots)
 
 
-def _loop_count(diag, off):
-    return int(np.sum(_loop_pivots(diag, off) < 0.0))
+def _loop_count(diag, c):
+    return int(np.sum(_loop_pivots(diag, c) < 0.0))
 
 
-def _eig_count(diag, off):
-    return eigvalsh_tridiagonal(diag, off, select="v", select_range=(-np.inf, 0.0)).size
+def _eig_count(diag, c):
+    return eigvalsh_tridiagonal(diag, np.full(diag.size - 1, -c), select="v", select_range=(-np.inf, 0.0)).size
+
+
+def test_sturm_count_matches_eigenvalues():
+    # Oracle: FD-shaped matrices (free rows 2c, others lowered or raised by
+    # V), padded with free head and tail rows, against the eigenvalues of the
+    # materialised matrix.
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(300):
+        c = float(10.0 ** rng.uniform(-2.0, 5.0))
+        m = int(rng.integers(1, 80))
+        v = c * rng.uniform(-3.0, 0.5, m) * (rng.random(m) < 0.7)
+        window = 2.0 * c + v
+        head, tail = (int(rng.integers(0, 500)) * int(rng.random() < 0.6) for _ in range(2))
+        full = np.concatenate([np.full(head, 2.0 * c), window, np.full(tail, 2.0 * c)])
+        near_zero = eigvalsh_tridiagonal(
+            full, np.full(full.size - 1, -c), select="v", select_range=(-1e-9 * c, 1e-9 * c)
+        )
+        if near_zero.size:
+            continue
+        expected = _eig_count(full, c)
+        assert sturm_negative_count(window, c, head=head, tail=tail) == expected, (c, head, tail)
+        assert sturm_negative_count(full, c) == expected, (c, head, tail)
+        checked += 1
+    assert checked > 250
+    # a zero pivot counts as negative: [[0, -1], [-1, 1]] has one negative eigenvalue
+    assert sturm_negative_count(np.array([0.0, 1.0]), 1.0) == 1
+
+
+def test_sturm_enters_at_pivot_inf():
+    # A free row 0 and a zero first pivot with no head are entry cases below.
+    c = 3.0
+    assert propagate._free_run(math.inf, c, 1) == (2.0 * c, 0)
+    assert propagate._free_run(math.inf, c, 0) == (math.inf, 0)
+    assert propagate._free_run(-0.5, c, 0) == (-0.5, 0)
+    # One head row counts as the free row 0 materialised.
+    for first in (2.0 * c, 0.7 * c, 0.0):
+        window = np.array([first, 2.0 * c, 2.0 * c, -1.0, 2.0 * c])
+        materialised = np.concatenate([[2.0 * c], window])
+        expected = _loop_count(materialised, c)
+        assert sturm_negative_count(window, c, head=1) == expected == _eig_count(materialised, c), first
 
 
 def _fd_matrix(depths, centres, widths, box, n, parity):
-    """The finite-difference matrix of a sum of Gaussian wells, built as the
-    FD bound-state counter builds it."""
+    """The finite-difference diagonal and coupling of a sum of Gaussian
+    wells, built as the FD bound-state counter builds them."""
     if parity is None:
         xs = np.linspace(-box, box, n + 2)[1:-1]
         h = xs[1] - xs[0]
@@ -124,7 +157,7 @@ def _fd_matrix(depths, centres, widths, box, n, parity):
     diag = 2.0 / (h * h) + v
     if parity is not None:
         diag[0] = (1.0 if parity == "even" else 3.0) / (h * h) + v[0]
-    return diag, np.broadcast_to(-1.0 / (h * h), n - 1)
+    return diag, 1.0 / (h * h)
 
 
 @pytest.mark.parametrize("parity", [None, "even", "odd"])
@@ -135,20 +168,18 @@ def test_sturm_free_runs_match_loop_on_random_wells(parity):
         k = int(rng.integers(1, 4))
         box = float(rng.uniform(6.0, 200.0))
         centres = rng.uniform(-0.5 * box, 0.5 * box, k) if parity is None else rng.uniform(0.0, 0.5 * box, k)
-        diag, off = _fd_matrix(rng.uniform(0.2, 8.0, k), centres, rng.uniform(0.3, 2.0, k), box, 2000, parity)
-        pivots = _loop_pivots(diag, off)
-        free = np.concatenate([[False], diag[1:] == 2.0 * np.abs(off)])
-        crossings_in_free_rows += int(np.sum((pivots < 0.0) & free))
-        count = sturm_negative_count(diag, off)
+        diag, c = _fd_matrix(rng.uniform(0.2, 8.0, k), centres, rng.uniform(0.3, 2.0, k), box, 2000, parity)
+        pivots = _loop_pivots(diag, c)
+        crossings_in_free_rows += int(np.sum((pivots < 0.0) & (diag == 2.0 * c)))
+        count = sturm_negative_count(diag, c)
         assert count == int(np.sum(pivots < 0.0))
-        assert count == _eig_count(diag, off)
+        assert count == _eig_count(diag, c)
     assert crossings_in_free_rows > 0
 
 
 def test_sturm_free_run_entry_cases():
     c = 3.0
     free = np.full(12, 2.0 * c)
-    off = np.full(11, -c)
     cases = {
         "negative entry pivot": [-1.0],
         "entry pivot zero": [0.0],
@@ -163,9 +194,9 @@ def test_sturm_free_run_entry_cases():
     for name, head in cases.items():
         diag = free.copy()
         diag[: len(head)] = head
-        expected = _loop_count(diag, off)
-        assert sturm_negative_count(diag, off) == expected, name
-        assert _eig_count(diag, off) == expected, name
+        expected = _loop_count(diag, c)
+        assert sturm_negative_count(diag, c) == expected, name
+        assert _eig_count(diag, c) == expected, name
 
 
 def test_sturm_free_run_extreme_entry_pivots():
@@ -175,18 +206,16 @@ def test_sturm_free_run_extreme_entry_pivots():
     diag = np.full(9, 2.0 * c)
     diag[:2] = [0.0, 5.0]
     diag[5] = 0.5 * c
-    off = np.full(8, -c)
-    assert np.isinf(_loop_pivots(diag, off)[1])
-    assert sturm_negative_count(diag, off) == _loop_count(diag, off) == 2
+    assert np.isinf(_loop_pivots(diag, c)[1])
+    assert sturm_negative_count(diag, c) == _loop_count(diag, c) == 2
     # A tiny positive entry pivot far below c: d / (c - d) underflows to 0,
     # and the run's first pivot is the negative one (-inf here).
     c = 1e40
     diag = np.full(9, 2.0 * c)
     diag[0] = 1e-289
     diag[6] = 0.9 * c
-    off = np.full(8, -c)
-    assert _loop_pivots(diag, off)[1] == -np.inf
-    assert sturm_negative_count(diag, off) == _loop_count(diag, off) == 2
+    assert _loop_pivots(diag, c)[1] == -np.inf
+    assert sturm_negative_count(diag, c) == _loop_count(diag, c) == 2
 
 
 def test_sturm_free_run_crosses_block_edge():
@@ -195,16 +224,15 @@ def test_sturm_free_run_crosses_block_edge():
     # well past the edge, and to no crossing at all.
     n = BLOCK_ELEMENTS + 3000
     row = BLOCK_ELEMENTS - 200
-    off = np.broadcast_to(-1.0, n - 1)
     seen_after_edge = seen_before_edge = False
     for depth in np.linspace(1e-4, 1e-2, 60):
         diag = np.full(n, 2.0)
         diag[row] -= depth
-        pivots = _loop_pivots(diag, off)
+        pivots = _loop_pivots(diag, 1.0)
         negative = np.flatnonzero(pivots < 0.0)
         seen_after_edge |= bool(negative.size and negative[-1] > BLOCK_ELEMENTS)
         seen_before_edge |= bool(negative.size and negative[-1] <= BLOCK_ELEMENTS)
-        assert sturm_negative_count(diag, off) == negative.size
+        assert sturm_negative_count(diag, 1.0) == negative.size
     assert seen_after_edge and seen_before_edge
 
 
@@ -216,43 +244,16 @@ def test_sturm_crossing_on_the_last_row_of_a_run():
         return _fd_matrix([depth], [0.0], [1.0], 10.0, 2000, None)
 
     def second_eigenvalue(depth):
-        diag, off = matrix(depth)
-        return eigvalsh_tridiagonal(diag, off, select="i", select_range=(1, 1))[0]
+        diag, c = matrix(depth)
+        return eigvalsh_tridiagonal(diag, np.full(diag.size - 1, -c), select="i", select_range=(1, 1))[0]
 
     critical = brentq(second_eigenvalue, 2.0, 12.0, xtol=1e-14)
     for depth, last_negative in ((critical * (1 + 1e-7), True), (critical * (1 - 1e-7), False)):
-        diag, off = matrix(depth)
-        assert diag[-1] == 2.0 * abs(off[-1]) and diag[-200] == diag[-1]
-        pivots = _loop_pivots(diag, off)
+        diag, c = matrix(depth)
+        assert diag[-1] == 2.0 * c and diag[-200] == diag[-1]
+        pivots = _loop_pivots(diag, c)
         assert (pivots[-1] < 0.0) == last_negative
-        assert sturm_negative_count(diag, off) == int(np.sum(pivots < 0.0)) == 1 + last_negative
-
-
-def test_sturm_run_breaks_where_off_changes():
-    # diag == 2|off| on every row, but |off| steps from c1 to c2 inside the
-    # stretch: one closed form over the whole stretch would miscount.
-    rng = np.random.default_rng(31)
-    checked = 0
-    for _ in range(200):
-        n = int(rng.integers(6, 60))
-        c1, c2 = rng.uniform(0.2, 5.0, 2)
-        step = int(rng.integers(2, n - 2))
-        mags = np.where(np.arange(n - 1) < step, c1, c2)
-        off = mags * rng.choice([-1.0, 1.0], n - 1)
-        diag = np.concatenate([[rng.uniform(-1.0, 2.0 * c1)], 2.0 * mags])
-        lowered = rng.random(n) < 0.1
-        diag[lowered] -= rng.uniform(0.0, 2.0, int(lowered.sum()))
-        expected = _loop_count(diag, off)
-        assert sturm_negative_count(diag, off) == expected
-        if np.min(np.abs(eigvalsh_tridiagonal(diag, off))) > 1e-9:
-            assert _eig_count(diag, off) == expected
-            checked += 1
-    assert checked > 150
-
-
-def test_sturm_zero_rows_are_not_free():
-    # diag = 2|off| = 0: every pivot is a zero pivot, each counted as negative.
-    assert sturm_negative_count(np.zeros(50), np.zeros(49)) == _loop_count(np.zeros(50), np.zeros(49)) == 50
+        assert sturm_negative_count(diag, c) == int(np.sum(pivots < 0.0)) == 1 + last_negative
 
 
 def test_zero_energy_solution_is_computed_once():
