@@ -35,17 +35,24 @@ SUITE_TOL = 1e-3
 _SECTOR_BY_NAME = {s.value: s for s in Sector}
 
 
+def _is_inf(value) -> bool:
+    """Whether ``value`` is the word 'inf' as ``--param`` takes it."""
+    return isinstance(value, str) and value.strip().lower() == "inf"
+
+
 def _parse_param(text: str) -> float:
     try:
-        return math.inf if text.strip().lower() == "inf" else float(text)
+        return math.inf if _is_inf(text) else float(text)
     except ValueError:
         raise ConfigError(f"coupling parameter {text!r} is not a number or 'inf'")
 
 
 def _real(value) -> float:
-    """``float(value)``, refusing JSON booleans, which ``float`` reads as 0 and 1."""
+    """A JSON number as a float; booleans and strings, which ``float`` reads, are refused."""
     if isinstance(value, bool):
         raise TypeError(f"{json.dumps(value)} is a boolean, not a number")
+    if not isinstance(value, (int, float)):
+        raise TypeError(f"{json.dumps(value)} is not a number")
     return float(value)
 
 
@@ -138,6 +145,8 @@ def _sectors_from(config: dict, potential: Potential) -> list[Sector]:
         raise ConfigError("'sectors' must be a nonempty list")
     sectors = []
     for name in names:
+        if not isinstance(name, str):
+            raise ConfigError(f"sector {name!r} is not a sector name")
         if name not in _SECTOR_BY_NAME:
             raise ConfigError(f"unknown sector {name!r}")
         sector = _SECTOR_BY_NAME[name]
@@ -163,15 +172,17 @@ def _load_config(path: str) -> dict:
 
 
 def _output_path(flag, output: dict, key: str):
-    """The flag's path, else the config's ``output`` entry.  A path that is
-    not a string (``open`` would take an int or bool as a file descriptor),
-    names a directory, or lies in a missing directory is a config error,
-    raised before any computation; the file itself is not touched here."""
-    path = flag or output.get(key)
+    """The flag's path whenever given, else the config's ``output`` entry.  A
+    path that is not a string (``open`` would take an int or bool as a file
+    descriptor), is empty, names a directory, or lies in a missing directory
+    is a config error, raised before any computation; the file is not touched."""
+    path = flag if flag is not None else output.get(key)
     if path is None:
         return None
     if not isinstance(path, str):
         raise ConfigError(f"output {key!r} must be a file path string, got {path!r}")
+    if not path:
+        raise ConfigError(f"cannot write output file: the {key!r} path is empty")
     if os.path.isdir(path):
         raise ConfigError(f"cannot write output file: {path!r} is a directory")
     if not os.path.isdir(os.path.dirname(path) or "."):
@@ -193,8 +204,10 @@ def _cmd_potential(args) -> int:
     if system in (DELTA, DELTA_PRIME):
         if "param" not in config:
             raise ConfigError(f"system {system!r} needs a 'param' entry")
+        param = config["param"]
         try:
-            interaction = PointInteraction(system, _real(config["param"]))
+            # JSON has no infinity, so the word 'inf' stands in for it
+            interaction = PointInteraction(system, math.inf if _is_inf(param) else _real(param))
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc))
         return _run_point_system(

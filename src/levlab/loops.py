@@ -1,4 +1,4 @@
-"""Unitary boundary loops over the compactified energy-dilation square.
+"""Boundary loops over the compactified energy-dilation square.
 
 The index bookkeeping lives on the boundary of a square whose horizontal
 coordinate is energy (momentum squared) and whose vertical coordinate is the
@@ -10,16 +10,16 @@ counterclockwise:
     B3: infinite-energy side, x from +inf back to -inf
     B4: energy side at x = -inf, kappa from +inf back to 0
 
-Each side carries a norm-continuous family of 2x2 unitaries; a closed loop
-has a well defined winding number of the determinant.
+Each side carries a norm-continuous family of invertible 2x2 matrices; a
+closed loop has a well defined winding number of the determinant.
 
 Every system supplies only its momentum side B2, and ``loop_winding`` closes
 it, so the loop has one shape for point interactions and potentials alike.
 B2 is wound by phase unwrapping of determinant step ratios with adaptive
-sample doubling.  The other three sides are fixed by B2's end values and
-wound in closed form: B1 is the threshold connector from the identity to
-S(0), B3 the connector to S(inf) run backwards, B4 the identity, which does
-not wind.
+sample doubling; a potential's B2 is linear between its momentum nodes.  The
+other three sides are fixed by B2's end values and wound in closed form: B1
+is the threshold connector from the identity to S(0), B3 the connector to
+S(inf) run backwards, B4 the identity, which does not wind.
 
 B2's infinite momentum is represented by its exact end value at t = 1 of
 its unit-interval parametrisation; no floating infinity ever enters a
@@ -54,7 +54,7 @@ _ARG_CAP = 40.0
 _I2 = np.eye(2, dtype=complex)
 
 # Interpolants with |det| at or below this share of their squared Frobenius
-# norm are singular to rounding: they have no meaningful unitary factor.
+# norm are singular to rounding: their det phase is undefined.
 _SINGULAR_DET = 1e-14
 
 # Winding knobs of every boundary loop: initial samples per side, agreement
@@ -95,32 +95,6 @@ def unitarity_defect(us) -> float:
     us = np.asarray(us, dtype=complex)
     gram = np.swapaxes(us.conj(), -1, -2) @ us
     return float(np.max(np.abs(gram - np.eye(us.shape[-1]))))
-
-
-def _polar_factor(m00: complex, m01: complex, m10: complex, m11: complex) -> np.ndarray:
-    """Unitary polar factor of [[m00, m01], [m10, m11]] in closed form.
-
-    With det M = |det M| e^(i phi) and M = U P, Cayley-Hamilton for the
-    positive factor, P + det(P) P^-1 = tr(P) 1, gives
-    M + e^(i phi) adj(M)^H = tr(P) U; tr(P) is the norm of either column.
-    """
-    det = m00 * m11 - m01 * m10
-    size = abs(det)
-    scale = abs(m00) ** 2 + abs(m01) ** 2 + abs(m10) ** 2 + abs(m11) ** 2
-    if not size > _SINGULAR_DET * scale:  # also rejects nan
-        raise NonUnitaryPath(
-            f"interpolant is singular (|det| {size:.3e}); its unitary factor is undefined"
-        )
-    phase = det / size
-    n00 = m00 + phase * m11.conjugate()
-    n10 = m10 - phase * m01.conjugate()
-    inv = 1.0 / math.sqrt(abs(n00) ** 2 + abs(n10) ** 2)
-    return np.array(
-        [
-            [n00 * inv, (m01 - phase * m10.conjugate()) * inv],
-            [n10 * inv, (m11 + phase * m00.conjugate()) * inv],
-        ]
-    )
 
 
 class Sector(Enum):
@@ -261,7 +235,8 @@ class WindingReport:
 
 @dataclass
 class BoundaryPath:
-    """A path of 2x2 unitaries: t in [0, 1] mapped to one value.
+    """A path of invertible 2x2 matrices: t in [0, 1] mapped to one value,
+    whose det phase is wound.  Values at both ends are unitary.
 
     t = 0 is the start of the traversal.  ``eval`` takes one float and
     returns one 2x2 array; it is never called with an array of parameters.
@@ -278,11 +253,12 @@ def momentum_coordinate(t: float) -> float:
 
 
 def interpolated_path(node_params, node_values) -> BoundaryPath:
-    """Piecewise-linear path through unitary nodes, re-projected onto U(2).
+    """Piecewise-linear path through unitary nodes.
 
     Node parameters must be strictly increasing and span [0, 1]; each node must
-    be unitary to 1e-8.  Between nodes the entries are interpolated
-    linearly and polar-projected, which keeps the path unitary and continuous.
+    be unitary to 1e-8.  Between nodes the value is (1 - theta) A + theta B:
+    only its det phase is wound, and for M = U P that is the phase of det U.
+    A singular interpolant raises ``NonUnitaryPath``.
     """
     ts = np.asarray(node_params, dtype=float)
     us = np.asarray(node_values, dtype=complex)
@@ -305,9 +281,16 @@ def interpolated_path(node_params, node_values) -> BoundaryPath:
         if t == knots[j]:
             return us[j].copy()
         theta = (t - knots[j]) / (knots[j + 1] - knots[j])
-        return _polar_factor(
-            *((1.0 - theta) * p + theta * q for p, q in zip(entries[j], entries[j + 1]))
+        m00, m01, m10, m11 = (
+            (1.0 - theta) * p + theta * q for p, q in zip(entries[j], entries[j + 1])
         )
+        size = abs(m00 * m11 - m01 * m10)
+        scale = abs(m00) ** 2 + abs(m01) ** 2 + abs(m10) ** 2 + abs(m11) ** 2
+        if not size > _SINGULAR_DET * scale:  # also rejects nan
+            raise NonUnitaryPath(
+                f"interpolant is singular (|det| {size:.3e}); its det phase is undefined"
+            )
+        return np.array([[m00, m01], [m10, m11]])
 
     return BoundaryPath(evaluate)
 

@@ -257,8 +257,10 @@ def test_potential_non_finite_parameter_is_config_error(tmp_path, capsys, potent
         {"potential": {"kind": "gaussian-sum", "wells": [[2.0, 0.7, 0.5]]}, "sectors": ["full", "odd"]},
         dict(WELL_CONFIG, sectors=["full", "full"]),
         dict(WELL_CONFIG, sectors=["even", "odd", "even"]),
+        dict(WELL_CONFIG, sectors=[["full"]]),
+        dict(WELL_CONFIG, sectors=[{}]),
     ],
-    ids=["asymmetric-even", "asymmetric-odd", "full-twice", "even-twice"],
+    ids=["asymmetric-even", "asymmetric-odd", "full-twice", "even-twice", "list-entry", "object-entry"],
 )
 def test_potential_bad_sector_list_is_refused_before_analysis(tmp_path, capsys, config):
     cfg = write_config(tmp_path, config)
@@ -276,15 +278,37 @@ def test_potential_bad_sector_list_is_refused_before_analysis(tmp_path, capsys, 
         {"potential": {"kind": "square-well", "depth": True, "half_width": 1.0}},
         {"potential": {"kind": "gaussian-sum", "wells": [[True, 0.0, 0.5]]}},
         {"potential": {"kind": "tabulated", "xs": [-1.0, 1.0], "values": [-1.0, -1.0], "decay_exponent": True}},
+        {"system": "delta", "param": "-1"},
+        {"potential": {"kind": "square-well", "depth": "1.0", "half_width": 1.0}},
+        {"potential": {"kind": "gaussian-sum", "wells": [["2", 0.0, 0.5]]}},
+        {"potential": {"kind": "tabulated", "xs": "12", "values": "34"}},
     ],
-    ids=["delta-param", "delta-prime-param", "square-depth", "gaussian-well", "tabulated-decay"],
+    ids=[
+        "delta-param",
+        "delta-prime-param",
+        "square-depth",
+        "gaussian-well",
+        "tabulated-decay",
+        "delta-param-string",
+        "square-depth-string",
+        "gaussian-well-string",
+        "tabulated-table-strings",
+    ],
 )
 def test_boolean_number_is_config_error(tmp_path, capsys, config):
+    """Booleans and strings are not numbers, though ``float`` reads both."""
     cfg = write_config(tmp_path, config)
     assert main(["potential", "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "config error" in captured.err and "boolean" in captured.err
+    assert "config error" in captured.err and "not a number" in captured.err
+
+
+@pytest.mark.parametrize("param", ["inf", " INF "])
+def test_potential_point_system_config_takes_the_word_inf(tmp_path, capsys, param):
+    cfg = write_config(tmp_path, {"system": "delta", "param": param})
+    assert main(["potential", "--config", cfg]) == 0
+    assert "index identity: OK" in capsys.readouterr().out
 
 
 def test_potential_bad_output_is_refused_before_analysis(tmp_path, capsys):
@@ -308,9 +332,13 @@ def test_potential_non_string_output_path_is_refused_before_analysis(tmp_path, c
 
 @pytest.mark.parametrize("via", ["flag", "config"])
 @pytest.mark.parametrize("key", ["csv", "phase_csv"])
-@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory", "empty"])
 def test_potential_unwritable_output_path_is_config_error(tmp_path, capsys, via, key, target):
-    path = str(tmp_path / "absent" / "out.csv") if target == "missing-directory" else str(tmp_path)
+    path = {
+        "missing-directory": str(tmp_path / "absent" / "out.csv"),
+        "directory": str(tmp_path),
+        "empty": "",
+    }[target]
     argv = ["potential"]
     if via == "flag":
         argv += ["--" + key.replace("_", "-"), path]

@@ -1,5 +1,6 @@
 """Winding engine on paths with analytically known answers."""
 
+import bisect
 import math
 
 import numpy as np
@@ -12,11 +13,14 @@ from levlab.errors import CornerMismatch, NonUnitaryPath, PhaseJumpTooLarge
 from levlab.loops import (
     BoundaryPath,
     ResonanceClass,
+    Sector,
     interpolated_path,
     loop_winding,
-    unitarity_defect,
     winding,
 )
+from levlab.potentials import gaussian_wells, square_well
+from levlab.reporting import tuned_exceptional_well
+from levlab.scattering import PotentialAnalysis
 
 
 def phase_path(turns):
@@ -160,26 +164,67 @@ def _svd_polar(m):
     return w @ vh
 
 
+def _polar_factor(m00, m01, m10, m11):
+    """Unitary polar factor of [[m00, m01], [m10, m11]] in closed form.
+
+    With det M = |det M| e^(i phi) and M = U P, Cayley-Hamilton for the
+    positive factor, P + det(P) P^-1 = tr(P) 1, gives
+    M + e^(i phi) adj(M)^H = tr(P) U; tr(P) is the norm of either column.
+    """
+    det = m00 * m11 - m01 * m10
+    phase = det / abs(det)
+    n00 = m00 + phase * m11.conjugate()
+    n10 = m10 - phase * m01.conjugate()
+    inv = 1.0 / math.sqrt(abs(n00) ** 2 + abs(n10) ** 2)
+    return np.array(
+        [
+            [n00 * inv, (m01 - phase * m10.conjugate()) * inv],
+            [n10 * inv, (m11 + phase * m00.conjugate()) * inv],
+        ]
+    )
+
+
+def polar_interpolated_path(node_params, node_values):
+    """Reference momentum side, built apart from ``interpolated_path``: the
+    linear interpolant of neighbouring nodes, projected onto U(2)."""
+    knots = list(node_params)
+    us = np.asarray(node_values, dtype=complex)
+
+    def evaluate(t):
+        j = min(bisect.bisect_right(knots, t) - 1, len(knots) - 2)
+        theta = (t - knots[j]) / (knots[j + 1] - knots[j])
+        return _polar_factor(*((1.0 - theta) * us[j] + theta * us[j + 1]).ravel().tolist())
+
+    return BoundaryPath(evaluate)
+
+
+def _det_phase(m):
+    return np.angle(np.linalg.det(m))
+
+
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.5), st.floats(0.0, 1.0))
-def test_polar_factor_of_interpolants_matches_svd(seed, step, theta):
+def test_interpolant_det_phase_matches_svd_polar_factor(seed, step, theta):
     rng = np.random.default_rng(seed)
     u = _random_unitary(rng)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     v = u @ scipy.linalg.expm(1j * step * (a + a.conj().T))  # a nearby unitary
     m = (1.0 - theta) * u + theta * v
+    polar = _svd_polar(m)
     got = interpolated_path([0.0, 1.0], [u, v]).eval(theta)
-    assert np.max(np.abs(got - _svd_polar(m))) < 1e-14
-    assert unitarity_defect(got) < 1e-14
+    gap = abs(np.angle(np.exp(1j * (_det_phase(got) - _det_phase(polar)))))
+    assert gap < 1e-14
+    # the reference factor of the oracle below is this polar factor
+    assert np.max(np.abs(_polar_factor(*m.ravel().tolist()) - polar)) < 1e-14
 
 
-def test_interpolated_path_projects_between_nodes():
+def test_interpolated_path_is_linear_between_nodes():
     rng = np.random.default_rng(7)
     nodes = [_random_unitary(rng) for _ in range(2)]
     path = interpolated_path([0.0, 1.0], nodes)
     assert np.array_equal(path.eval(0.0), nodes[0])
     assert np.array_equal(path.eval(1.0), nodes[1])
-    m = 0.75 * nodes[0] + 0.25 * nodes[1]
-    assert np.max(np.abs(path.eval(0.25) - _svd_polar(m))) < 1e-14
+    for theta in (0.25, 0.5, 0.9):
+        assert np.array_equal(path.eval(theta), (1.0 - theta) * nodes[0] + theta * nodes[1])
 
 
 def test_singular_interpolant_raises():
@@ -190,3 +235,43 @@ def test_singular_interpolant_raises():
         path.eval(0.5)
     with pytest.raises(NonUnitaryPath):
         winding(path)
+
+
+_REFERENCE_WELLS = {
+    "square-well": lambda: square_well(1.0, 1.0),
+    "odd-resonance": lambda: tuned_exceptional_well("odd"),
+    "even-resonance": lambda: tuned_exceptional_well("even"),
+    "symmetric-pair": lambda: gaussian_wells([(2.0, 0.7, 0.5), (2.0, -0.7, 0.5)]),
+}
+
+
+def _assert_windings_match_polar_reference(analysis):
+    """Every sector's windings equal those of the loop whose momentum side
+    is the polar interpolant through the same nodes: the linear interpolant
+    has the same det phase."""
+    sectors = [Sector.FULL]
+    if analysis.potential.symmetric:
+        sectors += [Sector.EVEN, Sector.ODD]
+    s = analysis.settings
+    for sector in sectors:
+        report = analysis.report(sector)
+        reference = loop_winding(
+            polar_interpolated_path(*analysis._b2_nodes(sector)),
+            n_bound=report.n_bound,
+            resonance=report.resonance,
+            corner_tol=s.corner_tol,
+            n_samples=s.winding_samples,
+            tol=s.winding_tol,
+        )
+        gap = max(abs(a - b) for a, b in zip(report.w, reference.w))
+        assert gap < 1e-12, (sector, report.w, reference.w)
+
+
+@pytest.mark.parametrize("name", list(_REFERENCE_WELLS))
+def test_windings_match_polar_reference(name):
+    _assert_windings_match_polar_reference(PotentialAnalysis(_REFERENCE_WELLS[name]()))
+
+
+@pytest.mark.parametrize("member", [9, 2, 3])
+def test_random_well_windings_match_polar_reference(well_family, member):
+    _assert_windings_match_polar_reference(well_family[member])
