@@ -37,8 +37,9 @@ from .loops import (
     ResonanceClass,
     Sector,
     WindingReport,
+    chord_winding,
     connector_winding,
-    interpolated_path,
+    loop_report,
     loop_winding,
     r_even,
     r_odd,

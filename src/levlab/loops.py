@@ -13,22 +13,18 @@ counterclockwise:
 Each side carries a norm-continuous family of invertible 2x2 matrices; a
 closed loop has a well defined winding number of the determinant.
 
-Every system supplies only its momentum side B2, and ``loop_winding`` closes
-it, so the loop has one shape for point interactions and potentials alike.
-B2 is wound by phase unwrapping of determinant step ratios with adaptive
-sample doubling; a potential's B2 is linear between its momentum nodes.  The
-other three sides are fixed by B2's end values and wound in closed form: B1
-is the threshold connector from the identity to S(0), B3 the connector to
-S(inf) run backwards, B4 the identity, which does not wind.
-
-B2's infinite momentum is represented by its exact end value at t = 1 of
-its unit-interval parametrisation; no floating infinity ever enters a
-quadrature.
+Every system supplies only its momentum side B2, and ``loop_report`` closes
+it: B1 is the threshold connector from the identity to S(0), B3 the
+connector to S(inf) run backwards, both wound in closed form, and B4 the
+identity, which does not wind.  A potential's B2 is its stack of momentum
+nodes joined by chords, wound in closed form by ``chord_winding``.  A point
+interaction's B2 is an analytic path over t in [0, 1], ending on its exact
+value at infinite momentum; ``loop_winding`` checks its corners and winds it
+by phase unwrapping with adaptive sample doubling (``winding``).
 """
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -53,8 +49,8 @@ _ARG_CAP = 40.0
 
 _I2 = np.eye(2, dtype=complex)
 
-# Interpolants with |det| at or below this share of their squared Frobenius
-# norm are singular to rounding: their det phase is undefined.
+# A chord value with |det| at or below this share of its squared Frobenius
+# norm is singular to rounding: its det phase is undefined.
 _SINGULAR_DET = 1e-14
 
 # Winding knobs of every boundary loop: initial samples per side, agreement
@@ -247,54 +243,6 @@ class BoundaryPath:
     eval: Callable[[float], np.ndarray]
 
 
-def momentum_coordinate(t: float) -> float:
-    """Map the open unit interval onto the momentum half-line, kappa = t / (1 - t)."""
-    return t / (1.0 - t)
-
-
-def interpolated_path(node_params, node_values) -> BoundaryPath:
-    """Piecewise-linear path through unitary nodes.
-
-    Node parameters must be strictly increasing and span [0, 1]; each node must
-    be unitary to 1e-8.  Between nodes the value is (1 - theta) A + theta B:
-    only its det phase is wound, and for M = U P that is the phase of det U.
-    A singular interpolant raises ``NonUnitaryPath``.
-    """
-    ts = np.asarray(node_params, dtype=float)
-    us = np.asarray(node_values, dtype=complex)
-    if ts.ndim != 1 or us.shape != (ts.size, 2, 2):
-        raise ValueError("need matching 1d parameters and (n, 2, 2) values")
-    if ts[0] != 0.0 or ts[-1] != 1.0 or np.any(np.diff(ts) <= 0):
-        raise ValueError("node parameters must increase strictly from 0 to 1")
-    worst = unitarity_defect(us)
-    if not worst < 1e-8:
-        raise NonUnitaryPath(f"interpolation node is not unitary (defect {worst:.3e})")
-    knots = ts.tolist()
-    entries = us.reshape(-1, 4).tolist()
-    last = len(knots) - 1
-
-    def evaluate(t: float) -> np.ndarray:
-        t = min(max(float(t), 0.0), 1.0)
-        j = bisect.bisect_right(knots, t) - 1
-        if j >= last:
-            return us[-1].copy()
-        if t == knots[j]:
-            return us[j].copy()
-        theta = (t - knots[j]) / (knots[j + 1] - knots[j])
-        m00, m01, m10, m11 = (
-            (1.0 - theta) * p + theta * q for p, q in zip(entries[j], entries[j + 1])
-        )
-        size = abs(m00 * m11 - m01 * m10)
-        scale = abs(m00) ** 2 + abs(m01) ** 2 + abs(m10) ** 2 + abs(m11) ** 2
-        if not size > _SINGULAR_DET * scale:  # also rejects nan
-            raise NonUnitaryPath(
-                f"interpolant is singular (|det| {size:.3e}); its det phase is undefined"
-            )
-        return np.array([[m00, m01], [m10, m11]])
-
-    return BoundaryPath(evaluate)
-
-
 # ---------------------------------------------------------------------------
 # Winding numbers
 
@@ -392,16 +340,77 @@ def connector_winding(s_end) -> float:
             f"connector endpoint leaves the unitary family along the path "
             f"(worst defect {worst:.3e} >= 1e-10)"
         )
-    # Roots of y^2 + b y + c without cancellation: q takes the larger of
-    # -(b +- sqrt(b^2 - 4c)) / 2, and the other root is c / q.  q is never
-    # zero: c = det s_end, and the check above admits unitary s_end only.
     b = 1j * (s00 - s11)
     c = s00 * s11 - s01 * s10
-    root = cmath.sqrt(b * b - 4.0 * c)
-    if (b.conjugate() * root).real < 0.0:
-        root = -root
-    q = -0.5 * (b + root)
+    # the roots are q and c / q; q is never zero: c = det s_end, and the
+    # check above admits unitary s_end only
+    q = complex(_far_root(b, c))
     return (cmath.phase(-q) + cmath.phase(-c / q)) / (2.0 * math.pi)
+
+
+def _far_root(b, ac):
+    """q = -(b + r) / 2, r the square root of b^2 - 4 ac signed so that the
+    sum never cancels: the roots of a y^2 + b y + c are q / a and c / q."""
+    root = np.sqrt(b * b - 4.0 * ac)
+    return -0.5 * (b + np.where((np.conj(b) * root).real < 0.0, -root, root))
+
+
+def chord_winding(nodes) -> float:
+    """Winding of det along the chords (1 - theta) A + theta B, theta in
+    [0, 1], between consecutive unitary nodes of an (n, 2, 2) stack.
+
+    det of a chord is p(theta) = det A + theta tr(adj(A) (B - A)) +
+    theta^2 det(B - A), and each root rho of p turns its phase by
+    arg((1 - rho) / (-rho)) = arg(1 - 1/rho).  The reciprocal roots are
+    finite since |det A| = 1, and 0 for a root p lacks (p linear, as in a
+    parity sector, or constant).  Nodes must be unitary to 1e-8; a chord
+    whose |det| at the point of [0, 1] nearest a root is at most
+    ``_SINGULAR_DET`` times its squared Frobenius norm raises
+    ``NonUnitaryPath``.
+    """
+    us = np.asarray(nodes, dtype=complex)
+    if us.ndim != 3 or us.shape[0] < 2 or us.shape[1:] != (2, 2):
+        raise ValueError("need an (n, 2, 2) stack of at least two nodes")
+    worst = unitarity_defect(us)
+    if not worst < 1e-8:
+        raise NonUnitaryPath(f"chord node is not unitary (defect {worst:.3e})")
+    a, d = us[:-1], np.diff(us, axis=0)
+    (a00, a01), (a10, a11) = a[:, 0].T, a[:, 1].T
+    (d00, d01), (d10, d11) = d[:, 0].T, d[:, 1].T
+    c = a00 * a11 - a01 * a10
+    b = a11 * d00 - a01 * d10 - a10 * d01 + a00 * d11
+    quad = d00 * d11 - d01 * d10
+    q = _far_root(b, quad * c)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # q = 0 only where b = quad = 0 (to underflow): a constant det
+        recips = np.where(q == 0.0, 0.0, np.stack([quad / q, q / c]))
+        # a root far off (or none) gives inf or nan: any point will do
+        nearest = np.clip(np.nan_to_num((1.0 / recips).real), 0.0, 1.0)
+    det = c + nearest * (b + nearest * quad)
+    norm = np.sum(np.abs(a + nearest[..., None, None] * d) ** 2, axis=(-2, -1))
+    if not np.all(np.abs(det) > _SINGULAR_DET * norm):
+        raise NonUnitaryPath("a chord's det vanishes on it; its det phase is undefined")
+    return float(np.sum(np.angle(1.0 - recips)) / (2.0 * np.pi))
+
+
+def loop_report(start, w2: float, end, *, n_bound: int, resonance: ResonanceClass) -> WindingReport:
+    """Report of the loop around a momentum side B2 that runs from S(0) =
+    ``start`` to S(inf) = ``end`` and winds ``w2``, with the given bound-state
+    count and threshold class.  B1 connects the identity to S(0) and B3 runs
+    the connector to S(inf) backwards, both wound by ``connector_winding``;
+    B4 is the identity and does not wind.
+    """
+    # 0.0 - w keeps an unwound B3 at +0.0 where -w would give -0.0
+    ws = (connector_winding(start), w2, 0.0 - connector_winding(end), 0.0)
+    total = float(sum(ws))
+    return WindingReport(
+        w=ws,
+        total=total,
+        n_bound=n_bound,
+        correction=ws[0] + ws[2] + ws[3],
+        resonance=resonance,
+        residual=abs(total + n_bound),
+    )
 
 
 def loop_winding(
@@ -413,34 +422,13 @@ def loop_winding(
     n_samples: int = WINDING_SAMPLES,
     tol: float = WINDING_TOL,
 ) -> WindingReport:
-    """Complete report of the boundary loop around a momentum side B2 that
-    runs from S(0) to S(inf): per-side windings, their sum, the given
-    bound-state count and threshold class, and the residual |total + n_bound|
-    of the index identity.
-
-    B1 connects the identity to S(0) and B3 runs the connector to S(inf)
-    backwards, so both are wound in closed form by ``connector_winding``; B4
-    is the identity and does not wind.  Only B2 is sampled, by ``winding``.
-    The end values read for the connectors must match fresh evaluations of
-    B2 to ``corner_tol``.
+    """``loop_report`` around a momentum side B2 given as a path, wound by
+    ``winding``.  The end values read for the connectors must match fresh
+    evaluations of B2 to ``corner_tol``.
     """
     start, end = b2.eval(0.0), b2.eval(1.0)
-    w1 = connector_winding(start)
-    # 0.0 - w keeps an unwound B3 at +0.0 where -w would give -0.0
-    w3 = 0.0 - connector_winding(end)
-    defect = max(
-        float(np.max(np.abs(start - b2.eval(0.0)))),
-        float(np.max(np.abs(b2.eval(1.0) - end))),
-    )
+    defect = float(np.max(np.abs([start - b2.eval(0.0), b2.eval(1.0) - end])))
     if not defect < corner_tol:
         raise CornerMismatch(f"loop corners differ by {defect:.3e} >= {corner_tol:g}")
-    ws = (w1, winding(b2, n_samples=n_samples, tol=tol), w3, 0.0)
-    total = float(sum(ws))
-    return WindingReport(
-        w=ws,
-        total=total,
-        n_bound=n_bound,
-        correction=ws[0] + ws[2] + ws[3],
-        resonance=resonance,
-        residual=abs(total + n_bound),
-    )
+    w2 = winding(b2, n_samples=n_samples, tol=tol)
+    return loop_report(start, w2, end, n_bound=n_bound, resonance=resonance)

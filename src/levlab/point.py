@@ -20,7 +20,6 @@ from .loops import (
     Sector,
     WindingReport,
     loop_winding,
-    momentum_coordinate,
     sector_threshold_class,
     sector_unitary,
 )
@@ -67,13 +66,23 @@ class PointInteraction:
         negative coupling; none otherwise."""
         return 1 if self.param < 0.0 else 0
 
+    @property
+    def momentum_scale(self) -> float:
+        """Momentum where the coupled amplitude turns: |alpha| / 2 for delta,
+        2 / |beta| for delta-prime; 1 for the constant couplings 0 and inf."""
+        p = abs(self.param)
+        if p == 0.0 or math.isinf(p):
+            return 1.0
+        return 0.5 * p if self.kind == DELTA else 2.0 / p
+
     def amplitude(self, kappa: float) -> complex:
         """Coupled-sector scattering amplitude z / conj(z) at momentum kappa.
 
         z = 2 kappa - i alpha for delta and 2 + i beta kappa for delta-prime.
         Coupling 0 scatters as 1 and coupling inf as -1 at every momentum;
         otherwise kappa = 0 gives -sigma and kappa = inf gives sigma, with
-        sigma = +1 for delta and -1 for delta-prime.
+        sigma = +1 for delta and -1 for delta-prime.  z / 2 is scaled by a
+        power of two below 1 first, so nothing overflows.
         """
         p = self.param
         if math.isinf(p):
@@ -85,7 +94,11 @@ class PointInteraction:
             return complex(sigma)
         if kappa == 0.0:
             return complex(-sigma)
-        z = complex(2.0 * kappa, -p) if self.kind == DELTA else complex(2.0, p * kappa)
+        x, y = (kappa, -0.5 * p) if self.kind == DELTA else (1.0, 0.5 * p * kappa)
+        if math.isinf(y):  # |beta kappa| past the float range: sigma to rounding
+            return complex(sigma)
+        _, exponent = math.frexp(max(abs(x), abs(y)))
+        z = complex(math.ldexp(x, -exponent), math.ldexp(y, -exponent))
         return z / z.conjugate()
 
 
@@ -93,19 +106,20 @@ def verify_levinson(interaction: PointInteraction, sector: Sector, **knobs) -> W
     """Full report for one parity sector: windings, bound states, and the
     residual of the index identity total = -n_bound.
 
-    The momentum side B2 follows the sector's amplitude from kappa = 0 to
-    kappa = inf, and ``loop_winding`` closes it; ``knobs`` are its keyword
-    arguments ``corner_tol``, ``n_samples`` and ``tol``, which default to
-    ``loop_winding``'s own.  The uncoupled sector scatters as the identity,
-    so its loop is the identity throughout.
+    The momentum side B2 follows the sector's amplitude over kappa =
+    s t / (1 - t), t in [0, 1], s the ``momentum_scale``, so it turns around
+    t = 1/2 whatever the coupling (a kappa past the float range is taken as
+    inf); ``loop_winding`` closes it, with ``knobs`` as its keyword arguments.
+    The uncoupled sector scatters as the identity throughout.
     """
     if sector is Sector.FULL:
         raise ValueError("point-interaction verification runs per parity sector")
     coupled = sector is interaction.sector
     amplitude = interaction.amplitude if coupled else (lambda kappa: 1.0 + 0.0j)
+    scale = interaction.momentum_scale
 
     def b2_eval(t: float):
-        kappa = math.inf if t >= 1.0 else momentum_coordinate(float(t))
+        kappa = math.inf if t >= 1.0 else scale * t / (1.0 - t)
         return sector_unitary(amplitude(kappa), sector)
 
     return loop_winding(

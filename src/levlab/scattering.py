@@ -11,8 +11,9 @@ Everything the index bookkeeping needs from a potential is produced here:
   Hamiltonian),
 * the spectral-shift (time-delay) integral along the momentum side of the
   boundary square, summed from eigenphase increments,
-* the momentum side of the boundary loop, full line or per parity sector,
-  closed into the loop and wound by ``loops.loop_winding``.  The sector
+* the momentum side of the boundary loop, full line or per parity sector, as
+  node values wound in closed form by ``loops.chord_winding`` and closed into
+  the loop by ``loops.loop_report``.  The sector
   rules (which diagonal entry a sector keeps, and which zero-energy value is
   a half-bound state) live in ``loops``, shared with the point interactions.
 
@@ -43,8 +44,8 @@ from .loops import (
     ResonanceClass,
     Sector,
     WindingReport,
-    interpolated_path,
-    loop_winding,
+    chord_winding,
+    loop_report,
     phase_steps,
     restrict,
     sector_threshold_class,
@@ -95,7 +96,8 @@ class SolverSettings:
     The defaults satisfy every tolerance used in the test suite; loosen them
     only for exploratory runs.  ``dead_zone`` brackets the normalised slope of
     the zero-energy tail inside which neither threshold class can be
-    certified.
+    certified.  ``winding_samples``, ``winding_tol`` and ``corner_tol`` act on
+    point interactions only; a potential's loop is wound in closed form.
     """
 
     kappa_min: float = 1e-4
@@ -520,33 +522,26 @@ class PotentialAnalysis:
                 "parity sectors exist only for potentials declared symmetric"
             )
 
-    def _b2_nodes(self, sector: Sector) -> tuple[np.ndarray, np.ndarray]:
+    def _b2_nodes(self, sector: Sector) -> np.ndarray:
+        """B2's node values: the threshold form, the grid's scattering
+        matrices in the even-odd basis, and the identity at infinite momentum."""
         data = self.scattering.in_even_odd()
         start = restrict(threshold_matrix(self.sector_resonance(sector)), sector)
-        mats = restrict(data.matrices, sector)
-        ts = data.kappas / (1.0 + data.kappas)
-        params = np.concatenate([[0.0], ts, [1.0]])
-        values = np.concatenate([[start], mats, [_I2]])
-        return params, values
+        return np.concatenate([[start], restrict(data.matrices, sector), [_I2]])
 
     def time_delay(self) -> float:
         """Spectral-shift integral over the momentum side (full line)."""
-        params, values = self._b2_nodes(Sector.FULL)
-        return time_delay_integral(values)
+        return time_delay_integral(self._b2_nodes(Sector.FULL))
 
     def report(self, sector: Sector = Sector.FULL) -> WindingReport:
         """Windings, bound states, and the residual of total = -n_bound."""
         if sector in self._reports:
             return self._reports[sector]
         self._require_symmetric(sector)
-        s = self.settings
-        report = loop_winding(
-            interpolated_path(*self._b2_nodes(sector)),
-            n_bound=self.sector_bound_states(sector),
-            resonance=self.sector_resonance(sector),
-            corner_tol=s.corner_tol,
-            n_samples=s.winding_samples,
-            tol=s.winding_tol,
+        nodes = self._b2_nodes(sector)
+        n_bound, resonance = self.sector_bound_states(sector), self.sector_resonance(sector)
+        report = loop_report(
+            nodes[0], chord_winding(nodes), nodes[-1], n_bound=n_bound, resonance=resonance
         )
         self._reports[sector] = report
         return report

@@ -55,6 +55,20 @@ def test_point_json_is_the_report_dict(capsys):
     assert payload == json.dumps(reports, sort_keys=True)
 
 
+@pytest.mark.parametrize("kind", ["delta", "delta-prime"])
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize("magnitude", ["1e-300", "1e-100", "1e-6", "1e-5", "1e6", "1e20", "1e100", "1e308"])
+def test_point_extreme_couplings_certify(kind, sign, magnitude, capsys):
+    """The momentum side runs on the coupling's own scale, so the amplitude
+    turns mid-side however weak or strong the coupling: every coupling
+    certifies, with w2 = -1/2 when attractive and +1/2 when repulsive."""
+    assert main(["point", "--kind", kind, f"--param={sign}{magnitude}", "--json"]) == 0
+    payload = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("{"))
+    report = json.loads(payload)["even" if kind == "delta" else "odd"]
+    assert abs(report["w"][1] - (-0.5 if sign else 0.5)) < 1e-12
+    assert report["n_bound"] == (1 if sign else 0)
+
+
 def test_point_rejects_unknown_kind(capsys):
     assert main(["point", "--kind", "contact", "--param", "1"]) == 2
 

@@ -88,6 +88,39 @@ def test_amplitudes_on_unit_circle(magnitude, sign, lam):
     assert abs(abs(s_beta(coupling, lam)) - 1.0) < 1e-12
 
 
+@given(st.floats(1e-3, 1e3), st.sampled_from([-1.0, 1.0]), st.floats(1e-6, 1e6))
+def test_amplitude_is_the_quotient_of_z_bit_for_bit(magnitude, sign, kappa):
+    """On ordinary scales the overflow-safe amplitude is z / conj(z) itself:
+    its power-of-two scale rounds nothing."""
+    coupling = sign * magnitude
+    for kind, z in ((DELTA, complex(2.0 * kappa, -coupling)), (DELTA_PRIME, complex(2.0, coupling * kappa))):
+        assert PointInteraction(kind, coupling).amplitude(kappa) == z / z.conjugate()
+
+
+@pytest.mark.parametrize("coupling", [1e308, -1e308, 1e-300, -1e-300])
+def test_amplitude_survives_extreme_scales(coupling):
+    """2 kappa, alpha and beta kappa may overflow; the amplitude stays on the
+    unit circle, and past the float range it sits at its limit sigma."""
+    for kind in (DELTA, DELTA_PRIME):
+        interaction = PointInteraction(kind, coupling)
+        scale = interaction.momentum_scale
+        for kappa in (1e-300, 1e-5, 1.0, 1e5, 1e300, 1.7e308, scale, 0.5 * scale, 2.0 * scale):
+            value = interaction.amplitude(kappa)
+            assert abs(abs(value) - 1.0) < 1e-15, (kind, kappa, value)
+        # at kappa = s the amplitude is a quarter turn off its ends
+        turn = interaction.amplitude(scale)
+        assert abs(turn - (-1j if (kind == DELTA) == (coupling > 0) else 1j)) < 1e-15
+    assert PointInteraction(DELTA_PRIME, 1e308).amplitude(1e10) == -1.0
+
+
+def test_momentum_scale():
+    assert PointInteraction(DELTA, -4.0).momentum_scale == 2.0
+    assert PointInteraction(DELTA_PRIME, -4.0).momentum_scale == 0.5
+    for coupling in (0.0, INF):
+        assert PointInteraction(DELTA, coupling).momentum_scale == 1.0
+        assert PointInteraction(DELTA_PRIME, coupling).momentum_scale == 1.0
+
+
 def test_interaction_matrix_embeds_by_sector():
     m = sector_unitary(s_alpha(-2.0, 1.0), PointInteraction(DELTA, -2.0).sector)
     assert m[0, 0] == s_alpha(-2.0, 1.0)

@@ -1,4 +1,5 @@
-"""Winding engine on paths with analytically known answers."""
+"""Winding engine on paths with analytically known answers, and the closed
+form of a potential's momentum side against its sampled oracle."""
 
 import bisect
 import math
@@ -6,7 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from levlab.errors import CornerMismatch, NonUnitaryPath, PhaseJumpTooLarge
@@ -14,8 +15,10 @@ from levlab.loops import (
     BoundaryPath,
     ResonanceClass,
     Sector,
-    interpolated_path,
+    chord_winding,
     loop_winding,
+    restrict,
+    unitarity_defect,
     winding,
 )
 from levlab.potentials import gaussian_wells, square_well
@@ -184,6 +187,52 @@ def _polar_factor(m00, m01, m10, m11):
     )
 
 
+# A sampled value with |det| at or below this share of its squared Frobenius
+# norm is singular to rounding, as in ``chord_winding``.
+SINGULAR_DET = 1e-14
+
+
+def interpolated_path(node_params, node_values):
+    """Sampled oracle for ``chord_winding``: the piecewise-linear path through
+    unitary nodes, (1 - theta) A + theta B between neighbours, as a path over
+    the node parameters.
+
+    Node parameters must increase strictly from 0 to 1; each node must be
+    unitary to 1e-8.  A singular sampled value raises ``NonUnitaryPath``.
+    """
+    ts = np.asarray(node_params, dtype=float)
+    us = np.asarray(node_values, dtype=complex)
+    if ts.ndim != 1 or us.shape != (ts.size, 2, 2):
+        raise ValueError("need matching 1d parameters and (n, 2, 2) values")
+    if ts[0] != 0.0 or ts[-1] != 1.0 or np.any(np.diff(ts) <= 0):
+        raise ValueError("node parameters must increase strictly from 0 to 1")
+    worst = unitarity_defect(us)
+    if not worst < 1e-8:
+        raise NonUnitaryPath(f"interpolation node is not unitary (defect {worst:.3e})")
+    knots = ts.tolist()
+    entries = us.reshape(-1, 4).tolist()
+    last = len(knots) - 1
+
+    def evaluate(t):
+        t = min(max(float(t), 0.0), 1.0)
+        j = bisect.bisect_right(knots, t) - 1
+        if j >= last:
+            return us[-1].copy()
+        if t == knots[j]:
+            return us[j].copy()
+        theta = (t - knots[j]) / (knots[j + 1] - knots[j])
+        m00, m01, m10, m11 = (
+            (1.0 - theta) * p + theta * q for p, q in zip(entries[j], entries[j + 1])
+        )
+        size = abs(m00 * m11 - m01 * m10)
+        scale = abs(m00) ** 2 + abs(m01) ** 2 + abs(m10) ** 2 + abs(m11) ** 2
+        if not size > SINGULAR_DET * scale:  # also rejects nan
+            raise NonUnitaryPath(f"interpolant is singular (|det| {size:.3e})")
+        return np.array([[m00, m01], [m10, m11]])
+
+    return BoundaryPath(evaluate)
+
+
 def polar_interpolated_path(node_params, node_values):
     """Reference momentum side, built apart from ``interpolated_path``: the
     linear interpolant of neighbouring nodes, projected onto U(2)."""
@@ -228,13 +277,76 @@ def test_interpolated_path_is_linear_between_nodes():
 
 
 def test_singular_interpolant_raises():
-    # halfway from 1 to -1 the interpolant is the zero matrix: no unitary
-    # factor exists, and the winding must not invent one
-    path = interpolated_path([0.0, 1.0], [np.eye(2), -np.eye(2)])
+    """Halfway from 1 to -1 the chord is the zero matrix, and in the even
+    sector its det 1 - 2 theta vanishes there: no det phase exists, and the
+    closed form must not invent one."""
     with pytest.raises(NonUnitaryPath):
-        path.eval(0.5)
+        chord_winding([np.eye(2), -np.eye(2)])
     with pytest.raises(NonUnitaryPath):
-        winding(path)
+        chord_winding(restrict(np.array([np.eye(2), -np.eye(2)]), Sector.EVEN))
+    with pytest.raises(NonUnitaryPath):
+        interpolated_path([0.0, 1.0], [np.eye(2), -np.eye(2)]).eval(0.5)
+
+
+def test_chord_winding_refuses_non_unitary_nodes():
+    with pytest.raises(NonUnitaryPath):
+        chord_winding([np.eye(2), 1.01 * np.eye(2)])
+    with pytest.raises(NonUnitaryPath):
+        chord_winding([np.eye(2), np.full((2, 2), np.nan)])
+    for bad in (np.eye(2), np.eye(2)[None], np.zeros((2, 3, 3))):
+        with pytest.raises(ValueError):
+            chord_winding(bad)
+
+
+def test_constant_chords_do_not_wind():
+    u = _random_unitary(np.random.default_rng(3))
+    assert chord_winding([u, u, u]) == 0.0
+    v = np.diag([1.0, np.exp(0.7j)])
+    assert chord_winding([v, v]) == 0.0
+
+
+def _chain(seed, steps, sector):
+    """Unitary nodes, each a random unitary step exp(i step H) from the last.
+    In a parity sector H is diagonal and the nodes are restricted to it."""
+    rng = np.random.default_rng(seed)
+    nodes = [_random_unitary(rng) if sector is Sector.FULL else np.diag(np.exp(2j * rng.normal(size=2)))]
+    for step in steps:
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        if sector is not Sector.FULL:
+            a = np.diag(np.diag(a))
+        nodes.append(nodes[-1] @ scipy.linalg.expm(1j * step * (a + a.conj().T)))
+    return restrict(np.array(nodes), sector)
+
+
+def _min_det_share(nodes, n=2001):
+    """Smallest |det| / |M|_F^2 over n points on each chord."""
+    theta = np.linspace(0.0, 1.0, n)[:, None, None, None]
+    m = (1.0 - theta) * nodes[:-1] + theta * nodes[1:]
+    return float(np.min(np.abs(np.linalg.det(m)) / np.sum(np.abs(m) ** 2, axis=(-2, -1))))
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.floats(0.0, 1.5), min_size=1, max_size=5),
+    st.sampled_from(list(Sector)),
+)
+def test_chord_winding_matches_sampled_chords(seed, steps, sector):
+    """Random unitary chords, with steps up to spectral norm 2: the closed
+    form equals the sampled winding of the same chords to 1e-12.  A parity
+    sector makes each chord's det linear in theta."""
+    nodes = _chain(seed, steps, sector)
+    assume(_min_det_share(nodes) > 1e-3)
+    params = np.linspace(0.0, 1.0, len(nodes))
+    assert abs(chord_winding(nodes) - winding(interpolated_path(params, nodes))) < 1e-12
+
+
+def test_chord_steps_beyond_unit_norm_are_wound():
+    """A chord from 1 to exp(i phi) with phi near pi has spectral norm near
+    2; its det stays off zero and winds by the chord's own angle."""
+    for phi in (2.5, 3.0, -3.0):
+        nodes = np.array([np.eye(2), np.diag([np.exp(1j * phi), 1.0])])
+        assert np.linalg.norm(nodes[1] - nodes[0], 2) > 1.0
+        assert abs(chord_winding(nodes) - phi / (2.0 * np.pi)) < 1e-15
 
 
 _REFERENCE_WELLS = {
@@ -244,27 +356,45 @@ _REFERENCE_WELLS = {
     "symmetric-pair": lambda: gaussian_wells([(2.0, 0.7, 0.5), (2.0, -0.7, 0.5)]),
 }
 
+# The weak wells (depth, center, width) of the benchmark's weak-wells pass
+# for seed 1 that certify; the other two are refused by the classifier.
+_WEAK_WELLS = [
+    (0.006463304070095649, 0.9009273926518706, 1.6500000000000001),
+    (0.029999999999999995, 0.8972988942744877, 0.75),
+    (0.13924766500838337, 0.6554051876408835, 0.75),
+    (0.13924766500838337, -0.18160172726167745, 1.6500000000000001),
+    (0.029999999999999995, -0.3763370959790291, 1.6500000000000001),
+    (0.029999999999999995, -0.1533471020548487, 2.5500000000000003),
+    (0.13924766500838337, 0.09918737534611899, 2.5500000000000003),
+    (0.006463304070095649, -0.7116807745607325, 2.5500000000000003),
+]
+
 
 def _assert_windings_match_polar_reference(analysis):
-    """Every sector's windings equal those of the loop whose momentum side
-    is the polar interpolant through the same nodes: the linear interpolant
-    has the same det phase."""
+    """Every sector's windings equal those of the loops whose momentum side
+    is sampled through the same nodes, at their momentum parameters
+    t = kappa / (1 + kappa): the linear interpolant ``interpolated_path``,
+    and the polar interpolant, which has the same det phase."""
     sectors = [Sector.FULL]
     if analysis.potential.symmetric:
         sectors += [Sector.EVEN, Sector.ODD]
+    kappas = analysis.scattering.kappas
+    params = np.concatenate([[0.0], kappas / (1.0 + kappas), [1.0]])
     s = analysis.settings
     for sector in sectors:
         report = analysis.report(sector)
-        reference = loop_winding(
-            polar_interpolated_path(*analysis._b2_nodes(sector)),
-            n_bound=report.n_bound,
-            resonance=report.resonance,
-            corner_tol=s.corner_tol,
-            n_samples=s.winding_samples,
-            tol=s.winding_tol,
-        )
-        gap = max(abs(a - b) for a, b in zip(report.w, reference.w))
-        assert gap < 1e-12, (sector, report.w, reference.w)
+        nodes = analysis._b2_nodes(sector)
+        for sampled in (interpolated_path, polar_interpolated_path):
+            reference = loop_winding(
+                sampled(params, nodes),
+                n_bound=report.n_bound,
+                resonance=report.resonance,
+                corner_tol=s.corner_tol,
+                n_samples=s.winding_samples,
+                tol=s.winding_tol,
+            )
+            gap = max(abs(a - b) for a, b in zip(report.w, reference.w))
+            assert gap < 1e-12, (sector, sampled.__name__, report.w, reference.w)
 
 
 @pytest.mark.parametrize("name", list(_REFERENCE_WELLS))
@@ -275,3 +405,27 @@ def test_windings_match_polar_reference(name):
 @pytest.mark.parametrize("member", [9, 2, 3])
 def test_random_well_windings_match_polar_reference(well_family, member):
     _assert_windings_match_polar_reference(well_family[member])
+
+
+@pytest.mark.parametrize("well", _WEAK_WELLS, ids=lambda w: f"{w[0]:.3g}-{w[2]:.3g}-{w[1]:+.2f}")
+def test_weak_well_windings_match_polar_reference(well):
+    _assert_windings_match_polar_reference(PotentialAnalysis(gaussian_wells([well])))
+
+
+def test_deep_square_well_windings_match_polar_reference():
+    """Depth 3000, half-width 0.5: 18 bound states, and a last chord, from
+    S(kappa_max) to the identity, of spectral norm above 1."""
+    analysis = PotentialAnalysis(square_well(3000.0, 0.5))
+    nodes = analysis._b2_nodes(Sector.FULL)
+    assert np.linalg.norm(nodes[-1] - nodes[-2], 2) > 1.0
+    _assert_windings_match_polar_reference(analysis)
+    assert analysis.report(Sector.FULL).n_bound == 18
+
+
+def test_potential_loops_are_not_sampled(wound_paths):
+    """A potential's momentum side is wound in closed form: no report hands
+    a path to ``winding``."""
+    analysis = PotentialAnalysis(square_well(1.0, 1.0))
+    for sector in Sector:
+        analysis.report(sector)
+    assert wound_paths == []
