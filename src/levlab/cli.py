@@ -334,10 +334,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_param(argv: list[str]) -> list[str]:
+    """argv with ``--param <value>`` joined into ``--param=<value>``: argparse
+    would take a value such as -1e6 or -.5e1 for an option."""
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--param" and (value := next(tokens, None)) is not None:
+            token = f"--param={value}"
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_param(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0

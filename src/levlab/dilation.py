@@ -283,16 +283,13 @@ def _multiplier_halves(
     return even_half, odd_half
 
 
-def identity_residual(
-    fn: ProbeFunction,
-    evaluator: MellinEvaluator | None = None,
-    r_points: np.ndarray | None = None,
-) -> float:
-    """Relative l2 gap between the two routes over a logarithmic ray grid,
-    both directions omega = +-1 together.  The multiplier route's halves are
-    computed once and shared by the two directions."""
+def identity_residual(fn: ProbeFunction, evaluator: MellinEvaluator | None = None) -> float:
+    """Relative l2 gap between the two routes over the logarithmic ray grid
+    geomspace(0.05, 6, 20), both directions omega = +-1 together.  The
+    multiplier route's halves are computed once and shared by the two
+    directions."""
     ev = evaluator or MellinEvaluator()
-    r = np.geomspace(0.05, 6.0, 20) if r_points is None else np.asarray(r_points)
+    r = np.geomspace(0.05, 6.0, 20)
     even_half, odd_half = _multiplier_halves(fn, r, ev)
     diffs = []
     scale = []

@@ -15,9 +15,11 @@ closed loop has a well defined winding number of the determinant.
 
 Every system supplies only its momentum side B2, and ``loop_report`` closes
 it: B1 is the threshold connector from the identity to S(0), B3 the
-connector to S(inf) run backwards, both wound in closed form, and B4 the
-identity, which does not wind.  A potential's B2 is its stack of momentum
-nodes joined by chords, wound in closed form by ``chord_winding``.  A point
+connector to S(inf) run backwards, and B4 the identity, which does not wind.
+A connector's endpoint is admitted by an exact unitarity rule, and its det
+phase is that of the chord from diag(-i, i) to the endpoint
+(``connector_winding``).  A potential's B2 is its stack of momentum nodes
+joined by chords.  ``chord_winding`` winds all chords in closed form.  A point
 interaction's B2 is an analytic path over t in [0, 1], ending on its exact
 value at infinite momentum; ``loop_winding`` checks its corners and winds it
 by phase unwrapping with adaptive sample doubling (``winding``).
@@ -25,11 +27,9 @@ by phase unwrapping with adaptive sample doubling (``winding``).
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, ClassVar, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -40,14 +40,12 @@ from .errors import (
     WindingNotConverged,
 )
 
-INF = float("inf")
-
 # tanh saturates to 1 and sech underflows past double precision well before
 # the argument reaches this cap, so clipping changes nothing measurable while
 # keeping cosh away from overflow.
 _ARG_CAP = 40.0
 
-_I2 = np.eye(2, dtype=complex)
+_J = np.diag([-1j, 1j])  # where a connector's chord starts
 
 # A chord value with |det| at or below this share of its squared Frobenius
 # norm is singular to rounding: its det phase is undefined.
@@ -107,34 +105,28 @@ class Sector(Enum):
 
 @dataclass(frozen=True)
 class ResonanceClass:
-    """Threshold behaviour tag: generic, or exceptional with the ratio of the
-    right to the left asymptotic constant of the bounded zero-energy solution."""
+    """Threshold behaviour: generic (gamma None), or exceptional with gamma the
+    ratio of right to left asymptotic constants of the zero-energy solution."""
 
-    tag: str
     gamma: Optional[float] = None
-
-    _TAGS: ClassVar[tuple[str, str]] = ("generic", "exceptional")
-
-    def __post_init__(self):
-        if self.tag not in self._TAGS:
-            raise ValueError(f"unknown resonance tag {self.tag!r}")
-        if self.tag == "exceptional":
-            if self.gamma is None or self.gamma == 0.0:
-                raise ValueError("exceptional class requires a nonzero gamma")
-        elif self.gamma is not None:
-            raise ValueError("generic class carries no gamma")
 
     @classmethod
     def generic(cls) -> "ResonanceClass":
-        return cls("generic")
+        return cls()
 
     @classmethod
     def exceptional(cls, gamma: float) -> "ResonanceClass":
-        return cls("exceptional", float(gamma))
+        if gamma == 0.0:
+            raise ValueError("exceptional class requires a nonzero gamma")
+        return cls(float(gamma))
 
     @property
     def is_exceptional(self) -> bool:
-        return self.tag == "exceptional"
+        return self.gamma is not None
+
+    @property
+    def tag(self) -> str:
+        return "exceptional" if self.is_exceptional else "generic"
 
     def to_dict(self) -> dict:
         return {"tag": self.tag, "gamma": self.gamma}
@@ -316,43 +308,34 @@ def connector_winding(s_end) -> float:
         C(x) = 1 + (1/2) (1 - R(x)) (s_end - 1),   R(x) = diag(r_even(x), r_odd(x)),
 
     the identity at x = -inf and s_end at x = +inf.  With y = exp(-pi x),
-    (1 - r_even) / 2 = 1 / (1 - i y) and (1 - r_odd) / 2 = 1 / (1 + i y), so
+    (1 - r_even) / 2 = alpha = 1 / (1 - i y) and (1 - r_odd) / 2 = conj(alpha),
+    so with J = diag(-i, i) and theta = 1 / (1 + y)
 
-        (1 + y^2) det C = y^2 + i (s00 - s11) y + det s_end.
+        (1 + y^2) det C = y^2 + i (s00 - s11) y + det s_end
+                        = theta^-2 det((1 - theta) J + theta s_end),
 
-    y runs from +inf down to 0 as x increases, and each root rho of that
-    quadratic turns arg(y - rho) from 0 to arg(-rho): the winding is the sum
-    of arg(-rho) over both roots, in turns.  A generic endpoint diag(-1, 1)
-    gives (y - i)^2, that is -1/2.
+    because det J = 1 and tr(adj(J) s_end) = i (s00 - s11).  theta runs from
+    0 to 1 as x increases and the positive factors do not turn the phase, so
+    the connector winds as the chord from J to s_end (``chord_winding``).  A
+    generic endpoint diag(-1, 1) gives -1/2.
 
-    The connector stays unitary for the admitted endpoint shapes (identity,
-    +-1 blocks, and both zero-energy scattering forms); endpoints outside that
-    family are rejected by a unitarity check of C at the 41 dilation
-    parameters x = tan(pi (t - 1/2)), t evenly spaced in [0, 1].
+    With M = s_end - 1 and sigma_z = diag(1, -1),
+
+        C^dag C - 1 = |alpha|^2 [(M + M^dag + M^dag M) + i y (sigma_z M - (sigma_z M)^dag)],
+
+    so C is unitary for every x exactly when s_end is unitary and sigma_z M
+    is Hermitian, as for both zero-energy scattering forms; an endpoint off
+    either by 1e-10 raises ``NonUnitaryPath``.
     """
     s = np.asarray(s_end, dtype=complex)
-    (s00, s01), (s10, s11) = s.tolist()
-    r = r_even(np.tan(np.pi * (np.linspace(0.0, 1.0, 41) - 0.5)))
-    halves = 0.5 * (1.0 - np.stack([r, r.conjugate()], axis=-1))
-    worst = unitarity_defect(_I2 + halves[:, :, None] * (s - _I2))
+    hz = (s - np.eye(2)) * [[1.0], [-1.0]]  # sigma_z M
+    worst = max(unitarity_defect(s), float(np.max(np.abs(hz - hz.conj().T))))
     if not worst < 1e-10:
         raise NonUnitaryPath(
             f"connector endpoint leaves the unitary family along the path "
             f"(worst defect {worst:.3e} >= 1e-10)"
         )
-    b = 1j * (s00 - s11)
-    c = s00 * s11 - s01 * s10
-    # the roots are q and c / q; q is never zero: c = det s_end, and the
-    # check above admits unitary s_end only
-    q = complex(_far_root(b, c))
-    return (cmath.phase(-q) + cmath.phase(-c / q)) / (2.0 * math.pi)
-
-
-def _far_root(b, ac):
-    """q = -(b + r) / 2, r the square root of b^2 - 4 ac signed so that the
-    sum never cancels: the roots of a y^2 + b y + c are q / a and c / q."""
-    root = np.sqrt(b * b - 4.0 * ac)
-    return -0.5 * (b + np.where((np.conj(b) * root).real < 0.0, -root, root))
+    return chord_winding(np.stack([_J, s]))
 
 
 def chord_winding(nodes) -> float:
@@ -380,7 +363,10 @@ def chord_winding(nodes) -> float:
     c = a00 * a11 - a01 * a10
     b = a11 * d00 - a01 * d10 - a10 * d01 + a00 * d11
     quad = d00 * d11 - d01 * d10
-    q = _far_root(b, quad * c)
+    # q = -(b + r) / 2, r the square root of the discriminant signed so that
+    # the sum never cancels: the roots are q / quad and c / q
+    root = np.sqrt(b * b - 4.0 * quad * c)
+    q = -0.5 * (b + np.where((np.conj(b) * root).real < 0.0, -root, root))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # q = 0 only where b = quad = 0 (to underflow): a constant det
         recips = np.where(q == 0.0, 0.0, np.stack([quad / q, q / c]))

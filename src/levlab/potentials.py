@@ -188,7 +188,8 @@ def zero_potential() -> Potential:
     )
 
 
-def integrated_absolute(potential: Potential, radius: float, n: int = 4097) -> float:
-    """Trapezoid estimate of the integral of |V| over [-radius, radius]."""
-    xs = np.linspace(-radius, radius, n)
+def integrated_absolute(potential: Potential, radius: float) -> float:
+    """Trapezoid estimate of the integral of |V| over [-radius, radius], on
+    4097 evenly spaced points."""
+    xs = np.linspace(-radius, radius, 4097)
     return float(np.trapezoid(np.abs(potential(xs)), xs))

@@ -78,6 +78,21 @@ def test_point_rejects_bad_param(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("param", ["-1e6", "-1E6", "-1e-6", "-1e308", "-.5e1"])
+def test_point_param_is_the_next_token_however_it_looks(param, capsys):
+    """argparse reads -1e6 or -.5e1 as an option, but the token after
+    --param is its value: the run matches the --param= form byte for byte."""
+    joined = main(["point", "--kind", "delta", f"--param={param}", "--json"]), capsys.readouterr()
+    spaced = main(["point", "--kind", "delta", "--param", param, "--json"]), capsys.readouterr()
+    assert spaced == joined
+    assert spaced[0] == 0
+
+
+def test_point_param_minus_inf_is_refused(capsys):
+    assert main(["point", "--kind", "delta", "--param", "-inf"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
 

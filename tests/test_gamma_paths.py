@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from levlab.loops import (
     BoundaryPath,
     ResonanceClass,
     Sector,
+    chord_winding,
     connector_winding,
     loop_winding,
     r_even,
@@ -234,3 +236,85 @@ def test_closed_form_matches_sampled_connector_on_golden_point_ends():
 @given(st.floats(0.01, 100.0), st.sampled_from([-1.0, 1.0]))
 def test_closed_form_matches_sampled_exceptional_connectors(magnitude, sign):
     assert_closed_form_matches_sampled(threshold_matrix(ResonanceClass.exceptional(sign * magnitude)))
+
+
+ADMITTED_ENDS = {
+    f"{name}-{sector.value}": restrict(end, sector)
+    for name, end in ENDPOINTS.items()
+    for sector in Sector
+    if unitarity_defect(restrict(end, sector)) < 1e-10
+}
+
+
+@pytest.mark.parametrize("name", list(ADMITTED_ENDS))
+def test_connector_det_is_a_chord_det(name):
+    """det C(x) and det((1 - theta) J + theta s), J = diag(-i, i) and
+    theta = 1 / (1 + exp(-pi x)), differ by a positive factor: the connector
+    winds as the chord from J to its endpoint."""
+    s = ADMITTED_ENDS[name]
+    chord_start = np.diag([-1j, 1j])
+    xs = np.geomspace(1e-3, 10.0, 97)
+    for x in np.concatenate([-xs[::-1], xs]).tolist():
+        theta = 1.0 / (1.0 + math.exp(-math.pi * x))
+        connector = np.linalg.det(_matrix_formula(s, x))
+        chord = np.linalg.det((1.0 - theta) * chord_start + theta * s)
+        assert abs(np.angle(connector * np.conj(chord))) < 1e-12, x
+    assert connector_winding(s) == chord_winding(np.stack([chord_start, s]))
+
+
+@pytest.mark.parametrize("scale", [1.0 - 1e-9, 1.0 + 1e-9])
+@pytest.mark.parametrize("name", list(ADMITTED_ENDS))
+def test_connector_refuses_endpoints_off_unitary_by_1e_9(name, scale):
+    """A real scale keeps sigma_z (s - 1) Hermitian, so only the endpoint's
+    unitarity check, tighter than the 1e-8 of ``chord_winding``, refuses."""
+    s = scale * ADMITTED_ENDS[name]
+    with pytest.raises(NonUnitaryPath):
+        connector_winding(s)
+    assert_closed_form_matches_sampled(s)
+
+
+def _haar_unitary(seed):
+    """A Haar-random 2x2 unitary: QR of a complex Gaussian, phases fixed."""
+    z = np.random.default_rng(seed).standard_normal((2, 4)).view(complex)
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _near_identity(seed, distance):
+    """A unitary exp(i H) with H Hermitian of spectral norm ``distance``."""
+    z = np.random.default_rng(seed).standard_normal((2, 4)).view(complex)
+    h = z + z.conj().T
+    return scipy.linalg.expm(1j * distance * h / np.linalg.norm(h, 2))
+
+
+def _rotation_form(t, phi):
+    c, s = math.cos(t), math.sin(t)
+    return np.array([[c, np.exp(1j * phi) * s], [-np.exp(-1j * phi) * s, c]])
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+ANGLES = st.floats(0.0, 2 * math.pi)
+SIGNS = st.sampled_from([-1.0, 1.0])
+ADMITTED_FAMILY = st.one_of(
+    st.builds(_rotation_form, ANGLES, ANGLES),
+    st.builds(lambda a, b: np.diag([a, b]), SIGNS, SIGNS),
+)
+
+
+@given(
+    st.one_of(
+        st.builds(
+            lambda s, seed, distance: s @ _near_identity(seed, distance),
+            ADMITTED_FAMILY,
+            SEEDS,
+            st.sampled_from([0.0, 1e-13, 1e-6, 1e-3]),
+        ),
+        st.builds(_haar_unitary, SEEDS),
+    )
+)
+def test_exact_admission_refuses_exactly_when_sampled_does(s_end):
+    """The admitted family (rotation forms and +-1 diagonals), the same
+    right-multiplied by unitaries near the identity, and Haar unitaries:
+    ``connector_winding`` refuses exactly the endpoints whose sampled
+    connector leaves U(2), and winds the others as it does."""
+    assert_closed_form_matches_sampled(s_end)
