@@ -20,7 +20,6 @@ from .dilation import (
 from .errors import (
     ClassificationAmbiguous,
     ConfigError,
-    CornerMismatch,
     DecayTooSlow,
     GoldenMismatch,
     LevlabError,
@@ -40,7 +39,6 @@ from .loops import (
     chord_winding,
     connector_winding,
     loop_report,
-    loop_winding,
     r_even,
     r_odd,
     restrict,

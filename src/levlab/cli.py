@@ -211,11 +211,7 @@ def _cmd_potential(args) -> int:
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc))
         return _run_point_system(
-            interaction,
-            args.json,
-            corner_tol=settings.corner_tol,
-            n_samples=settings.winding_samples,
-            tol=settings.winding_tol,
+            interaction, args.json, n_samples=settings.winding_samples, tol=settings.winding_tol
         )
     if system != "potential":
         raise ConfigError(f"unknown system {system!r}")
@@ -335,13 +331,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _join_param(argv: list[str]) -> list[str]:
-    """argv with ``--param <value>`` joined into ``--param=<value>``: argparse
-    would take a value such as -1e6 or -.5e1 for an option."""
-    out = []
-    tokens = iter(argv)
+    """argv with ``--param <value>`` joined into ``--param=<value>`` under the
+    ``point`` subcommand, for every abbreviation argparse takes for --param
+    there (``--p`` to ``--param``): argparse would take a value such as -1e6
+    or -.5e1 for an option.  Every other token is left alone."""
+    # the top-level parser takes no option values: the subcommand is the
+    # first token that is not an option
+    command = next((i for i, token in enumerate(argv) if not token.startswith("-")), len(argv))
+    if argv[command : command + 1] != ["point"]:
+        return argv
+    out = argv[: command + 1]
+    tokens = iter(argv[command + 1 :])
     for token in tokens:
-        if token == "--param" and (value := next(tokens, None)) is not None:
-            token = f"--param={value}"
+        if len(token) > 2 and "--param".startswith(token) and (value := next(tokens, None)) is not None:
+            token = f"{token}={value}"
         out.append(token)
     return out
 

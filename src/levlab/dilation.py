@@ -256,14 +256,6 @@ class MellinEvaluator:
         """exp(i sign s ln x) for each target x (rows) and grid s (columns)."""
         return np.exp((1j * self.sign) * np.outer(np.log(x), self.s))
 
-    def parseval_defect(self, samples: np.ndarray) -> float:
-        """Relative mismatch of the grid norms on both sides of the transform;
-        small exactly when the discretisation resolves the function."""
-        h = np.exp(0.5 * self.u) * np.asarray(samples)
-        left = float(np.sum(np.abs(h) ** 2) * self.du)
-        right = float(np.sum(np.abs(self.forward(samples)) ** 2) * self.ds)
-        return abs(right - left) / max(left, 1e-300)
-
 
 def _multiplier_halves(
     fn: ProbeFunction, r: np.ndarray, ev: MellinEvaluator

@@ -18,10 +18,6 @@ class WindingNotConverged(LevlabError):
     """Successive winding estimates failed to stabilise at the sample cap."""
 
 
-class CornerMismatch(LevlabError):
-    """Adjacent sides of a boundary loop do not meet at their shared corner."""
-
-
 class SolverDiverged(LevlabError):
     """Transfer propagation failed its step-halving accuracy check."""
 

@@ -21,8 +21,8 @@ phase is that of the chord from diag(-i, i) to the endpoint
 (``connector_winding``).  A potential's B2 is its stack of momentum nodes
 joined by chords.  ``chord_winding`` winds all chords in closed form.  A point
 interaction's B2 is an analytic path over t in [0, 1], ending on its exact
-value at infinite momentum; ``loop_winding`` checks its corners and winds it
-by phase unwrapping with adaptive sample doubling (``winding``).
+value at infinite momentum; ``winding`` winds it by phase unwrapping with
+adaptive sample doubling, and ``loop_report`` closes it like any other B2.
 """
 
 from __future__ import annotations
@@ -33,12 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    CornerMismatch,
-    NonUnitaryPath,
-    PhaseJumpTooLarge,
-    WindingNotConverged,
-)
+from .errors import NonUnitaryPath, PhaseJumpTooLarge, WindingNotConverged
 
 # tanh saturates to 1 and sech underflows past double precision well before
 # the argument reaches this cap, so clipping changes nothing measurable while
@@ -51,11 +46,10 @@ _J = np.diag([-1j, 1j])  # where a connector's chord starts
 # norm is singular to rounding: its det phase is undefined.
 _SINGULAR_DET = 1e-14
 
-# Winding knobs of every boundary loop: initial samples per side, agreement
-# of successive doublings, largest mismatch at a corner.
+# Knobs of ``winding``: initial samples per path, agreement of successive
+# doublings.
 WINDING_SAMPLES = 257
 WINDING_TOL = 1e-9
-CORNER_TOL = 1e-8
 
 
 def r_even(x):
@@ -398,23 +392,3 @@ def loop_report(start, w2: float, end, *, n_bound: int, resonance: ResonanceClas
         residual=abs(total + n_bound),
     )
 
-
-def loop_winding(
-    b2: BoundaryPath,
-    *,
-    n_bound: int,
-    resonance: ResonanceClass,
-    corner_tol: float = CORNER_TOL,
-    n_samples: int = WINDING_SAMPLES,
-    tol: float = WINDING_TOL,
-) -> WindingReport:
-    """``loop_report`` around a momentum side B2 given as a path, wound by
-    ``winding``.  The end values read for the connectors must match fresh
-    evaluations of B2 to ``corner_tol``.
-    """
-    start, end = b2.eval(0.0), b2.eval(1.0)
-    defect = float(np.max(np.abs([start - b2.eval(0.0), b2.eval(1.0) - end])))
-    if not defect < corner_tol:
-        raise CornerMismatch(f"loop corners differ by {defect:.3e} >= {corner_tol:g}")
-    w2 = winding(b2, n_samples=n_samples, tol=tol)
-    return loop_report(start, w2, end, n_bound=n_bound, resonance=resonance)

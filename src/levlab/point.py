@@ -4,8 +4,11 @@ The family has two named members.  Delta couples only the even sector,
 delta-prime only the odd one; the uncoupled sector scatters as the identity.
 The coupled sector's amplitude is the Moebius map z / conj(z) of the
 momentum, so every loop here is analytic and serves as ground truth for the
-winding machinery.  Only the momentum side is built here, and
-``loops.loop_winding`` closes it into the loop and winds it.  Sector
+winding machinery.  Only the momentum side is built here: it is sampled by
+``loops.winding`` and closed into the loop by ``loops.loop_report``, as a
+potential's is.  z / conj(z) depends on the momentum only through its ratio
+to the coupling's own scale, so every finite nonzero coupling shares the
+momentum side of its twin of the same sign whose scale is 1.  Sector
 embedding and the threshold class of a sector's zero-energy value follow the
 rules of ``loops``, the same ones the potential pipeline uses.
 """
@@ -15,11 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import loops
 from .loops import (
+    WINDING_SAMPLES,
+    WINDING_TOL,
     BoundaryPath,
     Sector,
     WindingReport,
-    loop_winding,
+    loop_report,
     sector_threshold_class,
     sector_unitary,
 )
@@ -66,15 +72,6 @@ class PointInteraction:
         negative coupling; none otherwise."""
         return 1 if self.param < 0.0 else 0
 
-    @property
-    def momentum_scale(self) -> float:
-        """Momentum where the coupled amplitude turns: |alpha| / 2 for delta,
-        2 / |beta| for delta-prime; 1 for the constant couplings 0 and inf."""
-        p = abs(self.param)
-        if p == 0.0 or math.isinf(p):
-            return 1.0
-        return 0.5 * p if self.kind == DELTA else 2.0 / p
-
     def amplitude(self, kappa: float) -> complex:
         """Coupled-sector scattering amplitude z / conj(z) at momentum kappa.
 
@@ -102,29 +99,44 @@ class PointInteraction:
         return z / z.conjugate()
 
 
-def verify_levinson(interaction: PointInteraction, sector: Sector, **knobs) -> WindingReport:
+def verify_levinson(
+    interaction: PointInteraction,
+    sector: Sector,
+    *,
+    n_samples: int = WINDING_SAMPLES,
+    tol: float = WINDING_TOL,
+) -> WindingReport:
     """Full report for one parity sector: windings, bound states, and the
     residual of the index identity total = -n_bound.
 
-    The momentum side B2 follows the sector's amplitude over kappa =
-    s t / (1 - t), t in [0, 1], s the ``momentum_scale``, so it turns around
-    t = 1/2 whatever the coupling (a kappa past the float range is taken as
-    inf); ``loop_winding`` closes it, with ``knobs`` as its keyword arguments.
-    The uncoupled sector scatters as the identity throughout.
+    z / conj(z) depends on kappa only through kappa / s, with s = |alpha| / 2
+    or 2 / |beta| the momentum where the amplitude turns.  So a finite
+    nonzero coupling's momentum side B2 is that of its twin of the same sign
+    with s = 1 (alpha or beta = +-2), followed over kappa = t / (1 - t), t in
+    [0, 1]: it turns around t = 1/2 whatever the coupling, and kappa cannot
+    overflow.  ``loops.winding`` winds B2 with ``n_samples`` and ``tol``, and
+    ``loop_report`` closes it.  The uncoupled sector scatters as the identity
+    throughout.
     """
     if sector is Sector.FULL:
         raise ValueError("point-interaction verification runs per parity sector")
     coupled = sector is interaction.sector
+    p = interaction.param
+    if p != 0.0 and not math.isinf(p):
+        # same sign, s = 1: the same B2 in t and the same bound-state count
+        interaction = PointInteraction(interaction.kind, math.copysign(2.0, p))
     amplitude = interaction.amplitude if coupled else (lambda kappa: 1.0 + 0.0j)
-    scale = interaction.momentum_scale
 
     def b2_eval(t: float):
-        kappa = math.inf if t >= 1.0 else scale * t / (1.0 - t)
-        return sector_unitary(amplitude(kappa), sector)
+        return sector_unitary(amplitude(math.inf if t >= 1.0 else t / (1.0 - t)), sector)
 
-    return loop_winding(
-        BoundaryPath(b2_eval),
+    b2 = BoundaryPath(b2_eval)
+    # through the module, so that a wrapped ``loops.winding`` (the benchmark
+    # tracer, test fixtures) sees every call
+    return loop_report(
+        b2.eval(0.0),
+        loops.winding(b2, n_samples=n_samples, tol=tol),
+        b2.eval(1.0),
         n_bound=interaction.n_bound if coupled else 0,
         resonance=sector_threshold_class(sector, amplitude(0.0).real),
-        **knobs,
     )

@@ -38,7 +38,6 @@ from .errors import (
     SymmetryRequired,
 )
 from .loops import (
-    CORNER_TOL,
     WINDING_SAMPLES,
     WINDING_TOL,
     ResonanceClass,
@@ -96,8 +95,10 @@ class SolverSettings:
     The defaults satisfy every tolerance used in the test suite; loosen them
     only for exploratory runs.  ``dead_zone`` brackets the normalised slope of
     the zero-energy tail inside which neither threshold class can be
-    certified.  ``winding_samples``, ``winding_tol`` and ``corner_tol`` act on
-    point interactions only; a potential's loop is wound in closed form.
+    certified.  ``winding_samples`` and ``winding_tol`` act on point
+    interactions only; a potential's loop is wound in closed form.
+    ``corner_tol`` has no effect: it is still accepted and validated, so
+    every config that sets it keeps its exit code.
     """
 
     kappa_min: float = 1e-4
@@ -123,7 +124,7 @@ class SolverSettings:
     fd_max_growth: int = 5
     winding_samples: int = WINDING_SAMPLES
     winding_tol: float = WINDING_TOL
-    corner_tol: float = CORNER_TOL
+    corner_tol: float = 1e-8
 
     def __post_init__(self):
         """Every knob is a finite positive number of its field's type (an int

@@ -47,9 +47,9 @@ def well_family():
 
 @pytest.fixture
 def wound_paths(monkeypatch):
-    """Every path handed to ``loops.winding`` during the test, in call order;
-    ``loop_winding`` calls it through the module global, for its momentum
-    side B2 only."""
+    """Every path handed to ``loops.winding`` during the test, in call order.
+    Only a point interaction's momentum side B2 is sampled: ``verify_levinson``
+    calls ``winding`` through the ``loops`` module, once per report."""
     from levlab import loops
 
     seen = []

@@ -78,19 +78,30 @@ def test_point_rejects_bad_param(capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("param", ["-1e6", "-1E6", "-1e-6", "-1e308", "-.5e1"])
+@pytest.mark.parametrize("param", ["-1e6", "-1E6", "-1e-6", "-1e308", "-.5e1", "-1"])
 def test_point_param_is_the_next_token_however_it_looks(param, capsys):
     """argparse reads -1e6 or -.5e1 as an option, but the token after
-    --param is its value: the run matches the --param= form byte for byte."""
+    --param, or after any abbreviation argparse takes for it, is its value:
+    the run matches the --param= form byte for byte."""
     joined = main(["point", "--kind", "delta", f"--param={param}", "--json"]), capsys.readouterr()
-    spaced = main(["point", "--kind", "delta", "--param", param, "--json"]), capsys.readouterr()
-    assert spaced == joined
-    assert spaced[0] == 0
+    assert joined[0] == 0
+    for flag in ("--param", "--para", "--par", "--pa", "--p"):
+        spaced = main(["point", "--kind", "delta", flag, param, "--json"]), capsys.readouterr()
+        assert spaced == joined, flag
 
 
 def test_point_param_minus_inf_is_refused(capsys):
-    assert main(["point", "--kind", "delta", "--param", "-inf"]) == 2
-    assert "config error" in capsys.readouterr().err
+    for flag in ("--param", "--par"):
+        assert main(["point", "--kind", "delta", flag, "-inf"]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
+def test_potential_abbreviation_is_not_joined(tmp_path, capsys):
+    """Under ``potential``, --p abbreviates --phase-csv: a value that looks
+    like an option is left to argparse, which refuses it."""
+    cfg = write_config(tmp_path, WELL_CONFIG)
+    assert main(["potential", "--config", cfg, "--p", "-1e6"]) == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -131,7 +142,8 @@ def test_potential_point_system_config_checks_numerics(tmp_path, capsys):
 
 
 def test_potential_point_system_config_applies_numerics(tmp_path, capsys, monkeypatch):
-    """A point config's winding knobs reach ``loops.winding``."""
+    """A point config's winding knobs reach ``loops.winding``, and
+    ``corner_tol``, which acts on nothing, leaves the output unchanged."""
     from levlab import loops
 
     seen = []
@@ -142,10 +154,16 @@ def test_potential_point_system_config_applies_numerics(tmp_path, capsys, monkey
         return wind(path, *args, **kwargs)
 
     monkeypatch.setattr(loops, "winding", capture)
-    cfg = write_config(tmp_path, {"system": "delta", "param": -1, "numerics": {"winding_samples": 17}})
-    assert main(["potential", "--config", cfg]) == 0
-    assert "index identity: OK" in capsys.readouterr().out
-    assert [kw["n_samples"] for kw in seen] == [17, 17]
+    numerics = {"winding_samples": 17, "winding_tol": 1e-10}
+    cfg = write_config(tmp_path, {"system": "delta", "param": -1, "numerics": numerics})
+    assert main(["potential", "--config", cfg, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert "index identity: OK" in out
+    assert seen == [{"n_samples": 17, "tol": 1e-10}] * 2
+    numerics["corner_tol"] = 1e-9
+    cfg = write_config(tmp_path, {"system": "delta", "param": -1, "numerics": numerics})
+    assert main(["potential", "--config", cfg, "--json"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_potential_csv_outputs_are_deterministic(tmp_path, capsys):

@@ -12,6 +12,7 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+from levlab import loops
 from levlab.errors import NonUnitaryPath
 from levlab.loops import (
     BoundaryPath,
@@ -19,7 +20,7 @@ from levlab.loops import (
     Sector,
     chord_winding,
     connector_winding,
-    loop_winding,
+    loop_report,
     r_even,
     restrict,
     sector_unitary,
@@ -133,24 +134,31 @@ def test_odd_sector_connector_winds_plus_half():
     assert connector_winding(end) == 0.5
 
 
-def wound_report(wound_paths, b2_value, **kwargs):
-    """The report ``loop_winding`` gives around a constant momentum side; the
-    side is the only path it samples."""
+def closed_loop(b2):
+    """``loop_report`` around the momentum side b2, sampled by ``loops.winding``."""
+    return loop_report(
+        b2.eval(0.0), loops.winding(b2), b2.eval(1.0), n_bound=0, resonance=ResonanceClass.generic()
+    )
+
+
+def wound_report(wound_paths, b2_value):
+    """The report of the loop around a constant momentum side; the side is
+    the only path it samples."""
     b2 = constant_path(b2_value)
-    report = loop_winding(b2, n_bound=0, resonance=ResonanceClass.generic(), **kwargs)
+    report = closed_loop(b2)
     assert wound_paths == [b2]
     return report
 
 
 def test_endpoints_are_exact(wound_paths):
     """The reference connector starts at the identity and ends on its
-    endpoint bit for bit, and the loop's corners around a constant side meet
-    exactly: the smallest positive corner tolerance passes."""
+    endpoint bit for bit, and the loop around a constant exceptional side
+    does not wind."""
     target = threshold_matrix(ResonanceClass.exceptional(2.0))
     forward = sampled_connector(target)
     assert np.array_equal(forward.eval(0.0), I2)
     assert np.array_equal(forward.eval(1.0), target)
-    report = wound_report(wound_paths, target, corner_tol=math.ulp(0.0))
+    report = wound_report(wound_paths, target)
     assert report.w == (0.0, 0.0, 0.0, 0.0)
 
 
@@ -170,7 +178,7 @@ def test_connector_rejects_unitary_outside_family():
     with pytest.raises(NonUnitaryPath):
         connector_winding(swap)
     with pytest.raises(NonUnitaryPath):
-        loop_winding(constant_path(swap), n_bound=0, resonance=ResonanceClass.generic())
+        closed_loop(constant_path(swap))
 
 
 @given(st.floats(0.1, 10.0), st.sampled_from([-1.0, 1.0]))

@@ -1,6 +1,5 @@
 """Solvable point interactions: scattering values, tables, duality."""
 
-import functools
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from levlab import point
 from levlab.loops import Sector, restrict, sector_threshold_class, sector_unitary
 from levlab.point import DELTA, DELTA_PRIME, PointInteraction, verify_levinson
 
@@ -103,7 +101,7 @@ def test_amplitude_survives_extreme_scales(coupling):
     unit circle, and past the float range it sits at its limit sigma."""
     for kind in (DELTA, DELTA_PRIME):
         interaction = PointInteraction(kind, coupling)
-        scale = interaction.momentum_scale
+        scale = 0.5 * abs(coupling) if kind == DELTA else 2.0 / abs(coupling)
         for kappa in (1e-300, 1e-5, 1.0, 1e5, 1e300, 1.7e308, scale, 0.5 * scale, 2.0 * scale):
             value = interaction.amplitude(kappa)
             assert abs(abs(value) - 1.0) < 1e-15, (kind, kappa, value)
@@ -111,14 +109,6 @@ def test_amplitude_survives_extreme_scales(coupling):
         turn = interaction.amplitude(scale)
         assert abs(turn - (-1j if (kind == DELTA) == (coupling > 0) else 1j)) < 1e-15
     assert PointInteraction(DELTA_PRIME, 1e308).amplitude(1e10) == -1.0
-
-
-def test_momentum_scale():
-    assert PointInteraction(DELTA, -4.0).momentum_scale == 2.0
-    assert PointInteraction(DELTA_PRIME, -4.0).momentum_scale == 0.5
-    for coupling in (0.0, INF):
-        assert PointInteraction(DELTA, coupling).momentum_scale == 1.0
-        assert PointInteraction(DELTA_PRIME, coupling).momentum_scale == 1.0
 
 
 def test_interaction_matrix_embeds_by_sector():
@@ -217,10 +207,16 @@ def test_duality_swaps_dilation_sides(coupling):
     assert max(abs(a - b) for a, b in zip(odd.w, swapped)) < 1e-9
 
 
-def test_loop_corners_close(monkeypatch):
-    """Every corner of a point loop closes to 1e-12; a wider gap would raise
-    CornerMismatch."""
-    monkeypatch.setattr(point, "loop_winding", functools.partial(point.loop_winding, corner_tol=1e-12))
-    for kind, coupling in [(DELTA, -1.0), (DELTA, INF), (DELTA_PRIME, 0.5)]:
-        interaction = PointInteraction(kind, coupling)
-        verify_levinson(interaction, interaction.sector)
+MAGNITUDES = [5e-324, 1e-310, 1e-300, 0.1, 1.0, 3.7, 1e6, 1e308, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("kind", [DELTA, DELTA_PRIME])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize("sector", [Sector.EVEN, Sector.ODD])
+def test_report_depends_only_on_the_coupling_sign(kind, sign, sector):
+    """z / conj(z) depends on kappa only through kappa / s, so every finite
+    nonzero coupling, subnormal or near the float maximum, reports exactly
+    as its twin of the same sign with s = 1."""
+    twin = verify_levinson(PointInteraction(kind, 2.0 * sign), sector)
+    for magnitude in MAGNITUDES:
+        assert verify_levinson(PointInteraction(kind, sign * magnitude), sector) == twin, magnitude

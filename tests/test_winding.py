@@ -10,13 +10,14 @@ import scipy.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from levlab.errors import CornerMismatch, NonUnitaryPath, PhaseJumpTooLarge
+from levlab import loops
+from levlab.errors import NonUnitaryPath, PhaseJumpTooLarge
 from levlab.loops import (
     BoundaryPath,
     ResonanceClass,
     Sector,
     chord_winding,
-    loop_winding,
+    loop_report,
     restrict,
     unitarity_defect,
     winding,
@@ -93,24 +94,23 @@ def test_jump_discontinuity_is_detected():
         winding(path, max_samples=4097)
 
 
-def test_loop_corner_mismatch_raises():
-    """A momentum side whose end value cannot be reproduced leaves a gap at
-    the B1-B2 corner: the connector ends where B2 started on the first call."""
-    calls = []
-
-    def drifting(t):
-        calls.append(t)
-        return np.diag([-1.0, 1.0]) if len(calls) == 1 else np.eye(2)
-
-    with pytest.raises(CornerMismatch):
-        loop_winding(BoundaryPath(drifting), n_bound=0, resonance=ResonanceClass.generic())
-
-
 def test_closed_identity_loop():
-    report = loop_winding(identity_path(), n_bound=0, resonance=ResonanceClass.generic())
+    b2 = identity_path()
+    report = loop_report(
+        b2.eval(0.0), winding(b2), b2.eval(1.0), n_bound=0, resonance=ResonanceClass.generic()
+    )
     assert report.w == (0.0, 0.0, 0.0, 0.0)
     assert report.total == 0.0
     assert report.correction == 0.0
+
+
+def test_loop_refuses_a_nan_end():
+    """A momentum side that starts or ends on nan values leaves no loop: its
+    connector refuses the end."""
+    nan = np.full((2, 2), np.nan, dtype=complex)
+    for start, end in ((nan, np.eye(2)), (np.eye(2), nan)):
+        with pytest.raises(NonUnitaryPath):
+            loop_report(start, 0.0, end, n_bound=0, resonance=ResonanceClass.generic())
 
 
 def test_boundary_loop_closes_the_momentum_side(wound_paths):
@@ -118,9 +118,8 @@ def test_boundary_loop_closes_the_momentum_side(wound_paths):
     start; B3 from an identity end back to the identity and B4 do not wind.
     Only B2 is sampled."""
     b2 = arc_path(-np.pi, 0.0)  # diag(-1, 1) to the identity, half a turn up
-    # the smallest positive tolerance: only corners that meet exactly pass
-    report = loop_winding(
-        b2, n_bound=0, resonance=ResonanceClass.generic(), corner_tol=math.ulp(0.0)
+    report = loop_report(
+        b2.eval(0.0), loops.winding(b2), b2.eval(1.0), n_bound=0, resonance=ResonanceClass.generic()
     )
     (same,) = wound_paths
     assert same is b2
@@ -385,13 +384,13 @@ def _assert_windings_match_polar_reference(analysis):
         report = analysis.report(sector)
         nodes = analysis._b2_nodes(sector)
         for sampled in (interpolated_path, polar_interpolated_path):
-            reference = loop_winding(
-                sampled(params, nodes),
+            path = sampled(params, nodes)
+            reference = loop_report(
+                path.eval(0.0),
+                winding(path, n_samples=s.winding_samples, tol=s.winding_tol),
+                path.eval(1.0),
                 n_bound=report.n_bound,
                 resonance=report.resonance,
-                corner_tol=s.corner_tol,
-                n_samples=s.winding_samples,
-                tol=s.winding_tol,
             )
             gap = max(abs(a - b) for a, b in zip(report.w, reference.w))
             assert gap < 1e-12, (sector, sampled.__name__, report.w, reference.w)
