@@ -2,15 +2,16 @@
 
 The second-order equation -psi'' + V psi = kappa^2 psi is integrated as a
 product of per-cell propagators for the first-order system u = (psi, psi').
-Each cell applies the fourth-order Magnus rule on the two-point Gauss nodes;
-the update is the exact exponential of a traceless real 2x2 matrix, so every
-propagator has unit determinant, the Wronskian is preserved to rounding, and
-the assembled scattering matrix is unitary by construction.  Cells aligned
-with the breakpoints of a piecewise-constant potential make the propagation
-exact there.
+Each cell applies the sixth-order Magnus rule on the three Gauss nodes (S.
+Blanes, F. Casas and J. Ros, BIT 40 (2000) 434); the update is the exact
+exponential of a traceless real 2x2 matrix, so every propagator has unit
+determinant, the Wronskian is preserved to rounding, and the assembled
+scattering matrix is unitary by construction.  Cells aligned with the
+breakpoints of a piecewise-constant potential make the propagation exact
+there: on a constant cell every correction term of the rule is exactly zero.
 
 Accuracy (as opposed to unitarity) is controlled upstream by recomputing on a
-half-step mesh and comparing; the rule converges at fourth order, uniformly in
+half-step mesh and comparing; the rule converges at sixth order, uniformly in
 kappa because the exponential handles the free oscillation exactly.
 
 One primitive builds the propagators of a block of cells for all requested
@@ -42,7 +43,7 @@ import numpy as np
 from .errors import DecayTooSlow, ResolutionInsufficient
 from .potentials import Potential
 
-_GAUSS_HALF_GAP = 0.5 / math.sqrt(3.0)  # offset of the two Gauss nodes from midcell
+_GAUSS_OUTER = math.sqrt(15.0) / 10.0  # offset of the outer Gauss nodes from midcell, in widths
 
 # Values per block of propagator entries (cells x momenta) or of Sturm pivots;
 # bounds the memory of the block-wise loops.
@@ -65,10 +66,13 @@ RADIUS_CAP = 2048.0
 
 @dataclass
 class Mesh:
-    """Cell edges plus the potential sampled at the per-cell Gauss nodes."""
+    """Cell edges plus the potential sampled at the three per-cell Gauss
+    nodes: midcell (``v_mid``) and midcell -+ sqrt(15)/10 of the cell width
+    (``v_lo``, ``v_hi``)."""
 
     edges: np.ndarray
     v_lo: np.ndarray
+    v_mid: np.ndarray
     v_hi: np.ndarray
 
     @property
@@ -76,17 +80,19 @@ class Mesh:
         return self.edges.size - 1
 
     def halved(self, potential: Potential) -> "Mesh":
-        mids = 0.5 * (self.edges[:-1] + self.edges[1:])
-        edges = np.sort(np.concatenate([self.edges, mids]))
+        edges = np.empty(2 * self.edges.size - 1)
+        edges[0::2] = self.edges
+        edges[1::2] = 0.5 * (self.edges[:-1] + self.edges[1:])
         return _mesh_from_edges(potential, edges)
 
 
 def _mesh_from_edges(potential: Potential, edges: np.ndarray) -> Mesh:
     h = np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
-    lo = mid - _GAUSS_HALF_GAP * h
-    hi = mid + _GAUSS_HALF_GAP * h
-    return Mesh(edges=edges, v_lo=potential(lo), v_hi=potential(hi))
+    gap = _GAUSS_OUTER * h
+    return Mesh(
+        edges=edges, v_lo=potential(mid - gap), v_mid=potential(mid), v_hi=potential(mid + gap)
+    )
 
 
 def build_mesh(
@@ -178,12 +184,35 @@ class TransferEngine:
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
+        # Per-cell coefficients of the sixth-order Magnus rule.  With
+        # A = [[0, 1], [V - kappa^2, 0]] at the three Gauss nodes,
+        #   alpha1 = h A_2, alpha2 = (sqrt(15) h / 3)(A_3 - A_1),
+        #   alpha3 = (10 h / 3)(A_3 - 2 A_2 + A_1),
+        #   Omega = alpha1 + alpha3 / 12
+        #           + [-20 alpha1 - alpha3 + C1, alpha2 + C2] / 240,
+        # C1 = [alpha1, alpha2], C2 = -[alpha1, 2 alpha3 + C1] / 60.  alpha2
+        # and alpha3 are the lower-left entries a and b alone, free of kappa,
+        # so Omega = [[X, Y], [Z, -X]] is polynomial in q = V_2 - kappa^2:
+        # X = x0 + x1 q and Z = Y q + z0 + w q, with Y free of kappa.  On a
+        # constant cell a = b = 0, Y = h, and x0, x1, z0 and w are exactly 0.0.
         h = np.diff(mesh.edges)
-        self._h = h
-        self._vbar = 0.5 * (mesh.v_lo + mesh.v_hi)
-        # Commutator coefficient of the fourth-order Magnus rule; independent
-        # of kappa because the kappa^2 shift cancels in the node difference.
-        self._d = (math.sqrt(3.0) / 12.0) * h * h * (mesh.v_hi - mesh.v_lo)
+        h2 = h * h
+        a = (math.sqrt(15.0) / 3.0) * h * (mesh.v_hi - mesh.v_lo)
+        b = (10.0 / 3.0) * h * ((mesh.v_hi - 2.0 * mesh.v_mid) + mesh.v_lo)
+        a2 = (h2 * h) * (a * a) / 30.0
+        y = h + (a2 - (2.0 / 3.0) * h2 * b) / 120.0
+        w = h2 * b / 90.0
+        z0 = b / 12.0 + (h * (b * b) / 30.0 - h * (a * a)) / 120.0
+        self._v = mesh.v_mid
+        self._x0 = (-20.0 * h * a + h2 * a * b / 30.0) / 240.0
+        self._x1 = (h2 * h) * a / 180.0
+        self._y = y
+        self._z0 = z0
+        self._w = w
+        # theta^2 = X^2 + Y Z = X^2 + (p0 + p1 q); p0 = 0.0 and p1 = h^2 on a
+        # constant cell.
+        self._p0 = y * z0
+        self._p1 = y * (y + w)
 
     @property
     def x_min(self) -> float:
@@ -196,18 +225,26 @@ class TransferEngine:
     def _propagators(self, cells: slice, k2: np.ndarray) -> np.ndarray:
         """Entries (e11, e12, e21, e22) of the cell propagators, as
         ``(4, cells, k)``, for the energies ``k2``."""
-        h = self._h[cells, None]
-        d = self._d[cells, None]
-        qbar = self._vbar[cells, None] - k2
-        theta2 = d * d + h * h * qbar
+        q = self._v[cells, None] - k2
+        x = self._x1[cells, None] * q
+        x += self._x0[cells, None]
+        theta2 = self._p1[cells, None] * q
+        theta2 += self._p0[cells, None]
+        theta2 += x * x
         c, snc = _cosh_sinhc(theta2)
-        # exp(Omega) with Omega = [[-d, h], [h qbar, d]] (traceless).
+        # exp(Omega) = c + snc Omega with Omega = [[X, Y], [Z, -X]]; entry 21
+        # is (snc Y) q + snc (z0 + w q), whose second term is 0.0 on a
+        # constant cell.
         out = np.empty((4,) + theta2.shape)
-        snc_d = snc * d
-        np.subtract(c, snc_d, out=out[0])
-        np.multiply(snc, h, out=out[1])
-        np.multiply(out[1], qbar, out=out[2])
-        np.add(c, snc_d, out=out[3])
+        x *= snc
+        np.add(c, x, out=out[0])
+        np.multiply(snc, self._y[cells, None], out=out[1])
+        np.multiply(out[1], q, out=out[2])
+        z = self._w[cells, None] * q
+        z += self._z0[cells, None]
+        z *= snc
+        out[2] += z
+        np.subtract(c, x, out=out[3])
         return out
 
     def transfer(self, kappas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -35,6 +35,20 @@ def random_well_family(n_members=WELL_FAMILY_SIZE, seed=WELL_FAMILY_SEED):
     return family
 
 
+def sech2_well(lam):
+    """The Poschl-Teller well -lam (lam + 1) sech^2 x, symmetric, written
+    with exp(-2|x|) so it never overflows."""
+    from levlab.potentials import Potential
+
+    def profile(x: np.ndarray) -> np.ndarray:
+        e = np.exp(-2.0 * np.abs(x))
+        return -lam * (lam + 1.0) * 4.0 * e / (1.0 + e) ** 2
+
+    return Potential(
+        profile=profile, symmetric=True, features=((0.0, 1.0),), label=f"sech2 {lam:g}"
+    )
+
+
 @pytest.fixture(scope="session")
 def well_family():
     """One analysis object per family member, shared across the session so

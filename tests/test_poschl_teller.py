@@ -1,0 +1,88 @@
+"""Poschl-Teller wells as a closed-form oracle for a smooth potential.
+
+V = -lambda (lambda + 1) sech^2 x is solved exactly (G. Poschl and E. Teller,
+Z. Phys. 83 (1933) 143; Landau-Lifshitz, QM, Sec. 25):
+
+* t(k) = G(1 + lambda - ik) G(-lambda - ik) / (G(1 - ik) G(-ik));
+* r(k) = G(1 + lambda - ik) G(-lambda - ik) G(ik) /
+  (G(-lambda) G(1 + lambda) G(-ik)), which vanishes at integer lambda;
+* bound states at kappa_n = lambda - n > 0, so N = ceil(lambda);
+* at integer lambda a zero-energy half-bound state P_lambda(tanh x): an
+  exceptional threshold with gamma = (-1)^lambda.
+
+The amplitudes are evaluated with complex log-gamma, independently of the
+transfer machinery they check.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.special import loggamma, rgamma
+
+from levlab.scattering import PotentialAnalysis
+
+from conftest import sech2_well
+
+KAPPAS = np.array([0.05, 0.3, 1.0, 3.0, 10.0])
+AMPLITUDE_TOL = 1e-9
+WINDING_TOL = 1e-9
+
+
+def closed_form_amplitudes(lam: float, kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t, r) of the sech^2 well, phases referenced to exp(+-i kappa x)."""
+    ik = 1j * kappa
+    common = loggamma(1.0 + lam - ik) + loggamma(-lam - ik)
+    t = np.exp(common - loggamma(1.0 - ik) - loggamma(-ik))
+    # 1 / G(-lambda) is 0 at integer lambda, where loggamma has a pole.
+    r = np.exp(common + loggamma(ik) - loggamma(-ik)) * (rgamma(-lam) * rgamma(1.0 + lam))
+    return t, r
+
+
+@pytest.fixture(scope="module")
+def analyses():
+    cache = {}
+
+    def get(lam):
+        if lam not in cache:
+            cache[lam] = PotentialAnalysis(sech2_well(lam))
+        return cache[lam]
+
+    return get
+
+
+def test_oracle_is_unitary():
+    for lam in (0.5, 1.0, 2.3):
+        t, r = closed_form_amplitudes(lam, KAPPAS)
+        assert np.max(np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.5, 2.3, 1.0, 2.0])
+def test_converged_amplitudes_match_closed_form(analyses, lam):
+    t, r_left, r_right = analyses(lam).engine.plane_wave_coefficients(KAPPAS)
+    t_ref, r_ref = closed_form_amplitudes(lam, KAPPAS)
+    assert np.max(np.abs(t - t_ref)) < AMPLITUDE_TOL
+    # symmetric potential: equal reflections from either side
+    assert np.max(np.abs(r_left - r_ref)) < AMPLITUDE_TOL
+    assert np.max(np.abs(r_right - r_ref)) < AMPLITUDE_TOL
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.5, 2.3])
+def test_generic_wells(analyses, lam):
+    analysis = analyses(lam)
+    n = math.ceil(lam)
+    assert analysis.n_bound_shooting == n
+    assert analysis.n_bound_fd == n
+    assert analysis.resonance.gamma is None
+    report = analysis.report()
+    assert report.w == pytest.approx((-0.5, -(n - 0.5), 0.0, 0.0), abs=WINDING_TOL)
+
+
+@pytest.mark.parametrize("lam", [1, 2])
+def test_exceptional_wells(analyses, lam):
+    analysis = analyses(float(lam))
+    assert analysis.n_bound_shooting == lam
+    assert analysis.n_bound_fd == lam
+    assert analysis.resonance.gamma == pytest.approx((-1.0) ** lam, abs=1e-6)
+    report = analysis.report()
+    assert report.w == pytest.approx((0.0, -float(lam), 0.0, 0.0), abs=WINDING_TOL)
