@@ -25,11 +25,11 @@ edges, which the threshold classifier and the shooting counter both read, is
 built from the same primitive once per engine and handed out read-only.
 
 The module also hosts the finite-difference bound-state oracle: a tridiagonal
-discretisation whose negative eigenvalues are counted by the Sturm sequence of
-its LDL^T factorisation, entered at pivot +inf, with no diagonalisation.  The
-matrix has one coupling, every off-diagonal being -1/h^2.  Only the rows
-inside the potential's ``zero_radius`` are built; the free rows beyond it are
-stepped in closed form.
+discretisation of the full line whose negative eigenvalues are counted by the
+Sturm sequence of its LDL^T factorisation, entered at pivot +inf, with no
+diagonalisation.  The matrix has one coupling, every off-diagonal being
+-1/h^2.  Only the rows inside the potential's ``zero_radius`` are built; the
+free rows beyond it, at either end, are stepped in closed form.
 """
 
 from __future__ import annotations
@@ -415,92 +415,63 @@ def sturm_negative_count(diag: np.ndarray, c: float, *, head: int = 0, tail: int
     negative.  ``c`` must be positive with c*c a normal double; a
     finite-difference coupling 1/h^2 is far inside that range.
 
-    Free rows are stepped in closed form: a row is free when its diagonal
-    entry is 2c bit for bit (V = 0, or below half an ulp of 2/h^2).  A run
-    of free rows costs O(1): it has at most one negative pivot, at an index
-    known in closed form, and its exit pivot follows from the entry pivot.
-    The head and the tail are one run each; runs inside ``diag`` are found
-    one block at a time and break at block edges.  Every other row takes
-    the row-by-row recurrence, so its pivot, pivmin rule and sign rule are
-    the loop's exactly; pivots after a free run differ from the loop's only
-    at the rounding level.
+    A row is free when its diagonal entry is 2c bit for bit (V = 0, or below
+    half an ulp of 2/h^2).  The free rows at either end of ``diag`` join the
+    head and the tail, and each of those two runs is stepped in closed form
+    in O(1): it has at most one negative pivot, at an index known in closed
+    form, and its exit pivot follows from the entry pivot.  Every row
+    between takes the row-by-row recurrence, so its pivot, pivmin rule and
+    sign rule are the loop's exactly; pivots after a free run differ from
+    the loop's only at the rounding level.
     """
     c = float(c)
-    d, count = _free_run(math.inf, c, head)
-    for start in range(0, diag.size, BLOCK_ELEMENTS):
-        a = diag[start : start + BLOCK_ELEMENTS]
-        free = a == c + c
-        # Segments: maximal stretches of free rows, or of other rows.
-        cuts = [0, *(np.flatnonzero(free[1:] != free[:-1]) + 1).tolist(), a.size]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if free[lo]:
-                d, negatives = _free_run(d, c, hi - lo)
-            else:
-                # Python floats: fast to loop over, with memory bounded by the block.
-                d, negatives = _step_rows(d, a[lo:hi].tolist(), c * c)
-            count += negatives
-    d, negatives = _free_run(d, c, tail)
+    kept = np.flatnonzero(diag != c + c)
+    lo, hi = (int(kept[0]), int(kept[-1]) + 1) if kept.size else (diag.size, diag.size)
+    d, count = _free_run(math.inf, c, head + lo)
+    for start in range(lo, hi, BLOCK_ELEMENTS):
+        # Python floats: fast to loop over, with memory bounded by the block.
+        d, negatives = _step_rows(d, diag[start : min(start + BLOCK_ELEMENTS, hi)].tolist(), c * c)
+        count += negatives
+    d, negatives = _free_run(d, c, diag.size - hi + tail)
     return count + negatives
 
 
-def _fd_count_once(potential: Potential, box: float, n: int, parity: str | None) -> int:
+def _fd_count_once(potential: Potential, box: float, n: int) -> int:
+    # Row i sits at np.linspace(-box, box, n + 2)[i + 1], evaluated as
+    # np.linspace does: j * step + start with step = (stop - start) / div.
+    box = float(box)
+    step = (box - -box) / (n + 1)
+
+    def abscissae(lo: int, hi: int) -> np.ndarray:
+        return np.arange(lo + 1, hi + 1, dtype=float) * step + -box
+
+    first, second = abscissae(0, 2)
+    h = second - first
     # Only rows [lo, hi) can feel V: elsewhere |x| > zero_radius, V(x) is
     # exactly 0.0 and diag is 2/h^2 bit for bit, so those rows are free and
-    # are stepped as the head and tail runs, never materialised.
-    box = float(box)
+    # are stepped as the head and tail runs, never materialised.  One spare
+    # row each side absorbs the rounding of the index bounds.
     r = min(potential.zero_radius, box)
-    if parity is None:
-        # Row i sits at np.linspace(-box, box, n + 2)[i + 1], evaluated as
-        # np.linspace does: j * step + start with step = (stop - start) / div.
-        step = (box - -box) / (n + 1)
-
-        def abscissae(lo: int, hi: int) -> np.ndarray:
-            return np.arange(lo + 1, hi + 1, dtype=float) * step + -box
-
-        first, second = abscissae(0, 2)
-        h = second - first
-        # One spare row each side absorbs the rounding of the index bounds.
-        lo = max(0, math.floor((box - r) / step) - 2)
-        hi = min(n, math.ceil((box + r) / step) + 1)
-        xs = abscissae(lo, hi)
-    else:
-        # Half-line grid x_i = (i + 1/2) h with a reflecting condition at 0:
-        # even parity mirrors the first point, odd parity negates it.
-        h = box / n
-        lo = 0
-        hi = min(n, math.ceil(r / h) + 1)
-        xs = (np.arange(hi) + 0.5) * h
-    diag = 2.0 / (h * h) + potential(xs)
-    if parity == "even":
-        diag[0] = 1.0 / (h * h) + potential(xs[:1])[0]
-    elif parity == "odd":
-        diag[0] = 3.0 / (h * h) + potential(xs[:1])[0]
-    elif parity is not None:
-        raise ValueError(f"unknown parity {parity!r}")
+    lo = max(0, math.floor((box - r) / step) - 2)
+    hi = min(n, math.ceil((box + r) / step) + 1)
+    diag = 2.0 / (h * h) + potential(abscissae(lo, hi))
     return sturm_negative_count(diag, 1.0 / (h * h), head=lo, tail=n - hi)
 
 
-def fd_negative_eigenvalue_count(
-    potential: Potential,
-    box_half_width: float,
-    h: float,
-    *,
-    parity: str | None = None,
-) -> int:
+def fd_negative_eigenvalue_count(potential: Potential, box_half_width: float, h: float) -> int:
     """Bound states from a hard-wall finite-difference Hamiltonian.
 
     Counts eigenvalues below zero of the standard three-point discretisation
-    on [-box, box] (or the half-line [0, box] with a parity condition at the
-    origin) via the Sturm sequence.  The grid has length / h points, and no
-    fewer than ``_FD_MIN_POINTS``.  Doubling the resolution must not change
-    the count; if it does the discretisation cannot be trusted at this size.
+    on [-box, box] via the Sturm sequence.  The grid has 2 box / h points,
+    and no fewer than ``_FD_MIN_POINTS``.  Doubling the resolution must not
+    change the count; if it does the discretisation cannot be trusted at
+    this size.
     """
     if box_half_width <= 0:
         raise ValueError("box_half_width must be positive")
-    length = 2.0 * box_half_width if parity is None else box_half_width
-    n_points = max(_FD_MIN_POINTS, int(round(length / h)))
-    first = _fd_count_once(potential, box_half_width, n_points, parity)
-    second = _fd_count_once(potential, box_half_width, 2 * n_points, parity)
+    n_points = max(_FD_MIN_POINTS, int(round(2.0 * box_half_width / h)))
+    first = _fd_count_once(potential, box_half_width, n_points)
+    second = _fd_count_once(potential, box_half_width, 2 * n_points)
     if second != first:
         raise ResolutionInsufficient(
             f"negative-eigenvalue count changed from {first} to {second} "

@@ -8,7 +8,9 @@ Everything the index bookkeeping needs from a potential is produced here:
   against a small-momentum extrapolation of the scattering matrix itself,
 * the number of bound states, counted twice by unrelated routes (nodes of
   the zero-energy solution, and negative eigenvalues of a finite-difference
-  Hamiltonian),
+  Hamiltonian on the full line); a parity sector's share of a symmetric
+  potential's count follows from the oscillation theorem, the n-th state
+  having parity (-1)^n,
 * the spectral-shift (time-delay) integral along the momentum side of the
   boundary square, summed from eigenphase increments,
 * the momentum side of the boundary loop, full line or per parity sector, as
@@ -344,14 +346,9 @@ def count_bound_states_shooting(engine: TransferEngine, settings: SolverSettings
     return nodes
 
 
-def count_bound_states_fd(
-    potential: Potential,
-    radius: float,
-    settings: SolverSettings,
-    *,
-    parity: str | None = None,
-) -> int:
-    """Bound states as negative eigenvalues of a finite-difference box.
+def count_bound_states_fd(potential: Potential, radius: float, settings: SolverSettings) -> int:
+    """Bound states as negative eigenvalues of a finite-difference box on
+    the full line.
 
     Independent of the propagation route: no transfer matrices, no shooting.
     The box starts large enough for the weak-coupling tail estimate and keeps
@@ -364,10 +361,10 @@ def count_bound_states_fd(
         momentum = max(SHALLOW_MOMENTUM_FACTOR * strength, SHALLOW_MOMENTUM_FLOOR)
         box = max(box, SHALLOW_DECAY_LENGTHS / momentum)
     box = min(box, FD_BOX_CAP)
-    count = fd_negative_eigenvalue_count(potential, box, settings.fd_h, parity=parity)
+    count = fd_negative_eigenvalue_count(potential, box, settings.fd_h)
     for _ in range(settings.fd_max_growth):
         bigger = settings.fd_growth * box
-        again = fd_negative_eigenvalue_count(potential, bigger, settings.fd_h, parity=parity)
+        again = fd_negative_eigenvalue_count(potential, bigger, settings.fd_h)
         if again == count:
             return count
         box, count = bigger, again
@@ -420,7 +417,6 @@ class PotentialAnalysis:
     def __init__(self, potential: Potential, settings: SolverSettings | None = None):
         self.potential = potential
         self.settings = settings or SolverSettings()
-        self._sector_counts: dict[Sector, int] = {}
         self._reports: dict[Sector, WindingReport] = {}
 
     @cached_property
@@ -482,17 +478,15 @@ class PotentialAnalysis:
         return self.n_bound_shooting
 
     def sector_bound_states(self, sector: Sector) -> int:
-        """Certified bound states of the full line, or the half-line bound
-        states of one parity sector (symmetric potentials)."""
-        if sector is Sector.FULL:
-            return self.bound_states()
+        """Certified bound states of the full line, or of one parity sector
+        of a symmetric potential.  By the oscillation theorem the n-th bound
+        state (n = 0, 1, ...) has n nodes and parity (-1)^n, so of the N
+        certified states (N + 1) // 2 are even and N // 2 are odd."""
         self._require_symmetric(sector)
-        if sector not in self._sector_counts:
-            parity = "even" if sector is Sector.EVEN else "odd"
-            self._sector_counts[sector] = count_bound_states_fd(
-                self.potential, self.radius, self.settings, parity=parity
-            )
-        return self._sector_counts[sector]
+        n = self.bound_states()
+        if sector is Sector.FULL:
+            return n
+        return (n + 1) // 2 if sector is Sector.EVEN else n // 2
 
     def sector_resonance(self, sector: Sector) -> ResonanceClass:
         """Threshold class of one parity sector.

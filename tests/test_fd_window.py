@@ -5,6 +5,10 @@ there are free (diagonal 2/h^2 bit for bit) and are stepped as a head and a
 tail run without being materialised.  These tests hold the windowed count
 to the full-grid construction it replaced: equal counts, and a window
 ``diag`` and abscissae bit-identical to the full grid's rows.
+
+The half-line grids with a reflecting first row count each parity
+sector's bound states directly; they are the oracle of the parity rule the
+analysis uses instead.
 """
 
 import math
@@ -14,15 +18,18 @@ import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
 import levlab.propagate as propagate
+from levlab.loops import Sector
 from levlab.potentials import Potential, gaussian_wells, square_well, tabulated_potential
 from levlab.propagate import sturm_negative_count
+from levlab.reporting import tuned_exceptional_well
+from levlab.scattering import PotentialAnalysis
 
-PARITIES = [None, "even", "odd"]
 
-
-def _full_grid(potential, box, n, parity):
+def _full_grid(potential, box, n, parity=None):
     """Abscissae, spacing and diagonal of the FD matrix over every row, as
-    the full-grid counter built them."""
+    the full-grid counter built them; with a ``parity`` ("even" or "odd"),
+    the half-line grid x_i = (i + 1/2) h on [0, box], whose first row
+    mirrors (even) or negates (odd) its neighbour across the origin."""
     if parity is None:
         xs = np.linspace(-box, box, n + 2)[1:-1]
         h = xs[1] - xs[0]
@@ -37,8 +44,8 @@ def _full_grid(potential, box, n, parity):
     return xs, h, diag
 
 
-def _full_count(potential, box, n, parity):
-    _, h, diag = _full_grid(potential, box, n, parity)
+def _full_count(potential, box, n):
+    _, h, diag = _full_grid(potential, box, n)
     return sturm_negative_count(diag, 1.0 / (h * h))
 
 
@@ -57,9 +64,9 @@ def windows(monkeypatch):
     return calls
 
 
-def _windowed(windows, potential, box, n, parity):
+def _windowed(windows, potential, box, n):
     """Windowed count, the window's diag and the head (its first row)."""
-    count = propagate._fd_count_once(potential, box, n, parity)
+    count = propagate._fd_count_once(potential, box, n)
     diag, head, tail = windows[-1]
     assert head + diag.size + tail == n
     return count, diag, head
@@ -80,16 +87,15 @@ def _random_potentials(kind, rng, count=10):
             yield tabulated_potential(xs, rng.uniform(-6.0, 1.0, xs.size))
 
 
-@pytest.mark.parametrize("parity", PARITIES)
 @pytest.mark.parametrize("kind", ["gaussian", "square", "tabulated"])
-def test_window_count_and_diag_match_full_grid(windows, kind, parity):
-    rng = np.random.default_rng(["gaussian", "square", "tabulated"].index(kind) * 3 + PARITIES.index(parity))
+def test_window_count_and_diag_match_full_grid(windows, kind):
+    rng = np.random.default_rng(["gaussian", "square", "tabulated"].index(kind) * 3)
     counts = []
     for potential in _random_potentials(kind, rng):
         for box, n in ((40.0, 2000), (300.0, 6001)):
-            count, diag, lo = _windowed(windows, potential, box, n, parity)
-            _, h, full = _full_grid(potential, box, n, parity)
-            assert count == _full_count(potential, box, n, parity)
+            count, diag, lo = _windowed(windows, potential, box, n)
+            _, h, full = _full_grid(potential, box, n)
+            assert count == _full_count(potential, box, n)
             # The exactness proof: every row left out is free, and every row
             # kept is the full grid's row bit for bit.
             hi = lo + diag.size
@@ -100,45 +106,36 @@ def test_window_count_and_diag_match_full_grid(windows, kind, parity):
     assert max(counts) > 1
 
 
-@pytest.mark.parametrize("parity", PARITIES)
-def test_box_narrower_than_window_takes_whole_grid(windows, parity):
+def test_box_narrower_than_window_takes_whole_grid(windows):
     wide = gaussian_wells([(0.5, 0.0, 2.0)])
     assert wide.zero_radius > 40.0
-    count, diag, head = _windowed(windows, wide, 40.0, 2000, parity)
+    count, diag, head = _windowed(windows, wide, 40.0, 2000)
     assert (head, diag.size) == (0, 2000)
-    assert count == _full_count(wide, 40.0, 2000, parity) == {None: 2, "even": 1, "odd": 1}[parity]
+    assert count == _full_count(wide, 40.0, 2000) == 2
 
 
-@pytest.mark.parametrize("parity", PARITIES)
-def test_box_wider_than_window_materialises_only_the_window(windows, parity):
+def test_box_wider_than_window_materialises_only_the_window(windows):
     well = square_well(4.0, 1.0)
-    count, diag, head = _windowed(windows, well, 300.0, 6000, parity)
+    count, diag, head = _windowed(windows, well, 300.0, 6000)
     tail = windows[-1][2]
-    assert diag.size < 60 and tail > 0
-    assert (head > 0) == (parity is None)
-    assert count == _full_count(well, 300.0, 6000, parity) == {None: 2, "even": 1, "odd": 1}[parity]
+    assert diag.size < 60 and head > 0 and tail > 0
+    assert count == _full_count(well, 300.0, 6000) == 2
 
 
-@pytest.mark.parametrize("parity", PARITIES)
-def test_window_edge_one_row_from_box_edge(windows, parity):
+def test_window_edge_one_row_from_box_edge(windows):
     box, n = 40.0, 2000
-    # Radii that leave exactly one free row at the box edge(s).
-    if parity is None:
-        step = 2.0 * box / (n + 1)
-        radius = box - 3.5 * step
-    else:
-        radius = (n - 2.5) * (box / n)
-    well = square_well(0.002, radius)
-    count, diag, head = _windowed(windows, well, box, n, parity)
+    # A radius that leaves exactly one free row at each box edge.
+    step = 2.0 * box / (n + 1)
+    well = square_well(0.002, box - 3.5 * step)
+    count, diag, head = _windowed(windows, well, box, n)
     tail = windows[-1][2]
-    assert (head, tail) == ((1, 1) if parity is None else (0, 1))
-    assert count == _full_count(well, box, n, parity)
-    _, _, full = _full_grid(well, box, n, parity)
+    assert (head, tail) == (1, 1)
+    assert count == _full_count(well, box, n)
+    _, _, full = _full_grid(well, box, n)
     assert diag.tobytes() == full[head : head + diag.size].tobytes()
 
 
-@pytest.mark.parametrize("parity", PARITIES)
-def test_window_abscissae_equal_the_full_grid(windows, parity):
+def test_window_abscissae_equal_the_full_grid(windows):
     seen = []
 
     def profile(x):
@@ -147,8 +144,8 @@ def test_window_abscissae_equal_the_full_grid(windows, parity):
 
     potential = Potential(profile=profile, zero_radius=3.0)
     box, n = 50.0, 4001
-    _, diag, lo = _windowed(windows, potential, box, n, parity)
-    xs, _, _ = _full_grid(potential, box, n, parity)
+    _, diag, lo = _windowed(windows, potential, box, n)
+    xs, _, _ = _full_grid(potential, box, n)
     assert seen[0].tobytes() == xs[lo : lo + diag.size].tobytes()
     assert 0 < diag.size < n
 
@@ -208,3 +205,41 @@ def test_sturm_padding_lengths_are_exact():
         window = np.array([0.875 * c])
         padded = sturm_negative_count(window, c, tail=tail)
         assert padded == materialised(window, 0, tail) == int(tail >= 7), tail
+
+
+def _half_line_count(potential, parity, box):
+    """Negative eigenvalues of the half-line FD matrix of one parity at the
+    FD counter's default h = 0.005, from the eigensolver; the count must
+    hold under grid doubling."""
+    counts = set()
+    for n in (round(box / 0.005), 2 * round(box / 0.005)):
+        _, spacing, diag = _full_grid(potential, box, n, parity)
+        off = np.full(n - 1, -1.0 / (spacing * spacing))
+        counts.add(eigvalsh_tridiagonal(diag, off, select="v", select_range=(-np.inf, 0.0)).size)
+    assert len(counts) == 1, (potential.label, parity, counts)
+    return counts.pop()
+
+
+SYMMETRIC_WELLS = {
+    "square depth=1": lambda: square_well(1.0, 1.0),
+    "square odd-resonance": lambda: tuned_exceptional_well("odd"),
+    "square even-resonance": lambda: tuned_exceptional_well("even"),
+    "square 50": lambda: square_well(50.0, 1.0),
+    "square 3000": lambda: square_well(3000.0, 0.5),
+    "gaussian pair 2": lambda: gaussian_wells([(2.0, 0.7, 0.5), (2.0, -0.7, 0.5)]),
+    "gaussian pair 6": lambda: gaussian_wells([(6.0, 1.5, 0.8), (6.0, -1.5, 0.8)]),
+    "gaussian pair 25": lambda: gaussian_wells([(25.0, 2.0, 1.2), (25.0, -2.0, 1.2)]),
+}
+
+
+@pytest.mark.parametrize("name", SYMMETRIC_WELLS)
+def test_sector_counts_equal_the_half_line_count(name):
+    """The parity rule, (N + 1) // 2 even and N // 2 odd states, against the
+    half-line grids."""
+    analysis = PotentialAnalysis(SYMMETRIC_WELLS[name]())
+    box = max(40.0, 1.3 * analysis.radius + 8.0)
+    even = analysis.sector_bound_states(Sector.EVEN)
+    odd = analysis.sector_bound_states(Sector.ODD)
+    assert even + odd == analysis.bound_states()
+    assert even == _half_line_count(analysis.potential, "even", box)
+    assert odd == _half_line_count(analysis.potential, "odd", box)

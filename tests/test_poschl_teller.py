@@ -6,9 +6,11 @@ Z. Phys. 83 (1933) 143; Landau-Lifshitz, QM, Sec. 25):
 * t(k) = G(1 + lambda - ik) G(-lambda - ik) / (G(1 - ik) G(-ik));
 * r(k) = G(1 + lambda - ik) G(-lambda - ik) G(ik) /
   (G(-lambda) G(1 + lambda) G(-ik)), which vanishes at integer lambda;
-* bound states at kappa_n = lambda - n > 0, so N = ceil(lambda);
+* bound states at kappa_n = lambda - n > 0, so N = ceil(lambda), of
+  parity (-1)^n: ceil(N / 2) even and floor(N / 2) odd;
 * at integer lambda a zero-energy half-bound state P_lambda(tanh x): an
-  exceptional threshold with gamma = (-1)^lambda.
+  exceptional threshold with gamma = (-1)^lambda, in the sector of parity
+  (-1)^lambda.
 
 The amplitudes are evaluated with complex log-gamma, independently of the
 transfer machinery they check.
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 from scipy.special import loggamma, rgamma
 
+from levlab.loops import ResonanceClass, Sector
 from levlab.scattering import PotentialAnalysis
 
 from conftest import sech2_well
@@ -86,3 +89,41 @@ def test_exceptional_wells(analyses, lam):
     assert analysis.resonance.gamma == pytest.approx((-1.0) ** lam, abs=1e-6)
     report = analysis.report()
     assert report.w == pytest.approx((0.0, -float(lam), 0.0, 0.0), abs=WINDING_TOL)
+
+
+_GENERIC = ResonanceClass.generic()
+
+# lambda -> {sector: (w, n, sector class)}
+SECTOR_TABLE = {
+    0.5: {
+        Sector.EVEN: ((-0.5, -0.5, 0.0, 0.0), 1, _GENERIC),
+        Sector.ODD: ((0.0, 0.0, 0.0, 0.0), 0, _GENERIC),
+    },
+    1.0: {
+        Sector.EVEN: ((-0.5, -0.5, 0.0, 0.0), 1, _GENERIC),
+        Sector.ODD: ((0.5, -0.5, 0.0, 0.0), 0, ResonanceClass.exceptional(-1.0)),
+    },
+    1.5: {
+        Sector.EVEN: ((-0.5, -0.5, 0.0, 0.0), 1, _GENERIC),
+        Sector.ODD: ((0.0, -1.0, 0.0, 0.0), 1, _GENERIC),
+    },
+    2.0: {
+        Sector.EVEN: ((0.0, -1.0, 0.0, 0.0), 1, ResonanceClass.exceptional(1.0)),
+        Sector.ODD: ((0.0, -1.0, 0.0, 0.0), 1, _GENERIC),
+    },
+    2.3: {
+        Sector.EVEN: ((-0.5, -1.5, 0.0, 0.0), 2, _GENERIC),
+        Sector.ODD: ((0.0, -1.0, 0.0, 0.0), 1, _GENERIC),
+    },
+}
+
+
+@pytest.mark.parametrize("sector", [Sector.EVEN, Sector.ODD], ids=lambda s: s.value)
+@pytest.mark.parametrize("lam", list(SECTOR_TABLE))
+def test_sector_reports(analyses, lam, sector):
+    w, n, resonance = SECTOR_TABLE[lam][sector]
+    report = analyses(lam).report(sector)
+    assert report.n_bound == n
+    assert report.resonance == resonance
+    assert report.w == pytest.approx(w, abs=WINDING_TOL)
+    assert report.residual < 1e-6

@@ -8,7 +8,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
 
 from levlab import propagate, scattering
-from levlab.errors import ClassificationAmbiguous, DecayTooSlow, PhaseJumpTooLarge
+from levlab.errors import ClassificationAmbiguous, DecayTooSlow, PhaseJumpTooLarge, ResolutionInsufficient
 from levlab.loops import Sector
 from levlab.potentials import Potential, gaussian_wells, square_well, zero_potential
 from levlab.propagate import (
@@ -146,7 +146,8 @@ def test_sturm_enters_at_pivot_inf():
 
 def _fd_matrix(depths, centres, widths, box, n, parity):
     """The finite-difference diagonal and coupling of a sum of Gaussian
-    wells, built as the FD bound-state counter builds them."""
+    wells, built as the FD bound-state counter builds them; with a
+    ``parity``, on the half-line grid with a reflecting first row."""
     if parity is None:
         xs = np.linspace(-box, box, n + 2)[1:-1]
         h = xs[1] - xs[0]
@@ -254,6 +255,43 @@ def test_sturm_crossing_on_the_last_row_of_a_run():
         pivots = _loop_pivots(diag, c)
         assert (pivots[-1] < 0.0) == last_negative
         assert sturm_negative_count(diag, c) == int(np.sum(pivots < 0.0)) == 1 + last_negative
+
+
+def test_sturm_all_free_diag():
+    # Every row is free, so the whole diag joins the head run; the free
+    # matrix (2c on the diagonal, -c off it) is positive definite.
+    for c in (1.0, 1.0 / 0.005**2):
+        for size, head, tail in ((0, 3, 4), (1, 0, 0), (7, 0, 0), (300, 5, 9)):
+            diag = np.full(size, 2.0 * c)
+            full = np.full(head + size + tail, 2.0 * c)
+            assert sturm_negative_count(diag, c, head=head, tail=tail) == 0
+            assert _loop_count(full, c) == _eig_count(full, c) == 0
+
+
+def test_sturm_interior_free_gap():
+    # Two wells far apart: every row between them is free bit for bit, and
+    # those rows take the row-by-row recurrence.
+    checked = 0
+    for depth in np.linspace(0.5, 6.0, 12):
+        diag, c = _fd_matrix([depth, depth], [50.0, -50.0], [0.5, 0.5], 120.0, 4000, None)
+        lowered = np.flatnonzero(diag != 2.0 * c)
+        inside = diag[lowered[0] : lowered[-1] + 1]
+        assert np.sum(inside == 2.0 * c) > 1000
+        expected = _loop_count(diag, c)
+        assert sturm_negative_count(diag, c) == expected == _eig_count(diag, c), depth
+        checked += expected > 0
+    assert checked > 6
+
+
+def test_sector_report_refuses_when_counters_disagree(monkeypatch):
+    # Sector counts are shares of the certified full-line count, so they
+    # inherit its refusal.
+    analysis = PotentialAnalysis(square_well(1.0, 1.0))
+    assert analysis.n_bound_shooting == 1
+    monkeypatch.setattr(PotentialAnalysis, "n_bound_fd", 2)
+    for sector in (Sector.EVEN, Sector.ODD):
+        with pytest.raises(ResolutionInsufficient, match="counters disagree"):
+            analysis.report(sector)
 
 
 def test_zero_energy_solution_is_computed_once():
