@@ -221,6 +221,9 @@ class MellinEvaluator:
         self._pre = np.exp(0.5 * self.u - 1j * (sign * self.s[0] * step_u * n + 0.5 * beta * n * n))
         self._post = np.exp(-1j * (sign * self.s * self.u[0] + 0.5 * beta * j * j)) * (self.du / _SQRT_2PI)
         self._chirp_spectrum = np.fft.fft(np.exp(0.5j * beta * k * k), self._fft_size)
+        # The universal multipliers on the spectral grid, shared by every probe.
+        self.r_even = r_even(self.s)
+        self.r_odd = r_odd(self.s)
         # Inverse kernel of the last targets: every probe of a residual check
         # is inverted at the same ray points.
         self._kernel_targets = np.empty(0)
@@ -253,8 +256,22 @@ class MellinEvaluator:
         return (self._kernel @ spectrum) * (self.ds / _SQRT_2PI) / root
 
     def _inverse_kernel(self, x: np.ndarray) -> np.ndarray:
-        """exp(i sign s ln x) for each target x (rows) and grid s (columns)."""
-        return np.exp((1j * self.sign) * np.outer(np.log(x), self.s))
+        """exp(i sign s ln x) for each target x (rows) and grid s (columns).
+
+        Built from one tangent of the half angle, u = tan(sign s ln x / 2),
+        as ((1 - u^2) + 2 i u) / (1 + u^2), written straight into the real
+        and imaginary parts of the kernel."""
+        kernel = np.empty((x.size, self.s.size), dtype=complex)
+        re, im = kernel.real, kernel.imag
+        np.multiply.outer((0.5 * self.sign) * np.log(x), self.s, out=im)
+        np.tan(im, out=im)
+        np.multiply(im, im, out=re)
+        d = re + 1.0
+        np.subtract(1.0, re, out=re)
+        re /= d
+        im += im
+        im /= d
+        return kernel
 
 
 def _multiplier_halves(
@@ -262,11 +279,13 @@ def _multiplier_halves(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(1/2)(1 - r_even) on the even part and (1/2)(1 - r_odd) on the odd
     part of fn at the ray points r; neither depends on the direction omega.
-    Each part is transformed once, and both images are inverted together."""
+    fn is sampled once at +x and once at -x for both parts, each part is
+    transformed once, and both images are inverted together."""
     targets = np.where(r <= 0.0, ORIGIN_PROXY, r)
     xs = ev.x
+    plus, minus = fn.value(xs), fn.value(-xs)
     spectra = np.stack(
-        (r_even(ev.s) * ev.forward(fn.even_part(xs)), r_odd(ev.s) * ev.forward(fn.odd_part(xs))),
+        (ev.r_even * ev.forward(0.5 * (plus + minus)), ev.r_odd * ev.forward(0.5 * (plus - minus))),
         axis=1,
     )
     images = ev.inverse_at(spectra, targets)

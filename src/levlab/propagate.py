@@ -9,6 +9,11 @@ determinant, the Wronskian is preserved to rounding, and the assembled
 scattering matrix is unitary by construction.  Cells aligned with the
 breakpoints of a piecewise-constant potential make the propagation exact
 there: on a constant cell every correction term of the rule is exactly zero.
+The exponential of Omega = [[X, Y], [Z, -X]] is c + snc Omega, with c and
+snc the cosine and sinc of s = sqrt(-theta^2), theta^2 = X^2 + Y Z (cosh and
+sinhc where theta^2 > 0).  Both come from one vectorised tangent of the half
+angle, u = tan(s/2): c = (1 - u^2)/(1 + u^2) and snc = u/((s/2)(1 + u^2)),
+with s clamped at 1e-300 so that theta^2 = 0 gives c = snc = 1 exactly.
 
 Accuracy (as opposed to unitarity) is controlled upstream by recomputing on a
 half-step mesh and comparing; the rule converges at sixth order, uniformly in
@@ -133,21 +138,34 @@ def build_mesh(
 
 
 def _cosh_sinhc(theta2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cosh(sqrt(t)), sinh(sqrt(t))/sqrt(t)) for t >= 0, continued by
-    (cos(sqrt(-t)), sin(sqrt(-t))/sqrt(-t)) for t < 0; smooth through 0."""
-    mag = np.abs(theta2)
-    s = np.sqrt(mag)
-    c = np.cos(s)
-    snc = np.sin(s)
+    """(cosh(sqrt(t)), sinh(sqrt(t))/sqrt(t)) for t > 0, continued by
+    (cos(sqrt(-t)), sin(sqrt(-t))/sqrt(-t)) for t <= 0; smooth through 0.
+
+    The oscillatory branch takes one tangent of the half angle: with
+    s = sqrt(-t), h = s/2 and u = tan(h),
+
+        cos s = (1 - u^2) / (1 + u^2),   sin(s)/s = u / (h (1 + u^2)),
+
+    within 1-2 ulp of the libm pair.  s is clamped at 1e-300, so t = 0 gives
+    exactly (1, 1); near a pole of tan, u^2 stays finite and the quotients
+    go smoothly to (-1, 0).  Only the entries with t > 0 are overwritten by
+    cosh and sinh.
+    """
+    h = np.sqrt(np.abs(theta2))
+    np.maximum(h, 1e-300, out=h)
+    h *= 0.5
+    u = np.tan(h)
+    d = u * u
+    c = 1.0 - d
+    d += 1.0
+    c /= d
+    h *= d
+    snc = np.divide(u, h, out=u)
     grow = theta2 > 0.0
     if grow.any():
-        c[grow] = np.cosh(s[grow])
-        snc[grow] = np.sinh(s[grow])
-    small = mag < 1e-12
-    np.divide(snc, s, out=snc, where=~small)
-    if small.any():
-        c[small] = 1.0 + 0.5 * theta2[small]
-        snc[small] = 1.0 + theta2[small] / 6.0
+        s = np.sqrt(theta2[grow])
+        c[grow] = np.cosh(s)
+        snc[grow] = np.sinh(s) / s
     return c, snc
 
 
@@ -156,27 +174,26 @@ def _tree_product(cells: np.ndarray) -> np.ndarray:
 
     ``cells`` holds the entries (e11, e12, e21, e22) as ``(4, m, k)``; cell
     j + 1 multiplies cell j from the left.  Each level halves the stack; an
-    odd trailing cell is carried to the next level unchanged.  Returns the
+    odd trailing cell is carried to the next level unchanged.  A level is
+    two multiplies and one add over the entries viewed as ``(2, 2, m, k)``,
+    so it costs three ufunc calls however short its stack.  Returns the
     ``(4, k)`` entries of the product.
     """
-    while cells.shape[1] > 1:
-        m = cells.shape[1]
+    k = cells.shape[2]
+    cells = cells.reshape(2, 2, -1, k)  # (row, column, cell, momentum)
+    while cells.shape[2] > 1:
+        m = cells.shape[2]
         half = m // 2
-        a = cells[:, 0 : 2 * half : 2]  # earlier cell of each pair
-        b = cells[:, 1 : 2 * half : 2]  # later cell, applied second
-        out = np.empty((4, (m + 1) // 2, cells.shape[2]))
-        np.multiply(b[0], a[0], out=out[0, :half])
-        out[0, :half] += b[1] * a[2]
-        np.multiply(b[0], a[1], out=out[1, :half])
-        out[1, :half] += b[1] * a[3]
-        np.multiply(b[2], a[0], out=out[2, :half])
-        out[2, :half] += b[3] * a[2]
-        np.multiply(b[2], a[1], out=out[3, :half])
-        out[3, :half] += b[3] * a[3]
+        a = cells[:, :, 0 : 2 * half : 2]  # earlier cell of each pair
+        b = cells[:, :, 1 : 2 * half : 2]  # later cell, applied second
+        # entry (i, j) of b a is b_i0 a_0j + b_i1 a_1j
+        out = np.empty((2, 2, (m + 1) // 2, k))
+        np.multiply(b[:, 0:1], a[0:1], out=out[:, :, :half])
+        out[:, :, :half] += b[:, 1:2] * a[1:2]
         if m % 2:
-            out[:, -1] = cells[:, -1]
+            out[:, :, -1] = cells[:, :, -1]
         cells = out
-    return cells[:, 0]
+    return cells.reshape(4, k)
 
 
 class TransferEngine:

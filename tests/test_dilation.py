@@ -173,6 +173,16 @@ def test_inverse_kernel_is_built_once_per_targets(monkeypatch):
     assert builds == [1.0, -1.0]
 
 
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+def test_inverse_kernel_matches_complex_exponential(sign):
+    # the kernel is built from tan of the half angle; the angles reach
+    # 48 |ln 1e-9|, about 1e3 rad, at the origin proxy
+    ev = MellinEvaluator(sign=sign)
+    x = np.concatenate([[1e-9], np.geomspace(0.05, 6.0, 20)])
+    want = np.exp((1j * sign) * np.outer(np.log(x), ev.s))
+    assert np.max(np.abs(ev._inverse_kernel(x) - want)) <= 1e-15
+
+
 def test_inverse_follows_new_targets(evaluator):
     ev = evaluator
     fn = ProbeFunction(GAUSSIAN, width=0.7, center=1.3)

@@ -4,7 +4,9 @@ One cell's propagator is checked against the dense exponential of the
 three-node Gauss-Magnus generator (S. Blanes, F. Casas and J. Ros, BIT 40
 (2000) 434), its corrections are checked to vanish exactly on a constant
 cell, and the probe data of the mesh-halving certificate must converge at
-sixth order.
+sixth order.  The half-angle kernel that evaluates each cell's exponential
+is checked against the libm cos/sin/cosh/sinh pair, entry by entry and
+through whole scattering grids.
 """
 
 import math
@@ -13,9 +15,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from levlab import propagate
+from levlab.loops import unitarity_defect
 from levlab.potentials import gaussian_wells
-from levlab.propagate import Mesh, TransferEngine, build_mesh, truncation_radius
-from levlab.scattering import ENGINE_PROBE_KAPPAS, zero_energy_tail
+from levlab.propagate import Mesh, TransferEngine, _cosh_sinhc, build_mesh, truncation_radius
+from levlab.scattering import ENGINE_PROBE_KAPPAS, PotentialAnalysis, s_matrix_grid, zero_energy_tail
 
 from conftest import random_well_family, sech2_well
 
@@ -111,3 +115,60 @@ def test_probe_gap_converges_at_sixth_order(potential):
     assert len(ratios) >= 2, gaps
     assert min(ratios) >= 32.0, (gaps, ratios)
 
+
+def libm_cosh_sinhc(theta2):
+    """Reference for ``_cosh_sinhc`` from the libm pairs: cos and sin of
+    s = sqrt(|theta^2|) on every entry, cosh and sinh where theta^2 > 0, and
+    a Taylor branch for |theta^2| < 1e-12."""
+    mag = np.abs(theta2)
+    s = np.sqrt(mag)
+    c = np.cos(s)
+    snc = np.sin(s)
+    grow = theta2 > 0.0
+    c[grow] = np.cosh(s[grow])
+    snc[grow] = np.sinh(s[grow])
+    small = mag < 1e-12
+    np.divide(snc, s, out=snc, where=~small)
+    c[small] = 1.0 + 0.5 * theta2[small]
+    snc[small] = 1.0 + theta2[small] / 6.0
+    return c, snc
+
+
+def test_half_angle_kernel_matches_libm_oracle():
+    rng = np.random.default_rng(11)
+    # s = (2n + 1) pi puts the half angle on a pole of tan
+    poles = np.array([(2 * n + 1) * math.pi for n in (0, 1, 7, 159, 4000, 15000)])
+    near_poles = (poles[:, None] + np.array([-1e-9, -1e-12, 0.0, 1e-12, 1e-9])).ravel()
+    angles = np.concatenate([rng.uniform(0.0, 50.0, 2000), rng.uniform(0.0, 1e5, 2000), near_poles])
+    theta2 = np.concatenate(
+        [[0.0, -1e-300, 1e-300, -1e-24, 1e-24], -(angles * angles), rng.uniform(0.0, 700.0, 500)]
+    )
+    c, snc = _cosh_sinhc(theta2)
+    want_c, want_snc = libm_cosh_sinhc(theta2)
+    s = np.sqrt(np.abs(theta2))
+    assert np.max(np.abs(c - want_c)) <= 2e-15
+    assert np.max(np.abs(s * snc - s * want_snc)) <= 2e-15
+    # theta^2 = 0 gives the identity bit for bit
+    assert c[0] == 1.0 and snc[0] == 1.0
+    # on the oscillatory side both quotients are bounded by 1, and the
+    # propagator's determinant c^2 - theta^2 snc^2 must stay 1
+    osc = theta2 <= 0.0
+    det = c[osc] * c[osc] - theta2[osc] * snc[osc] * snc[osc]
+    assert np.max(np.abs(det - 1.0)) <= 2e-15
+
+
+@pytest.mark.parametrize(
+    "potential",
+    [gaussian_wells(random_well_family()[m]) for m in (2, 3, 9)] + [sech2_well(1.5)],
+    ids=["family-member-2", "family-member-3", "family-member-9", "sech2-1.5"],
+)
+def test_scattering_grid_matches_libm_kernel(potential, monkeypatch):
+    # Up to kappa_max = 1e3, past the band the engine's probes certify.
+    analysis = PotentialAnalysis(potential)
+    grid = analysis.scattering
+    monkeypatch.setattr(propagate, "_cosh_sinhc", libm_cosh_sinhc)
+    oracle = s_matrix_grid(TransferEngine(analysis.engine.mesh), analysis.settings)
+    assert grid.kappas[-1] == analysis.settings.kappa_max
+    assert np.array_equal(grid.kappas, oracle.kappas)
+    assert np.max(np.abs(grid.matrices - oracle.matrices)) <= 1e-12
+    assert unitarity_defect(grid.matrices) < 1e-12
