@@ -11,7 +11,7 @@ import sys
 from levlab.errors import ClassificationAmbiguous
 from levlab.potentials import square_well
 from levlab.reporting import tuned_resonance_depth
-from levlab.scattering import PotentialAnalysis, zero_energy_tail_slope
+from levlab.scattering import PotentialAnalysis, zero_energy_tail
 
 
 def main():
@@ -28,9 +28,8 @@ def main():
     offsets = [args.span * i / args.count for i in range(-args.count, args.count + 1)]
     for offset in offsets:
         depth = root + offset
-        pot = square_well(depth, 1.0)
-        slope = zero_energy_tail_slope(pot)
-        analysis = PotentialAnalysis(pot)
+        analysis = PotentialAnalysis(square_well(depth, 1.0))
+        slope = zero_energy_tail(analysis.engine)[3]
         try:
             rc = analysis.resonance
             tag = "exceptional" if rc.is_exceptional else "generic"

@@ -65,6 +65,16 @@ def _report_line(sector: Sector, report: WindingReport) -> str:
     )
 
 
+def _verdict(reports: dict[str, WindingReport], as_json: bool, ok: bool = True) -> int:
+    """Print the ``--json`` block if asked, then the ``index identity:`` line;
+    the identity holds when ``ok`` and every residual is below IDENTITY_TOL."""
+    if as_json:
+        print(json.dumps({k: r.to_dict() for k, r in reports.items()}, sort_keys=True))
+    ok = ok and max(r.residual for r in reports.values()) < IDENTITY_TOL
+    print(f"index identity: {'OK' if ok else 'FAIL'}")
+    return 0 if ok else 1
+
+
 # ---------------------------------------------------------------------------
 # point
 
@@ -77,11 +87,7 @@ def _run_point_system(interaction: PointInteraction, as_json: bool, **knobs) -> 
         report = verify_levinson(interaction, sector, **knobs)
         reports[sector.value] = report
         print(_report_line(sector, report))
-    if as_json:
-        print(json.dumps({k: r.to_dict() for k, r in reports.items()}, sort_keys=True))
-    worst = max(r.residual for r in reports.values())
-    print(f"index identity: {'OK' if worst < IDENTITY_TOL else 'FAIL'}")
-    return 0 if worst < IDENTITY_TOL else 1
+    return _verdict(reports, as_json)
 
 
 def _cmd_point(args) -> int:
@@ -264,13 +270,7 @@ def _cmd_potential(args) -> int:
     if phase_path:
         _write_output(analysis.scattering.write_phase_csv, phase_path)
         print(f"wrote phase curves to {phase_path}")
-    if args.json:
-        print(json.dumps({k: r.to_dict() for k, r in reports.items()}, sort_keys=True))
-
-    worst = max(r.residual for r in reports.values())
-    ok = worst < IDENTITY_TOL and delay_gap < DELAY_TOL
-    print(f"index identity: {'OK' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    return _verdict(reports, args.json, ok=delay_gap < DELAY_TOL)
 
 
 # ---------------------------------------------------------------------------

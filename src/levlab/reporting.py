@@ -30,12 +30,11 @@ GOLDEN_TOL = 1e-6
 
 @dataclass(frozen=True)
 class TableRow:
-    """One verified configuration: computed quantities next to frozen ones."""
+    """One verified configuration: its certified report next to the frozen
+    windings and bound-state count."""
 
     label: str
-    w: tuple[float, float, float, float]
-    total: float
-    n_bound: int
+    report: WindingReport
     expected_w: tuple[float, float, float, float]
     expected_n: int
 
@@ -45,26 +44,15 @@ class TableRow:
 
     def mismatches(self, tol: float) -> list[tuple[str, float, float]]:
         """(column, computed, expected) triples exceeding the tolerance."""
-        bad = []
-        for name, got, want in zip(_COLUMNS[:4], self.w, self.expected_w):
+        r, bad = self.report, []
+        for name, got, want in zip(_COLUMNS[:4], r.w, self.expected_w):
             if abs(got - want) > tol:
                 bad.append((name, got, want))
-        if abs(self.total - self.expected_total) > tol:
-            bad.append(("total", self.total, self.expected_total))
-        if self.n_bound != self.expected_n:
-            bad.append(("n_bound", float(self.n_bound), float(self.expected_n)))
+        if abs(r.total - self.expected_total) > tol:
+            bad.append(("total", r.total, self.expected_total))
+        if r.n_bound != self.expected_n:
+            bad.append(("n_bound", float(r.n_bound), float(self.expected_n)))
         return bad
-
-
-def _row_from_report(label: str, report: WindingReport, expected_w, expected_n) -> TableRow:
-    return TableRow(
-        label=label,
-        w=report.w,
-        total=report.total,
-        n_bound=report.n_bound,
-        expected_w=tuple(float(v) for v in expected_w),
-        expected_n=int(expected_n),
-    )
 
 
 # (kind, coupling, sector, expected windings, expected bound states)
@@ -85,10 +73,9 @@ def point_table_rows() -> list[TableRow]:
     rows = []
     for kind, coupling, sector, expected_w, expected_n in _POINT_GOLDEN:
         interaction = PointInteraction(kind, coupling)
-        report = verify_levinson(interaction, sector)
         name = "alpha" if kind == DELTA else "beta"
         label = f"{kind} {name}={coupling:g} [{sector.value}]"
-        rows.append(_row_from_report(label, report, expected_w, expected_n))
+        rows.append(TableRow(label, verify_levinson(interaction, sector), expected_w, expected_n))
     return rows
 
 
@@ -158,10 +145,8 @@ def well_table_rows() -> list[TableRow]:
     for stem, factory, expectations in _WELL_GOLDEN:
         analysis = PotentialAnalysis(factory())
         for sector in (Sector.FULL, Sector.EVEN, Sector.ODD):
-            expected_w, expected_n = expectations[sector]
-            report = analysis.report(sector)
             label = f"{stem} [{sector.value}]"
-            rows.append(_row_from_report(label, report, expected_w, expected_n))
+            rows.append(TableRow(label, analysis.report(sector), *expectations[sector]))
     return rows
 
 
@@ -193,7 +178,7 @@ def render_rows(rows) -> str:
     for r in rows:
         bad = r.mismatches(GOLDEN_TOL)
         status = "ok" if not bad else "MISMATCH " + ",".join(b[0] for b in bad)
-        cells = "".join(f"{v:>9.4f}" for v in (*r.w, r.total))
-        lines.append(f"{r.label:<{width}}{cells}{r.n_bound:>4}  {status}")
+        cells = "".join(f"{v:>9.4f}" for v in (*r.report.w, r.report.total))
+        lines.append(f"{r.label:<{width}}{cells}{r.report.n_bound:>4}  {status}")
     return "\n".join(lines)
 

@@ -19,9 +19,9 @@ Everything the index bookkeeping needs from a potential is produced here:
   rules (which diagonal entry a sector keeps, and which zero-energy value is
   a half-bound state) live in ``loops``, shared with the point interactions.
 
-Momenta and matrices live in the plane-wave basis (transmission on the
-diagonal) or the even-odd basis; the index constructions use even-odd, where
-the threshold forms are real orthogonal.
+Matrices are kept in the plane-wave basis (transmission on the diagonal);
+the index constructions read their even-odd stack, where the threshold forms
+are real orthogonal.
 """
 
 from __future__ import annotations
@@ -161,16 +161,15 @@ def to_even_odd(matrices: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ScatteringData:
-    """Scattering matrices on an ascending momentum grid in a fixed basis."""
+    """Plane-basis scattering matrices on an ascending momentum grid."""
 
     kappas: np.ndarray
     matrices: np.ndarray
-    basis: str = "plane"
 
-    def in_even_odd(self) -> "ScatteringData":
-        if self.basis == "even-odd":
-            return self
-        return ScatteringData(self.kappas, to_even_odd(self.matrices), "even-odd")
+    @cached_property
+    def even_odd(self) -> np.ndarray:
+        """The matrices in the even-odd basis, converted once on first use."""
+        return to_even_odd(self.matrices)
 
     def unitarity_defect(self) -> float:
         """Worst entrywise distance of S^dag S from the identity on the grid."""
@@ -178,19 +177,19 @@ class ScatteringData:
 
     def det_phases(self) -> np.ndarray:
         """Continuously unwrapped argument of det S along the grid."""
-        dets = np.linalg.det(self.matrices)
+        dets = np.linalg.det(self.even_odd)
         return np.angle(dets[0]) + np.concatenate([[0.0], np.cumsum(phase_steps(dets))])
 
     def eigenphase_curves(self) -> np.ndarray:
         """Unwrapped eigenphases (n, 2), branches matched by eigenvector overlap."""
-        n = self.kappas.size
+        mats, n = self.even_odd, self.kappas.size
         phases = np.empty((n, 2))
-        lam, vec = np.linalg.eig(self.matrices[0])
+        lam, vec = np.linalg.eig(mats[0])
         order = np.argsort(np.angle(lam))
         lam, vec = lam[order], vec[:, order]
         phases[0] = np.angle(lam)
         for i in range(1, n):
-            w, v = np.linalg.eig(self.matrices[i])
+            w, v = np.linalg.eig(mats[i])
             overlap = np.abs(vec.conj().T @ v) ** 2
             if overlap[0, 0] + overlap[1, 1] < overlap[0, 1] + overlap[1, 0]:
                 w, v = w[::-1], v[:, ::-1]
@@ -215,9 +214,8 @@ class ScatteringData:
     def write_phase_csv(self, path) -> None:
         """Phase dump in the even-odd basis: unwrapped arg det S and both
         eigenphase curves per momentum, formatted as in ``write_csv``."""
-        eo = self.in_even_odd()
         rows = ["kappa,arg_det,phase1,phase2"]
-        for k, d, pair in zip(eo.kappas, eo.det_phases(), eo.eigenphase_curves()):
+        for k, d, pair in zip(self.kappas, self.det_phases(), self.eigenphase_curves()):
             rows.append(",".join(repr(float(v)) for v in (k, d, pair[0], pair[1])))
         _write_lines(path, rows)
 
@@ -253,7 +251,7 @@ def s_matrix_grid(engine: TransferEngine, settings: SolverSettings) -> Scatterin
         dent = np.sqrt(np.sum(np.abs(np.diff(mats, axis=0)) ** 2, axis=(1, 2)))
         need = (dphi > settings.refine_phase_step) | (dent > settings.refine_entry_step)
         if not need.any():
-            return ScatteringData(kappas, mats, "plane")
+            return ScatteringData(kappas, mats)
         mids = np.sqrt(kappas[:-1][need] * kappas[1:][need])
         kappas = np.concatenate([kappas, mids])
         mats = np.concatenate([mats, _plane_matrices(engine, mids)])
@@ -271,20 +269,19 @@ def s_matrix_grid(engine: TransferEngine, settings: SolverSettings) -> Scatterin
 
 
 def zero_energy_tail(engine: TransferEngine) -> tuple[float, float, float, float]:
-    """Asymptotic data (c1, c2, scale, ratio) of the zero-energy solution.
+    """Asymptotic data (c1, c2, scale, slope) of the zero-energy solution.
 
     The solution seeded flat (value 1, slope 0) at the left edge behaves as
-    c1 + c2 x past the right edge.  ``ratio`` is the tail slope normalised by
-    the solution's overall size and the edge position; it vanishes exactly on
-    an exceptional threshold.
+    c1 + c2 x past the right edge.  ``slope`` is c2 normalised by the
+    solution's overall size and the edge position; it vanishes exactly on an
+    exceptional threshold, and its absolute value is the classification ratio.
     """
     _, psi, dpsi = engine.edge_states()
     x_r = engine.x_max
     c2 = float(dpsi[-1])
     c1 = float(psi[-1]) - c2 * x_r
     scale = max(1.0, float(np.max(np.abs(psi))))
-    ratio = abs(c2) * max(1.0, abs(x_r)) / scale
-    return c1, c2, scale, ratio
+    return c1, c2, scale, c2 * max(1.0, abs(x_r)) / scale
 
 
 def classify_threshold(engine: TransferEngine, settings: SolverSettings) -> ResonanceClass:
@@ -295,7 +292,8 @@ def classify_threshold(engine: TransferEngine, settings: SolverSettings) -> Reso
     gamma degenerates towards zero (a zero-energy bound state rather than a
     resonance), or when the extrapolation disagrees with the classified form.
     """
-    c1, _, _, ratio = zero_energy_tail(engine)
+    c1, _, _, slope = zero_energy_tail(engine)
+    ratio = abs(slope)
     low, high = settings.dead_zone
     if ratio >= high:
         resonance = ResonanceClass.generic()
@@ -520,9 +518,9 @@ class PotentialAnalysis:
     def _b2_nodes(self, sector: Sector) -> np.ndarray:
         """B2's node values: the threshold form, the grid's scattering
         matrices in the even-odd basis, and the identity at infinite momentum."""
-        data = self.scattering.in_even_odd()
+        grid = self.scattering.even_odd
         start = restrict(threshold_matrix(self.sector_resonance(sector)), sector)
-        return np.concatenate([[start], restrict(data.matrices, sector), [_I2]])
+        return np.concatenate([[start], restrict(grid, sector), [_I2]])
 
     def time_delay(self) -> float:
         """Spectral-shift integral over the momentum side (full line)."""
@@ -532,7 +530,6 @@ class PotentialAnalysis:
         """Windings, bound states, and the residual of total = -n_bound."""
         if sector in self._reports:
             return self._reports[sector]
-        self._require_symmetric(sector)
         nodes = self._b2_nodes(sector)
         n_bound, resonance = self.sector_bound_states(sector), self.sector_resonance(sector)
         report = loop_report(
@@ -546,6 +543,4 @@ def zero_energy_tail_slope(potential: Potential) -> float:
     """Normalised tail slope of the zero-energy solution (the classification
     ratio, with sign).  Vanishes exactly at an exceptional threshold, so roots
     in a potential-family parameter locate resonant members."""
-    analysis = PotentialAnalysis(potential)
-    _, c2, scale, _ = zero_energy_tail(analysis.engine)
-    return c2 * max(1.0, analysis.engine.x_max) / scale
+    return zero_energy_tail(PotentialAnalysis(potential).engine)[3]

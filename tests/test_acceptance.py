@@ -136,15 +136,15 @@ def test_criterion_5_random_well_oracle_agreement(well_family):
 
 def test_criterion_6_sector_tables(sector_rows):
     structural = max(
-        (abs(g - w) for row in sector_rows for g, w in zip(row.w, row.expected_w)),
+        (abs(g - w) for row in sector_rows for g, w in zip(row.report.w, row.expected_w)),
         default=0.0,
     )
-    counts_ok = all(row.n_bound == row.expected_n for row in sector_rows)
+    counts_ok = all(row.report.n_bound == row.expected_n for row in sector_rows)
     sum_gap = 0.0
     for i in range(0, len(sector_rows), 3):
         full, even, odd = sector_rows[i : i + 3]
         for j in range(4):
-            sum_gap = max(sum_gap, abs(full.w[j] - (even.w[j] + odd.w[j])))
+            sum_gap = max(sum_gap, abs(full.report.w[j] - (even.report.w[j] + odd.report.w[j])))
     ok = structural <= 1e-3 and counts_ok and sum_gap <= 1e-3
     _verdict(
         ok,
@@ -162,7 +162,7 @@ def test_criterion_7_unitarity_and_integer_totals(
     totals = [a.report(Sector.FULL).total for a in analyses]
     for analysis in (generic_well, *tuned_wells.values()):
         totals += [analysis.report(s).total for s in (Sector.EVEN, Sector.ODD)]
-    totals += [row.total for row in sector_rows]
+    totals += [row.report.total for row in sector_rows]
     for kind, table in (("delta", DELTA_TABLE), ("delta-prime", DELTA_PRIME_TABLE)):
         sector = Sector.EVEN if kind == "delta" else Sector.ODD
         totals += [

@@ -7,6 +7,8 @@ agreement is a genuine cross-check of both.
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import herm2poly
+from scipy.special import wofz
 
 from levlab.dilation import (
     GAUSSIAN,
@@ -99,6 +101,49 @@ def test_parity_of_direct_route():
     assert np.max(
         np.abs(apply_halfline_fourier(even, r, -1) - apply_halfline_fourier(even, r, 1))
     ) < 1e-12
+
+
+def gaussian_tail_integral(alpha, beta, a):
+    """int_a^inf exp(-alpha u^2 + i beta u) du
+    = 1/2 sqrt(pi / alpha) exp(-alpha a^2 + i a beta) w(i z),
+    z = sqrt(alpha) a - i beta / (2 sqrt(alpha)), from erfc(z) = exp(-z^2) w(i z)
+    with w the Faddeeva function."""
+    root = np.sqrt(alpha)
+    z = root * a - 1j * beta / (2.0 * root)
+    return 0.5 * np.sqrt(np.pi / alpha) * np.exp(-alpha * a * a + 1j * a * beta) * wofz(1j * z)
+
+
+def halfline_fourier_closed_form(fn, r, omega):
+    """(T f)(r omega) of a suite probe without quadrature; independent oracle
+    for the direct route.  A Gaussian lobe exp(-i (k - mu) c - w^2 (k - mu)^2 / 2)
+    at k = omega kappa is exp(i omega mu r) times one tail integral from
+    a = -omega mu.  The Hermite probe sums the moments
+    I_n = int_0^inf kappa^n exp(-w^2 kappa^2 / 2 + i r kappa) dkappa, which
+    integration by parts chains as I_n = ([n = 1] + (n - 1) I_{n-2} + i r I_{n-1}) / w^2."""
+    r = np.asarray(r, dtype=float)
+    w = fn.width
+    alpha = 0.5 * w * w
+    if fn.kind == HERMITE:
+        moments = [gaussian_tail_integral(alpha, r, 0.0)]
+        for n in range(1, fn.order + 1):
+            lower = 1.0 if n == 1 else (n - 1) * moments[n - 2]
+            moments.append((lower + 1j * r * moments[n - 1]) / (w * w))
+        coeffs = herm2poly(np.eye(fn.order + 1)[fn.order])
+        total = sum(c * (w * omega) ** j * moments[j] for j, c in enumerate(coeffs))
+        return fn.amplitude * w * (-1j) ** fn.order * total / np.sqrt(2.0 * np.pi)
+    total = sum(
+        np.exp(1j * omega * mu * r) * gaussian_tail_integral(alpha, r - omega * fn.center, -omega * mu)
+        for mu in (fn.freq, -fn.freq)
+    )
+    return fn.amplitude * 0.5 * w * total / np.sqrt(2.0 * np.pi)
+
+
+@pytest.mark.parametrize("omega", (1, -1))
+@pytest.mark.parametrize("fn", default_suite(), ids=lambda f: f.label)
+def test_direct_route_matches_closed_form(fn, omega):
+    r = np.geomspace(0.05, 6.0, 20)
+    exact = halfline_fourier_closed_form(fn, r, omega)
+    assert np.max(np.abs(apply_halfline_fourier(fn, r, omega) - exact)) < 1e-12
 
 
 def test_quadrature_reports_nonconvergence():

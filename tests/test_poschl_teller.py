@@ -22,8 +22,9 @@ import numpy as np
 import pytest
 from scipy.special import loggamma, rgamma
 
+from levlab.errors import ClassificationAmbiguous
 from levlab.loops import ResonanceClass, Sector
-from levlab.scattering import PotentialAnalysis
+from levlab.scattering import PotentialAnalysis, zero_energy_tail
 
 from conftest import sech2_well
 
@@ -127,3 +128,49 @@ def test_sector_reports(analyses, lam, sector):
     assert report.resonance == resonance
     assert report.w == pytest.approx(w, abs=WINDING_TOL)
     assert report.residual < 1e-6
+
+
+# Near-integer sweep, lambda = n +- eps.  The state nearest the threshold sits
+# at kappa = eps (bound above n, virtual below), and the normalised tail slope
+# of the zero-energy solution is about 27 eps: the default dead zone
+# [1e-6, 1e-3] holds eps = 1e-5 and 1e-6.  Outcome each eps must reach; at
+# eps missing here (1e-2, 1e-3) a refusal is admitted too, though the slope
+# lies far above the dead zone.
+NEAR_EPS = (0.3, 0.02, 1e-2, 1e-3, 1e-5, 1e-6, 1e-8)
+NEAR_REQUIRED = {0.3: "generic", 0.02: "generic", 1e-5: "dead zone", 1e-6: "dead zone", 1e-8: "exceptional"}
+
+
+@pytest.mark.parametrize("eps", NEAR_EPS)
+@pytest.mark.parametrize("side", (-1, 1), ids=("below", "above"))
+@pytest.mark.parametrize("n", (1, 2))
+def test_near_integer_sweep_certifies_closed_form_or_refuses(analyses, n, side, eps):
+    lam = n + side * eps
+    analysis = analyses(lam)
+    required = NEAR_REQUIRED.get(eps)
+    try:
+        resonance = analysis.resonance
+    except ClassificationAmbiguous as exc:
+        assert required in (None, "dead zone"), f"lambda = {lam!r} refused: {exc}"
+        if required == "dead zone":
+            assert "dead zone" in str(exc)
+        return
+    if resonance.is_exceptional:
+        assert required == "exceptional", f"lambda = {lam!r} certified exceptional"
+        assert resonance.gamma == pytest.approx((-1.0) ** n, abs=1e-6)
+        count, w = n, (0.0, -float(n), 0.0, 0.0)
+    else:
+        assert required in (None, "generic"), f"lambda = {lam!r} certified generic"
+        count = math.ceil(lam)
+        w = (-0.5, -(count - 0.5), 0.0, 0.0)
+    assert analysis.n_bound_shooting == count
+    assert analysis.n_bound_fd == count
+    report = analysis.report()
+    assert report.n_bound == count
+    assert report.w == pytest.approx(w, abs=WINDING_TOL)
+
+
+@pytest.mark.parametrize("eps", NEAR_EPS)
+@pytest.mark.parametrize("n", (1, 2))
+def test_tail_slope_changes_sign_across_integer_lambda(analyses, n, eps):
+    below, above = (zero_energy_tail(analyses(n + side * eps).engine)[3] for side in (-1, 1))
+    assert below * above < 0.0

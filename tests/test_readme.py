@@ -27,6 +27,7 @@ def test_python_api_block_runs_and_matches_its_comments(tmp_path, monkeypatch):
     assert report.w == pytest.approx((-0.5, -0.5, 0.0, 0.0), abs=1e-6)
     assert report.total == pytest.approx(-1.0, abs=1e-6)
     assert analysis.time_delay() == pytest.approx(0.5, abs=1e-6)
+    assert analysis.scattering.even_odd.shape == analysis.scattering.matrices.shape
     assert (tmp_path / "s.csv").is_file() and (tmp_path / "phases.csv").is_file()
 
 

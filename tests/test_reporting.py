@@ -27,7 +27,8 @@ def test_point_table_matches_golden(point_rows):
 
 
 def test_tampered_row_is_named(point_rows):
-    bad = dataclasses.replace(point_rows[0], w=(0.25, -0.5, 0.0, 0.0))
+    row = point_rows[0]
+    bad = dataclasses.replace(row, report=dataclasses.replace(row.report, w=(0.25, -0.5, 0.0, 0.0)))
     with pytest.raises(GoldenMismatch) as err:
         check_golden([point_rows[1], bad])
     message = str(err.value)
@@ -36,7 +37,8 @@ def test_tampered_row_is_named(point_rows):
 
 
 def test_wrong_bound_count_is_named(point_rows):
-    bad = dataclasses.replace(point_rows[0], n_bound=3)
+    row = point_rows[0]
+    bad = dataclasses.replace(row, report=dataclasses.replace(row.report, n_bound=3))
     with pytest.raises(GoldenMismatch, match="n_bound"):
         check_golden([bad])
 
@@ -50,7 +52,8 @@ def test_render_rows_lists_every_label(point_rows):
 
 
 def test_render_rows_flags_mismatch(point_rows):
-    bad = dataclasses.replace(point_rows[0], total=17.0)
+    row = point_rows[0]
+    bad = dataclasses.replace(row, report=dataclasses.replace(row.report, total=17.0))
     assert "MISMATCH" in render_rows([bad])
 
 

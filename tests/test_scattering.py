@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 from levlab import propagate, scattering
 from levlab.errors import ClassificationAmbiguous, DecayTooSlow, PhaseJumpTooLarge, ResolutionInsufficient
-from levlab.loops import Sector
+from levlab.loops import Sector, unitarity_defect
 from levlab.potentials import Potential, gaussian_wells, square_well, zero_potential
 from levlab.propagate import (
     BLOCK_ELEMENTS,
@@ -56,7 +56,25 @@ def test_grid_is_unitary_and_ascending():
     data = PotentialAnalysis(square_well(1.0, 1.0)).scattering
     assert np.all(np.diff(data.kappas) > 0)
     assert data.unitarity_defect() < 1e-10
-    assert data.in_even_odd().unitarity_defect() < 1e-10
+    assert unitarity_defect(data.even_odd) < 1e-10
+
+
+def test_grid_is_converted_to_even_odd_once(monkeypatch, tmp_path):
+    """Every sector report, the delay and the phase dump read one even-odd
+    stack; only the classifier's 2-node probe converts on its own."""
+    sizes = []
+
+    def counting(matrices):
+        sizes.append(len(matrices))
+        return to_even_odd(matrices)
+
+    monkeypatch.setattr(scattering, "to_even_odd", counting)
+    analysis = PotentialAnalysis(gaussian_wells([(2.0, 0.7, 0.5), (2.0, -0.7, 0.5)]))
+    for sector in (Sector.FULL, Sector.EVEN, Sector.ODD):
+        analysis.report(sector)
+    analysis.time_delay()
+    analysis.scattering.write_phase_csv(tmp_path / "p.csv")
+    assert [n for n in sizes if n != 2] == [analysis.scattering.kappas.size]
 
 
 def test_symmetric_well_reflections_coincide():
