@@ -27,6 +27,8 @@ adaptive sample doubling, and ``loop_report`` closes it like any other B2.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -40,7 +42,7 @@ from .errors import NonUnitaryPath, PhaseJumpTooLarge, WindingNotConverged
 # keeping cosh away from overflow.
 _ARG_CAP = 40.0
 
-_J = np.diag([-1j, 1j])  # where a connector's chord starts
+_J_ROWS = ((-1j, 0j), (0j, 1j))  # where a connector's chord starts: diag(-i, i)
 
 # A chord value with |det| at or below this share of its squared Frobenius
 # norm is singular to rounding: its det phase is undefined.
@@ -321,15 +323,15 @@ def connector_winding(s_end) -> float:
     is Hermitian, as for both zero-energy scattering forms; an endpoint off
     either by 1e-10 raises ``NonUnitaryPath``.
     """
-    s = np.asarray(s_end, dtype=complex)
-    hz = (s - np.eye(2)) * [[1.0], [-1.0]]  # sigma_z M
-    worst = max(unitarity_defect(s), float(np.max(np.abs(hz - hz.conj().T))))
+    (s00, s01), (s10, s11) = s = np.asarray(s_end, dtype=complex).tolist()
+    # the last three are the entries of sigma_z M - (sigma_z M)^dag, up to sign
+    worst = _worst(_defect(s), abs(2.0 * s00.imag), abs(2.0 * s11.imag), abs(s01 + s10.conjugate()))
     if not worst < 1e-10:
         raise NonUnitaryPath(
             f"connector endpoint leaves the unitary family along the path "
             f"(worst defect {worst:.3e} >= 1e-10)"
         )
-    return chord_winding(np.stack([_J, s]))
+    return _one_chord_winding(_J_ROWS, s)
 
 
 def chord_winding(nodes) -> float:
@@ -343,11 +345,64 @@ def chord_winding(nodes) -> float:
     parity sector, or constant).  Nodes must be unitary to 1e-8; a chord
     whose |det| at the point of [0, 1] nearest a root is at most
     ``_SINGULAR_DET`` times its squared Frobenius norm raises
-    ``NonUnitaryPath``.
+    ``NonUnitaryPath``.  A single chord (two nodes, as every connector) is
+    wound in Python complex arithmetic, longer stacks in one array pass; the
+    two agree to rounding.
     """
     us = np.asarray(nodes, dtype=complex)
     if us.ndim != 3 or us.shape[0] < 2 or us.shape[1:] != (2, 2):
         raise ValueError("need an (n, 2, 2) stack of at least two nodes")
+    if us.shape[0] == 2:
+        return _one_chord_winding(*us.tolist())
+    return _stacked_chord_winding(us)
+
+
+def _worst(*values: float) -> float:
+    """The largest of nonnegative values, or nan if any is nan, as ``np.max``."""
+    return math.nan if math.isnan(sum(values)) else max(values)
+
+
+def _defect(m) -> float:
+    """``unitarity_defect`` of one 2x2 matrix given as rows of Python complex."""
+    (a, b), (c, d) = m
+    return _worst(
+        abs(a.conjugate() * a + c.conjugate() * c - 1.0),
+        abs(a.conjugate() * b + c.conjugate() * d),
+        abs(b.conjugate() * b + d.conjugate() * d - 1.0),
+    )
+
+
+def _one_chord_winding(a, b) -> float:
+    """``chord_winding`` of the one chord from A to B, each given as rows of
+    Python complex: the same roots and checks without array set-up."""
+    worst = _worst(_defect(a), _defect(b))
+    if not worst < 1e-8:
+        raise NonUnitaryPath(f"chord node is not unitary (defect {worst:.3e})")
+    (a00, a01), (a10, a11) = a
+    d00, d01, d10, d11 = b[0][0] - a00, b[0][1] - a01, b[1][0] - a10, b[1][1] - a11
+    c = a00 * a11 - a01 * a10
+    lin = a11 * d00 - a01 * d10 - a10 * d01 + a00 * d11
+    quad = d00 * d11 - d01 * d10
+    # roots q / quad and c / q, q signed so that lin + root never cancels
+    root = cmath.sqrt(lin * lin - 4.0 * quad * c)
+    if (lin.conjugate() * root).real < 0.0:
+        root = -root
+    q = -0.5 * (lin + root)
+    recips = (0j, 0j) if q == 0.0 else (quad / q, q / c)
+    pairs = ((a00, d00), (a01, d01), (a10, d10), (a11, d11))
+    turns = 0.0
+    for recip in recips:
+        nearest = min(max((1.0 / recip).real, 0.0), 1.0) if recip else 1.0
+        det = c + nearest * (lin + nearest * quad)
+        norm = sum(abs(x + nearest * dx) ** 2 for x, dx in pairs)
+        if not abs(det) > _SINGULAR_DET * norm:
+            raise NonUnitaryPath("a chord's det vanishes on it; its det phase is undefined")
+        turns += cmath.phase(1.0 - recip)
+    return turns / (2.0 * math.pi)
+
+
+def _stacked_chord_winding(us: np.ndarray) -> float:
+    """``chord_winding`` of an (n, 2, 2) complex stack, all chords at once."""
     worst = unitarity_defect(us)
     if not worst < 1e-8:
         raise NonUnitaryPath(f"chord node is not unitary (defect {worst:.3e})")

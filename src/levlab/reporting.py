@@ -14,13 +14,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.optimize import brentq
-
-from .errors import GoldenMismatch
+from .errors import ClassificationAmbiguous, GoldenMismatch
 from .loops import Sector, WindingReport
 from .point import DELTA, DELTA_PRIME, PointInteraction, verify_levinson
 from .potentials import Potential, square_well
-from .scattering import PotentialAnalysis, zero_energy_tail_slope
+from .scattering import PotentialAnalysis, SolverSettings, zero_energy_tail_slope
 
 _COLUMNS = ("w1", "w2", "w3", "w4", "total", "n_bound")
 
@@ -86,20 +84,26 @@ def point_table_rows() -> list[TableRow]:
 @lru_cache(maxsize=None)
 def tuned_resonance_depth(variant: str) -> float:
     """Depth of the unit-half-width square well whose zero-energy solution
-    goes flat at the edge: an odd resonance near (pi/2)^2, an even one near
-    pi^2.  Located as a root of the tail slope; the propagation is exact for
-    square wells, so the root is machine precise."""
+    goes flat at the edge.  Inside the well that solution is sin(sqrt(V0) x)
+    (odd) or cos(sqrt(V0) x) (even), flat at x = 1 exactly when sqrt(V0) is
+    pi/2 or pi: the depths are (pi/2)^2 and pi^2.  The engine checks the
+    closed form once: its tail slope at that depth must lie below the dead
+    zone, on the exceptional side, or ``ClassificationAmbiguous`` is raised
+    (the closed form and the engine disagree)."""
     if variant == "odd":
-        bracket = (2.0, 3.0)
+        depth = (math.pi / 2) ** 2
     elif variant == "even":
-        bracket = (9.0, 10.5)
+        depth = math.pi**2
     else:
         raise ValueError(f"unknown resonance variant {variant!r}")
-
-    def slope(depth: float) -> float:
-        return zero_energy_tail_slope(square_well(depth, 1.0))
-
-    return float(brentq(slope, *bracket, xtol=1e-13, rtol=8.9e-16))
+    slope = zero_energy_tail_slope(square_well(depth, 1.0))
+    edge = SolverSettings().dead_zone[0]
+    if not abs(slope) < edge:
+        raise ClassificationAmbiguous(
+            f"{variant} resonance depth {depth!r}: tail slope {slope:.3e} is not "
+            f"below the dead zone's lower edge {edge:g}"
+        )
+    return depth
 
 
 def tuned_exceptional_well(variant: str) -> Potential:

@@ -2,10 +2,18 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from scipy.optimize import brentq
 
-from levlab.errors import GoldenMismatch
+import levlab
+from levlab import reporting
+from levlab.errors import ClassificationAmbiguous, GoldenMismatch
+from levlab.potentials import square_well
 from levlab.reporting import (
     check_golden,
     point_table_rows,
@@ -62,6 +70,48 @@ def test_tuned_depths_hit_closed_form_values():
     assert abs(tuned_resonance_depth("even") - math.pi**2) < 1e-12
     with pytest.raises(ValueError):
         tuned_resonance_depth("flat")
+
+
+@pytest.mark.parametrize("variant, bracket", [("odd", (2.0, 3.0)), ("even", (9.0, 10.5))])
+def test_closed_form_depths_are_roots_of_the_tail_slope(variant, bracket):
+    """The closed forms equal the root of the engine's tail slope in depth,
+    found by bisection on brackets around each resonance."""
+    root = brentq(
+        lambda depth: reporting.zero_energy_tail_slope(square_well(depth, 1.0)),
+        *bracket,
+        xtol=1e-13,
+        rtol=8.9e-16,
+    )
+    assert abs(tuned_resonance_depth(variant) - root) < 1e-12
+
+
+@pytest.mark.parametrize("slope", [1e-3, -1e-6, math.nan])
+def test_tuned_depth_refuses_a_slope_off_resonance(monkeypatch, slope):
+    """A tail slope at the closed-form depth that is not below the dead zone
+    means the closed form and the engine disagree: a typed error, not a depth."""
+    monkeypatch.setattr(reporting, "zero_energy_tail_slope", lambda potential: slope)
+    tuned_resonance_depth.cache_clear()
+    try:
+        for variant in ("odd", "even"):
+            with pytest.raises(ClassificationAmbiguous, match="dead zone"):
+                tuned_resonance_depth(variant)
+    finally:
+        tuned_resonance_depth.cache_clear()
+
+
+def test_cli_tables_import_no_scipy():
+    """numpy is the only runtime dependency: ``levlab tables`` in a fresh
+    interpreter leaves no scipy module loaded."""
+    code = (
+        "import sys\n"
+        "from levlab.cli import main\n"
+        "code = main(['tables'])\n"
+        "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(levlab.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
 
 
 def test_tuned_depth_is_cached():

@@ -292,6 +292,10 @@ def test_chord_winding_refuses_non_unitary_nodes():
         chord_winding([np.eye(2), 1.01 * np.eye(2)])
     with pytest.raises(NonUnitaryPath):
         chord_winding([np.eye(2), np.full((2, 2), np.nan)])
+    one_nan = np.array([[1.0, np.nan], [0.0, 1.0]])
+    for nodes in ([np.eye(2), one_nan], [np.eye(2), np.eye(2), one_nan]):
+        with pytest.raises(NonUnitaryPath, match="not unitary"):
+            chord_winding(nodes)
     for bad in (np.eye(2), np.eye(2)[None], np.zeros((2, 3, 3))):
         with pytest.raises(ValueError):
             chord_winding(bad)
@@ -346,6 +350,24 @@ def test_chord_steps_beyond_unit_norm_are_wound():
         nodes = np.array([np.eye(2), np.diag([np.exp(1j * phi), 1.0])])
         assert np.linalg.norm(nodes[1] - nodes[0], 2) > 1.0
         assert abs(chord_winding(nodes) - phi / (2.0 * np.pi)) < 1e-15
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(list(Sector)), st.booleans())
+def test_single_chord_matches_stacked_path(seed, sector, from_connector_start):
+    """A two-node stack is wound in Python complex arithmetic; it agrees with
+    the stacked array path to 1e-15 on random unitary endpoints, from a random
+    unitary or from the connectors' start diag(-i, i), and refuses the same
+    chords."""
+    rng = np.random.default_rng(seed)
+    start = np.diag([-1j, 1j]) if from_connector_start else _random_unitary(rng)
+    nodes = restrict(np.array([start, _random_unitary(rng)]), sector)
+    try:
+        stacked = loops._stacked_chord_winding(nodes)
+    except NonUnitaryPath:
+        with pytest.raises(NonUnitaryPath):
+            chord_winding(nodes)
+        return
+    assert abs(chord_winding(nodes) - stacked) <= 1e-15
 
 
 _REFERENCE_WELLS = {
