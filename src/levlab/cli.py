@@ -79,12 +79,12 @@ def _verdict(reports: dict[str, WindingReport], as_json: bool, ok: bool = True) 
 # point
 
 
-def _run_point_system(interaction: PointInteraction, as_json: bool, **knobs) -> int:
-    """Report both parity sectors; ``knobs`` go to ``verify_levinson``."""
+def _run_point_system(interaction: PointInteraction, as_json: bool) -> int:
+    """Report both parity sectors."""
     print(interaction.describe())
     reports = {}
     for sector in (Sector.EVEN, Sector.ODD):
-        report = verify_levinson(interaction, sector, **knobs)
+        report = verify_levinson(interaction, sector)
         reports[sector.value] = report
         print(_report_line(sector, report))
     return _verdict(reports, as_json)
@@ -205,7 +205,7 @@ def _write_output(writer, path: str) -> None:
 
 def _cmd_potential(args) -> int:
     config = _load_config(args.config)
-    settings = _build_settings(config)
+    settings = _build_settings(config)  # validated for point systems too, where no knob acts
     system = config.get("system", "potential")
     if system in (DELTA, DELTA_PRIME):
         if "param" not in config:
@@ -216,9 +216,7 @@ def _cmd_potential(args) -> int:
             interaction = PointInteraction(system, math.inf if _is_inf(param) else _real(param))
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc))
-        return _run_point_system(
-            interaction, args.json, n_samples=settings.winding_samples, tol=settings.winding_tol
-        )
+        return _run_point_system(interaction, args.json)
     if system != "potential":
         raise ConfigError(f"unknown system {system!r}")
     if "potential" not in config:

@@ -18,11 +18,11 @@ it: B1 is the threshold connector from the identity to S(0), B3 the
 connector to S(inf) run backwards, and B4 the identity, which does not wind.
 A connector's endpoint is admitted by an exact unitarity rule, and its det
 phase is that of the chord from diag(-i, i) to the endpoint
-(``connector_winding``).  A potential's B2 is its stack of momentum nodes
-joined by chords.  ``chord_winding`` winds all chords in closed form.  A point
-interaction's B2 is an analytic path over t in [0, 1], ending on its exact
-value at infinite momentum; ``winding`` winds it by phase unwrapping with
-adaptive sample doubling, and ``loop_report`` closes it like any other B2.
+(``connector_winding``).  Every B2, a potential's or a point interaction's,
+is a stack of momentum nodes joined by chords, and ``chord_winding`` winds
+all chords in closed form.  ``winding`` winds an analytic ``BoundaryPath``
+by phase unwrapping with adaptive sample doubling; no system uses it, and it
+serves as the reference the closed forms are tested against.
 """
 
 from __future__ import annotations

@@ -4,13 +4,14 @@ The family has two named members.  Delta couples only the even sector,
 delta-prime only the odd one; the uncoupled sector scatters as the identity.
 The coupled sector's amplitude is the Moebius map z / conj(z) of the
 momentum, so every loop here is analytic and serves as ground truth for the
-winding machinery.  Only the momentum side is built here: it is sampled by
-``loops.winding`` and closed into the loop by ``loops.loop_report``, as a
-potential's is.  z / conj(z) depends on the momentum only through its ratio
-to the coupling's own scale, so every finite nonzero coupling shares the
-momentum side of its twin of the same sign whose scale is 1.  Sector
-embedding and the threshold class of a sector's zero-energy value follow the
-rules of ``loops``, the same ones the potential pipeline uses.
+winding machinery.  Only the momentum side is built here: a three-node stack
+wound in closed form by ``loops.chord_winding`` and closed into the loop by
+``loops.loop_report``, as a potential's is.  z / conj(z) depends on the
+momentum only through its ratio to the coupling's own scale, so every finite
+nonzero coupling shares the momentum side of its twin of the same sign whose
+scale is 1.  Sector embedding and the threshold class of a sector's
+zero-energy value follow the rules of ``loops``, the same ones the potential
+pipeline uses.
 """
 
 from __future__ import annotations
@@ -18,13 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import loops
 from .loops import (
-    WINDING_SAMPLES,
-    WINDING_TOL,
-    BoundaryPath,
     Sector,
     WindingReport,
+    chord_winding,
     loop_report,
     sector_threshold_class,
     sector_unitary,
@@ -99,44 +97,29 @@ class PointInteraction:
         return z / z.conjugate()
 
 
-def verify_levinson(
-    interaction: PointInteraction,
-    sector: Sector,
-    *,
-    n_samples: int = WINDING_SAMPLES,
-    tol: float = WINDING_TOL,
-) -> WindingReport:
+def verify_levinson(interaction: PointInteraction, sector: Sector) -> WindingReport:
     """Full report for one parity sector: windings, bound states, and the
     residual of the index identity total = -n_bound.
 
     z / conj(z) depends on kappa only through kappa / s, with s = |alpha| / 2
     or 2 / |beta| the momentum where the amplitude turns.  So a finite
     nonzero coupling's momentum side B2 is that of its twin of the same sign
-    with s = 1 (alpha or beta = +-2), followed over kappa = t / (1 - t), t in
-    [0, 1]: it turns around t = 1/2 whatever the coupling, and kappa cannot
-    overflow.  ``loops.winding`` winds B2 with ``n_samples`` and ``tol``, and
-    ``loop_report`` closes it.  The uncoupled sector scatters as the identity
-    throughout.
+    with s = 1 (alpha or beta = +-2).  Its z runs along a line that misses
+    the origin, so z / conj(z) turns monotonically through half a turn, a
+    quarter turn on each side of kappa = 1: the node stack [S(0), S(1),
+    S(inf)] has chords shorter than half a turn, and ``chord_winding`` winds
+    it exactly.  ``loop_report`` closes it.  The uncoupled sector scatters as
+    the identity throughout.
     """
     if sector is Sector.FULL:
         raise ValueError("point-interaction verification runs per parity sector")
     coupled = sector is interaction.sector
     p = interaction.param
     if p != 0.0 and not math.isinf(p):
-        # same sign, s = 1: the same B2 in t and the same bound-state count
+        # same sign, s = 1: the same B2 and the same bound-state count
         interaction = PointInteraction(interaction.kind, math.copysign(2.0, p))
     amplitude = interaction.amplitude if coupled else (lambda kappa: 1.0 + 0.0j)
-
-    def b2_eval(t: float):
-        return sector_unitary(amplitude(math.inf if t >= 1.0 else t / (1.0 - t)), sector)
-
-    b2 = BoundaryPath(b2_eval)
-    # through the module, so that a wrapped ``loops.winding`` (the benchmark
-    # tracer, test fixtures) sees every call
-    return loop_report(
-        b2.eval(0.0),
-        loops.winding(b2, n_samples=n_samples, tol=tol),
-        b2.eval(1.0),
-        n_bound=interaction.n_bound if coupled else 0,
-        resonance=sector_threshold_class(sector, amplitude(0.0).real),
-    )
+    nodes = [sector_unitary(amplitude(kappa), sector) for kappa in (0.0, 1.0, math.inf)]
+    n_bound = interaction.n_bound if coupled else 0
+    resonance = sector_threshold_class(sector, amplitude(0.0).real)
+    return loop_report(nodes[0], chord_winding(nodes), nodes[-1], n_bound=n_bound, resonance=resonance)

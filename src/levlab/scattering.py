@@ -97,10 +97,10 @@ class SolverSettings:
     The defaults satisfy every tolerance used in the test suite; loosen them
     only for exploratory runs.  ``dead_zone`` brackets the normalised slope of
     the zero-energy tail inside which neither threshold class can be
-    certified.  ``winding_samples`` and ``winding_tol`` act on point
-    interactions only; a potential's loop is wound in closed form.
-    ``corner_tol`` has no effect: it is still accepted and validated, so
-    every config that sets it keeps its exit code.
+    certified.  ``winding_samples``, ``winding_tol`` and ``corner_tol``
+    have no effect, since every loop is wound in closed form: they are still
+    accepted and validated, so every config that sets them keeps its exit
+    code.
     """
 
     kappa_min: float = 1e-4
@@ -161,10 +161,12 @@ def to_even_odd(matrices: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ScatteringData:
-    """Plane-basis scattering matrices on an ascending momentum grid."""
+    """Plane-basis scattering matrices on an ascending momentum grid, and
+    whether they belong to a potential declared ``symmetric``."""
 
     kappas: np.ndarray
     matrices: np.ndarray
+    symmetric: bool = False
 
     @cached_property
     def even_odd(self) -> np.ndarray:
@@ -181,8 +183,16 @@ class ScatteringData:
         return np.angle(dets[0]) + np.concatenate([[0.0], np.cumsum(phase_steps(dets))])
 
     def eigenphase_curves(self) -> np.ndarray:
-        """Unwrapped eigenphases (n, 2), branches matched by eigenvector overlap."""
+        """Unwrapped eigenphases (n, 2), columns ordered by their angle at the
+        first node.  A symmetric potential's follow the two diagonal slots of
+        the even-odd stack; otherwise branches are matched by eigenvector
+        overlap, which rounding decides where two eigenphases nearly meet."""
         mats, n = self.even_odd, self.kappas.size
+        if self.symmetric:
+            slots = np.diagonal(mats, axis1=1, axis2=2)
+            slots = slots[:, np.argsort(np.angle(slots[0]))]
+            steps = np.angle(slots[1:] * np.conj(slots[:-1]))
+            return np.angle(slots[0]) + np.concatenate([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
         phases = np.empty((n, 2))
         lam, vec = np.linalg.eig(mats[0])
         order = np.argsort(np.angle(lam))
@@ -235,12 +245,14 @@ def _plane_matrices(engine: TransferEngine, kappas: np.ndarray) -> np.ndarray:
     return mats
 
 
-def s_matrix_grid(engine: TransferEngine, settings: SolverSettings) -> ScatteringData:
+def s_matrix_grid(
+    engine: TransferEngine, settings: SolverSettings, *, symmetric: bool = False
+) -> ScatteringData:
     """Plane-basis scattering matrices on a refined geometric momentum grid.
 
     Midpoints are inserted wherever the determinant phase or the entries jump
     by more than the configured steps, so every neighbour pair is close enough
-    for unambiguous phase tracking.
+    for unambiguous phase tracking.  ``symmetric`` is passed on to the result.
     """
     decades = math.log10(settings.kappa_max / settings.kappa_min)
     n0 = int(round(decades * settings.points_per_decade)) + 1
@@ -251,7 +263,7 @@ def s_matrix_grid(engine: TransferEngine, settings: SolverSettings) -> Scatterin
         dent = np.sqrt(np.sum(np.abs(np.diff(mats, axis=0)) ** 2, axis=(1, 2)))
         need = (dphi > settings.refine_phase_step) | (dent > settings.refine_entry_step)
         if not need.any():
-            return ScatteringData(kappas, mats)
+            return ScatteringData(kappas, mats, symmetric)
         mids = np.sqrt(kappas[:-1][need] * kappas[1:][need])
         kappas = np.concatenate([kappas, mids])
         mats = np.concatenate([mats, _plane_matrices(engine, mids)])
@@ -451,7 +463,7 @@ class PotentialAnalysis:
     @cached_property
     def scattering(self) -> ScatteringData:
         """Plane-basis scattering matrices on the refined momentum grid."""
-        return s_matrix_grid(self.engine, self.settings)
+        return s_matrix_grid(self.engine, self.settings, symmetric=self.potential.symmetric)
 
     @cached_property
     def resonance(self) -> ResonanceClass:

@@ -62,8 +62,8 @@ def well_family():
 @pytest.fixture
 def wound_paths(monkeypatch):
     """Every path handed to ``loops.winding`` during the test, in call order.
-    Only a point interaction's momentum side B2 is sampled: ``verify_levinson``
-    calls ``winding`` through the ``loops`` module, once per report."""
+    Every momentum side of the package is wound in closed form, so only the
+    tests' own sampled reference paths show up here."""
     from levlab import loops
 
     seen = []

@@ -141,27 +141,15 @@ def test_potential_point_system_config_checks_numerics(tmp_path, capsys):
     assert "config error: unknown numerics keys: bogus" in captured.err
 
 
-def test_potential_point_system_config_applies_numerics(tmp_path, capsys, monkeypatch):
-    """A point config's winding knobs reach ``loops.winding``, and
-    ``corner_tol``, which acts on nothing, leaves the output unchanged."""
-    from levlab import loops
-
-    seen = []
-    wind = loops.winding
-
-    def capture(path, *args, **kwargs):
-        seen.append(kwargs)
-        return wind(path, *args, **kwargs)
-
-    monkeypatch.setattr(loops, "winding", capture)
-    numerics = {"winding_samples": 17, "winding_tol": 1e-10}
-    cfg = write_config(tmp_path, {"system": "delta", "param": -1, "numerics": numerics})
-    assert main(["potential", "--config", cfg, "--json"]) == 0
+def test_potential_point_system_config_ignores_winding_numerics(tmp_path, capsys):
+    """A point config's winding knobs and ``corner_tol`` are validated but act
+    on nothing: the output is byte-identical to the config without them."""
+    plain = {"system": "delta", "param": -1}
+    assert main(["potential", "--config", write_config(tmp_path, plain), "--json"]) == 0
     out = capsys.readouterr().out
     assert "index identity: OK" in out
-    assert seen == [{"n_samples": 17, "tol": 1e-10}] * 2
-    numerics["corner_tol"] = 1e-9
-    cfg = write_config(tmp_path, {"system": "delta", "param": -1, "numerics": numerics})
+    numerics = {"winding_samples": 17, "winding_tol": 1e-10, "corner_tol": 1e-9}
+    cfg = write_config(tmp_path, dict(plain, numerics=numerics), name="knobs.json")
     assert main(["potential", "--config", cfg, "--json"]) == 0
     assert capsys.readouterr().out == out
 

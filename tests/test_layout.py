@@ -66,3 +66,24 @@ def _foreign_private_attributes(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_private_attributes_read_off_other_objects(path):
     assert _foreign_private_attributes(path) == []
+
+
+def _scipy_imports(path: Path) -> list[str]:
+    """Lines of the file that import scipy or a scipy submodule; numpy is
+    the only runtime dependency."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names if name.split(".")[0] == "scipy"]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: str(p.relative_to(ROOT)))
+def test_runtime_modules_do_not_import_scipy(path):
+    assert _scipy_imports(path) == []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from levlab.loops import Sector, restrict, sector_threshold_class, sector_unitary
+from levlab.loops import BoundaryPath, Sector, restrict, sector_threshold_class, sector_unitary, winding
 from levlab.point import DELTA, DELTA_PRIME, PointInteraction, verify_levinson
 
 INF = math.inf
@@ -220,3 +220,33 @@ def test_report_depends_only_on_the_coupling_sign(kind, sign, sector):
     twin = verify_levinson(PointInteraction(kind, 2.0 * sign), sector)
     for magnitude in MAGNITUDES:
         assert verify_levinson(PointInteraction(kind, sign * magnitude), sector) == twin, magnitude
+
+
+def sampled_w2(interaction, sector):
+    """B2 wound by sampling: ``winding`` on the sector amplitude of the
+    coupling's +-2 twin over kappa = t / (1 - t)."""
+    p = interaction.param
+    if p != 0.0 and not math.isinf(p):
+        interaction = PointInteraction(interaction.kind, math.copysign(2.0, p))
+    coupled = sector is interaction.sector
+
+    def value(t):
+        amplitude = interaction.amplitude(INF if t >= 1.0 else t / (1.0 - t)) if coupled else 1.0 + 0.0j
+        return sector_unitary(amplitude, sector)
+
+    return winding(BoundaryPath(value))
+
+
+COUPLING_VALUES = st.one_of(
+    st.sampled_from([0.0, INF]),
+    st.builds(lambda sign, exponent: sign * 10.0**exponent, st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 308.0)),
+)
+
+
+@given(st.sampled_from([DELTA, DELTA_PRIME]), COUPLING_VALUES, st.sampled_from([Sector.EVEN, Sector.ODD]))
+def test_three_node_side_winds_as_the_sampled_path(kind, coupling, sector):
+    """The closed-form three-node B2 winds as the analytic path sampled
+    densely, for both kinds and signs, tiny to huge couplings, 0 and inf."""
+    interaction = PointInteraction(kind, coupling)
+    w2 = verify_levinson(interaction, sector).w[1]
+    assert abs(w2 - sampled_w2(interaction, sector)) < 1e-12

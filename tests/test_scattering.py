@@ -77,6 +77,25 @@ def test_grid_is_converted_to_even_odd_once(monkeypatch, tmp_path):
     assert [n for n in sizes if n != 2] == [analysis.scattering.kappas.size]
 
 
+def test_symmetric_eigenphases_follow_the_diagonal_slots():
+    """A symmetric pair's eigenphase curves are the unwrapped phases of the
+    even-odd diagonal, ordered by the first node's angle, even where the two
+    phases nearly meet at high momentum; a 1e-13 parity-preserving
+    perturbation of S moves them only at the rounding level."""
+    data = PotentialAnalysis(gaussian_wells([(2.0, 0.7, 0.5), (2.0, -0.7, 0.5)])).scattering
+    assert data.symmetric
+    slots = np.diagonal(data.even_odd, axis1=1, axis2=2)
+    slots = slots[:, np.argsort(np.angle(slots[0]))]
+    curves = data.eigenphase_curves()
+    assert np.max(np.abs(curves - np.unwrap(np.angle(slots), axis=0))) < 1e-12
+    rng = np.random.default_rng(7)
+    a, b = 1e-13 * (rng.normal(size=(2, data.kappas.size)) + 1j * rng.normal(size=(2, data.kappas.size)))
+    # a I + b X keeps equal transmissions and equal reflections: still symmetric
+    bump = a[:, None, None] * np.eye(2) + b[:, None, None] * np.array([[0.0, 1.0], [1.0, 0.0]])
+    perturbed = scattering.ScatteringData(data.kappas, data.matrices + bump, symmetric=True)
+    assert np.max(np.abs(perturbed.eigenphase_curves() - curves)) < 1e-12
+
+
 def test_symmetric_well_reflections_coincide():
     pot = gaussian_wells([(2.0, 0.7, 0.5), (2.0, -0.7, 0.5)])
     assert pot.symmetric

@@ -11,6 +11,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from levlab import loops
+from levlab.cli import main
 from levlab.errors import NonUnitaryPath, PhaseJumpTooLarge
 from levlab.loops import (
     BoundaryPath,
@@ -22,6 +23,7 @@ from levlab.loops import (
     unitarity_defect,
     winding,
 )
+from levlab.point import DELTA, DELTA_PRIME, PointInteraction, verify_levinson
 from levlab.potentials import gaussian_wells, square_well
 from levlab.reporting import tuned_exceptional_well
 from levlab.scattering import PotentialAnalysis
@@ -443,10 +445,16 @@ def test_deep_square_well_windings_match_polar_reference():
     assert analysis.report(Sector.FULL).n_bound == 18
 
 
-def test_potential_loops_are_not_sampled(wound_paths):
-    """A potential's momentum side is wound in closed form: no report hands
-    a path to ``winding``."""
+def test_potential_loops_are_not_sampled(wound_paths, capsys):
+    """Every momentum side is wound in closed form: no potential or point
+    report, and no ``levlab tables`` run, hands a path to ``winding``."""
     analysis = PotentialAnalysis(square_well(1.0, 1.0))
     for sector in Sector:
         analysis.report(sector)
+    for kind in (DELTA, DELTA_PRIME):
+        for coupling in (-5.0, -1e-300, 0.0, 1e-300, 5.0, math.inf):
+            for sector in (Sector.EVEN, Sector.ODD):
+                verify_levinson(PointInteraction(kind, coupling), sector)
+    assert main(["tables"]) == 0
+    assert "all golden rows reproduced" in capsys.readouterr().out
     assert wound_paths == []
