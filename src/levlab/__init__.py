@@ -32,7 +32,6 @@ from .errors import (
     WindingNotConverged,
 )
 from .loops import (
-    BoundaryPath,
     ResonanceClass,
     Sector,
     WindingReport,
@@ -45,7 +44,6 @@ from .loops import (
     sector_threshold_class,
     threshold_matrix,
     unitarity_defect,
-    winding,
 )
 from .point import (
     DELTA,

@@ -26,13 +26,17 @@ from .loops import Sector, WindingReport
 from .point import DELTA, DELTA_PRIME, PointInteraction, verify_levinson
 from .potentials import Potential, gaussian_wells, square_well, tabulated_potential
 from .reporting import check_golden, render_rows, reproduce_tables
-from .scattering import PotentialAnalysis, SolverSettings
+from .scattering import PotentialAnalysis, SolverSettings, check_knob
 
 IDENTITY_TOL = 1e-6
 DELAY_TOL = 1e-3
 SUITE_TOL = 1e-3
 
 _SECTOR_BY_NAME = {s.value: s for s in Sector}
+
+# Sampler knobs no solver reads: checked in ``numerics``, then dropped.  Each
+# maps to its least value, of the knob's type; 0.0 stands for "positive".
+_SAMPLER_KNOBS = {"winding_samples": 16, "winding_tol": 0.0, "corner_tol": 0.0}
 
 
 def _is_inf(value) -> bool:
@@ -128,16 +132,22 @@ def _build_settings(config: dict) -> SolverSettings:
     overrides = config.get("numerics", {})
     if not isinstance(overrides, dict):
         raise ConfigError("'numerics' must be an object")
-    valid = {f.name for f in dataclasses.fields(SolverSettings)}
+    valid = {f.name for f in dataclasses.fields(SolverSettings)} | set(_SAMPLER_KNOBS)
     unknown = sorted(set(overrides) - valid)
     if unknown:
         raise ConfigError(f"unknown numerics keys: {', '.join(unknown)}")
     if isinstance(overrides.get("dead_zone"), list):
         overrides = dict(overrides, dead_zone=tuple(overrides["dead_zone"]))
     try:
-        return SolverSettings(**overrides)
+        settings = SolverSettings(**{k: v for k, v in overrides.items() if k not in _SAMPLER_KNOBS})
+        for name, least in _SAMPLER_KNOBS.items():
+            if name in overrides:
+                check_knob(name, overrides[name], integer=type(least) is int)
+                if overrides[name] < least:
+                    raise ValueError(f"{name} must be at least {least}, got {overrides[name]}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad numerics value: {exc}")
+    return settings
 
 
 def _sectors_from(config: dict, potential: Potential) -> list[Sector]:

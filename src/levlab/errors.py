@@ -10,8 +10,8 @@ class NonUnitaryPath(LevlabError):
 
 
 class PhaseJumpTooLarge(LevlabError):
-    """A single determinant phase step exceeds pi/2 at the sampling cap,
-    so the unwrapped winding cannot be certified."""
+    """A phase step above pi/2, whose branch is ambiguous: a det phase step of
+    ``loops.winding`` at its sample cap, or an eigenphase step of ``time_delay_integral``."""
 
 
 class WindingNotConverged(LevlabError):

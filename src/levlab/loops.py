@@ -21,8 +21,9 @@ phase is that of the chord from diag(-i, i) to the endpoint
 (``connector_winding``).  Every B2, a potential's or a point interaction's,
 is a stack of momentum nodes joined by chords, and ``chord_winding`` winds
 all chords in closed form.  ``winding`` winds an analytic ``BoundaryPath``
-by phase unwrapping with adaptive sample doubling; no system uses it, and it
-serves as the reference the closed forms are tested against.
+by phase unwrapping with adaptive sample doubling, the tests' reference for
+the closed forms; no system uses it, its knobs are its own arguments, and the
+package top level exports neither.
 """
 
 from __future__ import annotations
@@ -47,11 +48,6 @@ _J_ROWS = ((-1j, 0j), (0j, 1j))  # where a connector's chord starts: diag(-i, i)
 # A chord value with |det| at or below this share of its squared Frobenius
 # norm is singular to rounding: its det phase is undefined.
 _SINGULAR_DET = 1e-14
-
-# Knobs of ``winding``: initial samples per path, agreement of successive
-# doublings.
-WINDING_SAMPLES = 257
-WINDING_TOL = 1e-9
 
 
 def r_even(x):
@@ -255,9 +251,9 @@ def _turns(dets: np.ndarray) -> tuple[float, float]:
 
 def winding(
     path: BoundaryPath,
-    n_samples: int = WINDING_SAMPLES,
+    n_samples: int = 257,
     *,
-    tol: float = WINDING_TOL,
+    tol: float = 1e-9,
     max_samples: int = 1 << 17,
 ) -> float:
     """Winding number of det along the path via unwrapped phase steps.

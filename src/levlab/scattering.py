@@ -40,8 +40,6 @@ from .errors import (
     SymmetryRequired,
 )
 from .loops import (
-    WINDING_SAMPLES,
-    WINDING_TOL,
     ResonanceClass,
     Sector,
     WindingReport,
@@ -90,17 +88,23 @@ ENGINE_PROBE_KAPPAS = np.geomspace(1e-3, 50.0, 10)
 ENGINE_PROBE_KAPPAS.flags.writeable = False
 
 
+def check_knob(name: str, value, *, integer: bool) -> None:
+    """Refuse a knob that is not a finite positive number, or ``integer`` and not an int."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise TypeError(f"{name} must be {kind}, got {value!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverSettings:
-    """Numerical knobs for the scattering pipeline.
+    """Numerical knobs for the scattering pipeline, each read by the solver.
 
     The defaults satisfy every tolerance used in the test suite; loosen them
-    only for exploratory runs.  ``dead_zone`` brackets the normalised slope of
-    the zero-energy tail inside which neither threshold class can be
-    certified.  ``winding_samples``, ``winding_tol`` and ``corner_tol``
-    have no effect, since every loop is wound in closed form: they are still
-    accepted and validated, so every config that sets them keeps its exit
-    code.
+    only for exploratory runs.  ``kappa_min`` and ``kappa_max`` bound the
+    momentum grid.  ``dead_zone`` brackets the normalised slope of the
+    zero-energy tail inside which neither threshold class can be certified.
     """
 
     kappa_min: float = 1e-4
@@ -124,29 +128,20 @@ class SolverSettings:
     fd_box_margin: float = 1.3
     fd_growth: float = 2.0
     fd_max_growth: int = 5
-    winding_samples: int = WINDING_SAMPLES
-    winding_tol: float = WINDING_TOL
-    corner_tol: float = 1e-8
 
     def __post_init__(self):
-        """Every knob is a finite positive number of its field's type (an int
-        field takes no bool or float); ``dead_zone`` is an increasing pair and
-        ``winding_samples`` at least the 16 that ``winding`` needs."""
+        """Every knob passes ``check_knob`` for its field's type, ``dead_zone``
+        increases and ``kappa_min`` lies below ``kappa_max``."""
         if not (isinstance(self.dead_zone, tuple) and len(self.dead_zone) == 2):
             raise TypeError(f"dead_zone must be a pair of numbers, got {self.dead_zone!r}")
         for field in fields(self):
-            integer = type(field.default) is int
             values = self.dead_zone if field.name == "dead_zone" else (getattr(self, field.name),)
             for value in values:
-                if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-                    kind = "an integer" if integer else "a number"
-                    raise TypeError(f"{field.name} must be {kind}, got {value!r}")
-                if not (math.isfinite(value) and value > 0):
-                    raise ValueError(f"{field.name} must be finite and positive, got {value!r}")
+                check_knob(field.name, value, integer=type(field.default) is int)
         if not self.dead_zone[0] < self.dead_zone[1]:
             raise ValueError(f"dead_zone must increase, got {self.dead_zone!r}")
-        if self.winding_samples < 16:
-            raise ValueError(f"winding_samples must be at least 16, got {self.winding_samples}")
+        if not self.kappa_min < self.kappa_max:
+            raise ValueError(f"kappa_min {self.kappa_min!r} must lie below kappa_max {self.kappa_max!r}")
 
 
 def to_even_odd(matrices: np.ndarray) -> np.ndarray:

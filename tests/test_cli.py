@@ -141,10 +141,13 @@ def test_potential_point_system_config_checks_numerics(tmp_path, capsys):
     assert "config error: unknown numerics keys: bogus" in captured.err
 
 
-def test_potential_point_system_config_ignores_winding_numerics(tmp_path, capsys):
-    """A point config's winding knobs and ``corner_tol`` are validated but act
-    on nothing: the output is byte-identical to the config without them."""
-    plain = {"system": "delta", "param": -1}
+@pytest.mark.parametrize(
+    "plain", [{"system": "delta", "param": -1}, WELL_CONFIG], ids=["point", "square-well"]
+)
+def test_potential_point_system_config_ignores_winding_numerics(tmp_path, capsys, plain):
+    """The boundary sampler's knobs ``winding_samples``, ``winding_tol`` and
+    ``corner_tol`` are checked but act on nothing, for a point config and a
+    potential alike: the output is byte-identical to the config without them."""
     assert main(["potential", "--config", write_config(tmp_path, plain), "--json"]) == 0
     out = capsys.readouterr().out
     assert "index identity: OK" in out
@@ -245,8 +248,28 @@ def test_potential_config_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "numerics",
-    [{"winding_samples": "abc"}, {"winding_samples": 8}, {"dead_zone": 5}],
-    ids=["samples-not-int", "samples-below-16", "dead-zone-not-pair"],
+    [
+        {"winding_samples": "abc"},
+        {"winding_samples": 8},
+        {"dead_zone": 5},
+        {"kappa_min": 10, "kappa_max": 1},
+        {"kappa_min": 1, "kappa_max": 1},
+        {"winding_tol": 0},
+        {"corner_tol": True},
+        {"winding_samples": 16.0},
+        {"winding_tol": 1e400},
+    ],
+    ids=[
+        "samples-not-int",
+        "samples-below-16",
+        "dead-zone-not-pair",
+        "kappa-range-inverted",
+        "kappa-range-empty",
+        "tol-zero",
+        "corner-tol-bool",
+        "samples-float",
+        "tol-overflows",
+    ],
 )
 def test_potential_malformed_numerics_is_config_error(tmp_path, capsys, numerics):
     cfg = write_config(tmp_path, dict(WELL_CONFIG, numerics=numerics))

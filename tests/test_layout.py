@@ -87,3 +87,28 @@ def _scipy_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: str(p.relative_to(ROOT)))
 def test_runtime_modules_do_not_import_scipy(path):
     assert _scipy_imports(path) == []
+
+
+def _settings_never_read() -> list[str]:
+    """``SolverSettings`` fields that no package code outside the class body
+    reads as an attribute; a knob that nothing reads acts on nothing."""
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))]
+    settings = next(
+        node
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "SolverSettings"
+    )
+    names = [stmt.target.id for stmt in settings.body if isinstance(stmt, ast.AnnAssign)]
+    inside = {id(node) for node in ast.walk(settings)}
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in inside
+    }
+    return [name for name in names if name not in read]
+
+
+def test_every_solver_setting_is_read():
+    assert _settings_never_read() == []

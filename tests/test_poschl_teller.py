@@ -72,6 +72,16 @@ def test_converged_amplitudes_match_closed_form(analyses, lam):
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.5, 2.3])
+def test_every_grid_node_matches_closed_form(analyses, lam):
+    """The dumped S at every node of the refined grid, kappa 1e-4 to 1e3,
+    not only at the engine's probe momenta."""
+    data = analyses(lam).scattering
+    t, r = closed_form_amplitudes(lam, data.kappas)
+    expected = np.stack([np.stack([t, r], axis=-1), np.stack([r, t], axis=-1)], axis=-2)
+    assert np.max(np.abs(data.matrices - expected)) < AMPLITUDE_TOL
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.5, 2.3])
 def test_generic_wells(analyses, lam):
     analysis = analyses(lam)
     n = math.ceil(lam)

@@ -403,7 +403,6 @@ def _assert_windings_match_polar_reference(analysis):
         sectors += [Sector.EVEN, Sector.ODD]
     kappas = analysis.scattering.kappas
     params = np.concatenate([[0.0], kappas / (1.0 + kappas), [1.0]])
-    s = analysis.settings
     for sector in sectors:
         report = analysis.report(sector)
         nodes = analysis._b2_nodes(sector)
@@ -411,7 +410,7 @@ def _assert_windings_match_polar_reference(analysis):
             path = sampled(params, nodes)
             reference = loop_report(
                 path.eval(0.0),
-                winding(path, n_samples=s.winding_samples, tol=s.winding_tol),
+                winding(path),
                 path.eval(1.0),
                 n_bound=report.n_bound,
                 resonance=report.resonance,
