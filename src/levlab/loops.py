@@ -13,14 +13,15 @@ counterclockwise:
 Each side carries a norm-continuous family of invertible 2x2 matrices; a
 closed loop has a well defined winding number of the determinant.
 
-Every system supplies only its momentum side B2, and ``loop_report`` closes
-it: B1 is the threshold connector from the identity to S(0), B3 the
-connector to S(inf) run backwards, and B4 the identity, which does not wind.
-A connector's endpoint is admitted by an exact unitarity rule, and its det
-phase is that of the chord from diag(-i, i) to the endpoint
-(``connector_winding``).  Every B2, a potential's or a point interaction's,
-is a stack of momentum nodes joined by chords, and ``chord_winding`` winds
-all chords in closed form.  ``winding`` winds an analytic ``BoundaryPath``
+Every system supplies only its momentum side B2, a stack of momentum nodes
+from S(0) to S(inf) joined by chords, and ``loop_report`` closes it: B1 is
+the threshold connector from the identity to S(0), B3 the connector to
+S(inf) run backwards, and B4 the identity, which does not wind.  A
+connector's endpoint is admitted by an exact unitarity rule, and its det
+phase is that of the chord from diag(-i, i) to the endpoint.  So the whole
+loop is a batch of chords, wound in one array pass by the roots of each
+chord's det; ``chord_winding`` and ``connector_winding`` wind one side
+alone by the same roots.  ``winding`` winds an analytic ``BoundaryPath``
 by phase unwrapping with adaptive sample doubling, the tests' reference for
 the closed forms; no system uses it, its knobs are its own arguments, and the
 package top level exports neither.
@@ -28,8 +29,6 @@ package top level exports neither.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -43,7 +42,8 @@ from .errors import NonUnitaryPath, PhaseJumpTooLarge, WindingNotConverged
 # keeping cosh away from overflow.
 _ARG_CAP = 40.0
 
-_J_ROWS = ((-1j, 0j), (0j, 1j))  # where a connector's chord starts: diag(-i, i)
+_J = np.diag([-1j, 1j])[None]  # where every connector's chord starts, as a stack
+_SIGMA_Z = np.diag([1.0, -1.0])
 
 # A chord value with |det| at or below this share of its squared Frobenius
 # norm is singular to rounding: its det phase is undefined.
@@ -308,8 +308,8 @@ def connector_winding(s_end) -> float:
 
     because det J = 1 and tr(adj(J) s_end) = i (s00 - s11).  theta runs from
     0 to 1 as x increases and the positive factors do not turn the phase, so
-    the connector winds as the chord from J to s_end (``chord_winding``).  A
-    generic endpoint diag(-1, 1) gives -1/2.
+    the connector winds as the chord from J to s_end, wound by the roots of
+    ``chord_winding``.  A generic endpoint diag(-1, 1) gives -1/2.
 
     With M = s_end - 1 and sigma_z = diag(1, -1),
 
@@ -319,15 +319,9 @@ def connector_winding(s_end) -> float:
     is Hermitian, as for both zero-energy scattering forms; an endpoint off
     either by 1e-10 raises ``NonUnitaryPath``.
     """
-    (s00, s01), (s10, s11) = s = np.asarray(s_end, dtype=complex).tolist()
-    # the last three are the entries of sigma_z M - (sigma_z M)^dag, up to sign
-    worst = _worst(_defect(s), abs(2.0 * s00.imag), abs(2.0 * s11.imag), abs(s01 + s10.conjugate()))
-    if not worst < 1e-10:
-        raise NonUnitaryPath(
-            f"connector endpoint leaves the unitary family along the path "
-            f"(worst defect {worst:.3e} >= 1e-10)"
-        )
-    return _one_chord_winding(_J_ROWS, s)
+    s = np.asarray(s_end, dtype=complex)[None]
+    _admit_ends(s)
+    return _turns_of(_root_angles(_J, s))
 
 
 def chord_winding(nodes) -> float:
@@ -341,98 +335,84 @@ def chord_winding(nodes) -> float:
     parity sector, or constant).  Nodes must be unitary to 1e-8; a chord
     whose |det| at the point of [0, 1] nearest a root is at most
     ``_SINGULAR_DET`` times its squared Frobenius norm raises
-    ``NonUnitaryPath``.  A single chord (two nodes, as every connector) is
-    wound in Python complex arithmetic, longer stacks in one array pass; the
-    two agree to rounding.
+    ``NonUnitaryPath``.  All chords are wound in one array pass.
     """
+    us = _node_stack(nodes)
+    return _turns_of(_root_angles(us[:-1], us[1:]))
+
+
+def _node_stack(nodes) -> np.ndarray:
+    """``nodes`` as an (n, 2, 2) complex stack, n >= 2, each node unitary to 1e-8."""
     us = np.asarray(nodes, dtype=complex)
     if us.ndim != 3 or us.shape[0] < 2 or us.shape[1:] != (2, 2):
         raise ValueError("need an (n, 2, 2) stack of at least two nodes")
-    if us.shape[0] == 2:
-        return _one_chord_winding(*us.tolist())
-    return _stacked_chord_winding(us)
-
-
-def _worst(*values: float) -> float:
-    """The largest of nonnegative values, or nan if any is nan, as ``np.max``."""
-    return math.nan if math.isnan(sum(values)) else max(values)
-
-
-def _defect(m) -> float:
-    """``unitarity_defect`` of one 2x2 matrix given as rows of Python complex."""
-    (a, b), (c, d) = m
-    return _worst(
-        abs(a.conjugate() * a + c.conjugate() * c - 1.0),
-        abs(a.conjugate() * b + c.conjugate() * d),
-        abs(b.conjugate() * b + d.conjugate() * d - 1.0),
-    )
-
-
-def _one_chord_winding(a, b) -> float:
-    """``chord_winding`` of the one chord from A to B, each given as rows of
-    Python complex: the same roots and checks without array set-up."""
-    worst = _worst(_defect(a), _defect(b))
-    if not worst < 1e-8:
-        raise NonUnitaryPath(f"chord node is not unitary (defect {worst:.3e})")
-    (a00, a01), (a10, a11) = a
-    d00, d01, d10, d11 = b[0][0] - a00, b[0][1] - a01, b[1][0] - a10, b[1][1] - a11
-    c = a00 * a11 - a01 * a10
-    lin = a11 * d00 - a01 * d10 - a10 * d01 + a00 * d11
-    quad = d00 * d11 - d01 * d10
-    # roots q / quad and c / q, q signed so that lin + root never cancels
-    root = cmath.sqrt(lin * lin - 4.0 * quad * c)
-    if (lin.conjugate() * root).real < 0.0:
-        root = -root
-    q = -0.5 * (lin + root)
-    recips = (0j, 0j) if q == 0.0 else (quad / q, q / c)
-    pairs = ((a00, d00), (a01, d01), (a10, d10), (a11, d11))
-    turns = 0.0
-    for recip in recips:
-        nearest = min(max((1.0 / recip).real, 0.0), 1.0) if recip else 1.0
-        det = c + nearest * (lin + nearest * quad)
-        norm = sum(abs(x + nearest * dx) ** 2 for x, dx in pairs)
-        if not abs(det) > _SINGULAR_DET * norm:
-            raise NonUnitaryPath("a chord's det vanishes on it; its det phase is undefined")
-        turns += cmath.phase(1.0 - recip)
-    return turns / (2.0 * math.pi)
-
-
-def _stacked_chord_winding(us: np.ndarray) -> float:
-    """``chord_winding`` of an (n, 2, 2) complex stack, all chords at once."""
     worst = unitarity_defect(us)
     if not worst < 1e-8:
         raise NonUnitaryPath(f"chord node is not unitary (defect {worst:.3e})")
-    a, d = us[:-1], np.diff(us, axis=0)
+    return us
+
+
+def _admit_ends(ends: np.ndarray) -> None:
+    """Refuse, in one array check, connector endpoints (an (m, 2, 2) stack)
+    that are not unitary to 1e-10 or whose sigma_z (s - 1) is not Hermitian
+    to 1e-10: the rule of ``connector_winding``."""
+    dag = np.swapaxes(ends.conj(), -1, -2)
+    # sigma_z s - s^dag sigma_z is sigma_z M - (sigma_z M)^dag, M = s - 1
+    defects = np.concatenate([dag @ ends - np.eye(2), _SIGMA_Z @ ends - dag @ _SIGMA_Z])
+    worst = float(np.max(np.abs(defects)))
+    if not worst < 1e-10:
+        raise NonUnitaryPath(
+            f"connector endpoint leaves the unitary family along the path "
+            f"(worst defect {worst:.3e} >= 1e-10)"
+        )
+
+
+def _root_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The phase turn arg(1 - 1/rho) of each det root rho of the chords from
+    the starts ``a`` to the ends ``b``, (m, 2, 2) stacks, as a (2, m) array
+    with one row per root.  A singular chord raises ``NonUnitaryPath``."""
+    d = b - a
     (a00, a01), (a10, a11) = a[:, 0].T, a[:, 1].T
     (d00, d01), (d10, d11) = d[:, 0].T, d[:, 1].T
     c = a00 * a11 - a01 * a10
-    b = a11 * d00 - a01 * d10 - a10 * d01 + a00 * d11
+    lin = a11 * d00 - a01 * d10 - a10 * d01 + a00 * d11
     quad = d00 * d11 - d01 * d10
-    # q = -(b + r) / 2, r the square root of the discriminant signed so that
-    # the sum never cancels: the roots are q / quad and c / q
-    root = np.sqrt(b * b - 4.0 * quad * c)
-    q = -0.5 * (b + np.where((np.conj(b) * root).real < 0.0, -root, root))
+    # q = -(lin + r) / 2, r the square root of the discriminant signed so
+    # that the sum never cancels: the roots are q / quad and c / q
+    root = np.sqrt(lin * lin - 4.0 * quad * c)
+    q = -0.5 * (lin + np.where((np.conj(lin) * root).real < 0.0, -root, root))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # q = 0 only where b = quad = 0 (to underflow): a constant det
+        # q = 0 only where lin = quad = 0 (to underflow): a constant det
         recips = np.where(q == 0.0, 0.0, np.stack([quad / q, q / c]))
         # a root far off (or none) gives inf or nan: any point will do
         nearest = np.clip(np.nan_to_num((1.0 / recips).real), 0.0, 1.0)
-    det = c + nearest * (b + nearest * quad)
+    det = c + nearest * (lin + nearest * quad)
     norm = np.sum(np.abs(a + nearest[..., None, None] * d) ** 2, axis=(-2, -1))
     if not np.all(np.abs(det) > _SINGULAR_DET * norm):
         raise NonUnitaryPath("a chord's det vanishes on it; its det phase is undefined")
-    return float(np.sum(np.angle(1.0 - recips)) / (2.0 * np.pi))
+    return np.angle(1.0 - recips)
 
 
-def loop_report(start, w2: float, end, *, n_bound: int, resonance: ResonanceClass) -> WindingReport:
-    """Report of the loop around a momentum side B2 that runs from S(0) =
-    ``start`` to S(inf) = ``end`` and winds ``w2``, with the given bound-state
-    count and threshold class.  B1 connects the identity to S(0) and B3 runs
-    the connector to S(inf) backwards, both wound by ``connector_winding``;
-    B4 is the identity and does not wind.
+def _turns_of(angles: np.ndarray) -> float:
+    """Summed root angles in turns."""
+    return float(np.sum(angles) / (2.0 * np.pi))
+
+
+def loop_report(nodes, *, n_bound: int, resonance: ResonanceClass) -> WindingReport:
+    """Report of the loop around the momentum side B2, an (n, 2, 2) node
+    stack from S(0) to S(inf), with the given bound-state count and threshold
+    class.  B1 connects the identity to S(0), B3 runs the connector to S(inf)
+    backwards, and B4 is the identity, which does not wind.  Both ends pass
+    ``connector_winding``'s admission in one check, and the n + 1 chords,
+    J -> S(0), B2's n - 1 and J -> S(inf), are wound in one array pass.
     """
-    # 0.0 - w keeps an unwound B3 at +0.0 where -w would give -0.0
-    ws = (connector_winding(start), w2, 0.0 - connector_winding(end), 0.0)
+    us = _node_stack(nodes)
+    _admit_ends(us[[0, -1]])
+    angles = _root_angles(np.concatenate([_J, us[:-1], _J]), np.concatenate([us, us[-1:]]))
+    # B2's block is summed contiguous, in ``chord_winding``'s order; 0.0 - w
+    # keeps an unwound B3 at +0.0 where -w would give -0.0
+    b2 = _turns_of(angles[:, 1:-1].copy())
+    ws = (_turns_of(angles[:, 0]), b2, 0.0 - _turns_of(angles[:, -1]), 0.0)
     total = float(sum(ws))
     return WindingReport(
         w=ws,
@@ -442,4 +422,3 @@ def loop_report(start, w2: float, end, *, n_bound: int, resonance: ResonanceClas
         resonance=resonance,
         residual=abs(total + n_bound),
     )
-

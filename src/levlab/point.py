@@ -5,13 +5,12 @@ delta-prime only the odd one; the uncoupled sector scatters as the identity.
 The coupled sector's amplitude is the Moebius map z / conj(z) of the
 momentum, so every loop here is analytic and serves as ground truth for the
 winding machinery.  Only the momentum side is built here: a three-node stack
-wound in closed form by ``loops.chord_winding`` and closed into the loop by
-``loops.loop_report``, as a potential's is.  z / conj(z) depends on the
-momentum only through its ratio to the coupling's own scale, so every finite
-nonzero coupling shares the momentum side of its twin of the same sign whose
-scale is 1.  Sector embedding and the threshold class of a sector's
-zero-energy value follow the rules of ``loops``, the same ones the potential
-pipeline uses.
+that ``loops.loop_report`` closes into the loop and winds in closed form, as
+a potential's.  z / conj(z) depends on the momentum only through its ratio
+to the coupling's own scale, so every finite nonzero coupling shares the
+momentum side of its twin of the same sign whose scale is 1.  Sector
+embedding and the threshold class of a sector's zero-energy value follow the
+rules of ``loops``, the same ones the potential pipeline uses.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from dataclasses import dataclass
 from .loops import (
     Sector,
     WindingReport,
-    chord_winding,
     loop_report,
     sector_threshold_class,
     sector_unitary,
@@ -107,9 +105,9 @@ def verify_levinson(interaction: PointInteraction, sector: Sector) -> WindingRep
     with s = 1 (alpha or beta = +-2).  Its z runs along a line that misses
     the origin, so z / conj(z) turns monotonically through half a turn, a
     quarter turn on each side of kappa = 1: the node stack [S(0), S(1),
-    S(inf)] has chords shorter than half a turn, and ``chord_winding`` winds
-    it exactly.  ``loop_report`` closes it.  The uncoupled sector scatters as
-    the identity throughout.
+    S(inf)] has chords shorter than half a turn, and ``loop_report`` closes
+    it and winds it exactly.  The uncoupled sector scatters as the identity
+    throughout.
     """
     if sector is Sector.FULL:
         raise ValueError("point-interaction verification runs per parity sector")
@@ -122,4 +120,4 @@ def verify_levinson(interaction: PointInteraction, sector: Sector) -> WindingRep
     nodes = [sector_unitary(amplitude(kappa), sector) for kappa in (0.0, 1.0, math.inf)]
     n_bound = interaction.n_bound if coupled else 0
     resonance = sector_threshold_class(sector, amplitude(0.0).real)
-    return loop_report(nodes[0], chord_winding(nodes), nodes[-1], n_bound=n_bound, resonance=resonance)
+    return loop_report(nodes, n_bound=n_bound, resonance=resonance)

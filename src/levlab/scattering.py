@@ -14,10 +14,10 @@ Everything the index bookkeeping needs from a potential is produced here:
 * the spectral-shift (time-delay) integral along the momentum side of the
   boundary square, summed from eigenphase increments,
 * the momentum side of the boundary loop, full line or per parity sector, as
-  node values wound in closed form by ``loops.chord_winding`` and closed into
-  the loop by ``loops.loop_report``.  The sector
-  rules (which diagonal entry a sector keeps, and which zero-energy value is
-  a half-bound state) live in ``loops``, shared with the point interactions.
+  node values that ``loops.loop_report`` closes into the loop and winds in
+  closed form.  The sector rules (which diagonal entry a sector keeps, and
+  which zero-energy value is a half-bound state) live in ``loops``, shared
+  with the point interactions.
 
 Matrices are kept in the plane-wave basis (transmission on the diagonal);
 the index constructions read their even-odd stack, where the threshold forms
@@ -43,7 +43,6 @@ from .loops import (
     ResonanceClass,
     Sector,
     WindingReport,
-    chord_winding,
     loop_report,
     phase_steps,
     restrict,
@@ -131,7 +130,8 @@ class SolverSettings:
 
     def __post_init__(self):
         """Every knob passes ``check_knob`` for its field's type, ``dead_zone``
-        increases and ``kappa_min`` lies below ``kappa_max``."""
+        increases, ``kappa_min`` lies below ``kappa_max`` and ``fd_growth``
+        exceeds 1, so the finite-difference count is checked on a larger box."""
         if not (isinstance(self.dead_zone, tuple) and len(self.dead_zone) == 2):
             raise TypeError(f"dead_zone must be a pair of numbers, got {self.dead_zone!r}")
         for field in fields(self):
@@ -142,6 +142,8 @@ class SolverSettings:
             raise ValueError(f"dead_zone must increase, got {self.dead_zone!r}")
         if not self.kappa_min < self.kappa_max:
             raise ValueError(f"kappa_min {self.kappa_min!r} must lie below kappa_max {self.kappa_max!r}")
+        if not self.fd_growth > 1.0:
+            raise ValueError(f"fd_growth must exceed 1, got {self.fd_growth!r}")
 
 
 def to_even_odd(matrices: np.ndarray) -> np.ndarray:
@@ -539,9 +541,7 @@ class PotentialAnalysis:
             return self._reports[sector]
         nodes = self._b2_nodes(sector)
         n_bound, resonance = self.sector_bound_states(sector), self.sector_resonance(sector)
-        report = loop_report(
-            nodes[0], chord_winding(nodes), nodes[-1], n_bound=n_bound, resonance=resonance
-        )
+        report = loop_report(nodes, n_bound=n_bound, resonance=resonance)
         self._reports[sector] = report
         return report
 

@@ -258,6 +258,8 @@ def test_potential_config_errors(tmp_path, capsys):
         {"corner_tol": True},
         {"winding_samples": 16.0},
         {"winding_tol": 1e400},
+        {"fd_growth": 1.0},
+        {"fd_growth": 0.5},
     ],
     ids=[
         "samples-not-int",
@@ -269,6 +271,8 @@ def test_potential_config_errors(tmp_path, capsys):
         "corner-tol-bool",
         "samples-float",
         "tol-overflows",
+        "fd-growth-one",
+        "fd-growth-shrinks",
     ],
 )
 def test_potential_malformed_numerics_is_config_error(tmp_path, capsys, numerics):

@@ -135,10 +135,14 @@ def test_odd_sector_connector_winds_plus_half():
 
 
 def closed_loop(b2):
-    """``loop_report`` around the momentum side b2, sampled by ``loops.winding``."""
-    return loop_report(
-        b2.eval(0.0), loops.winding(b2), b2.eval(1.0), n_bound=0, resonance=ResonanceClass.generic()
-    )
+    """``loop_report`` of the momentum side b2's two end values.  Its
+    windings equal, to 1e-12, the reference: the connectors to those ends
+    in closed form and b2 sampled by ``loops.winding``."""
+    start, end = b2.eval(0.0), b2.eval(1.0)
+    report = loop_report([start, end], n_bound=0, resonance=ResonanceClass.generic())
+    reference = (connector_winding(start), loops.winding(b2), 0.0 - connector_winding(end), 0.0)
+    assert max(abs(a - b) for a, b in zip(report.w, reference)) < 1e-12
+    return report
 
 
 def wound_report(wound_paths, b2_value):
@@ -303,10 +307,8 @@ def _rotation_form(t, phi):
 SEEDS = st.integers(0, 2**32 - 1)
 ANGLES = st.floats(0.0, 2 * math.pi)
 SIGNS = st.sampled_from([-1.0, 1.0])
-ADMITTED_FAMILY = st.one_of(
-    st.builds(_rotation_form, ANGLES, ANGLES),
-    st.builds(lambda a, b: np.diag([a, b]), SIGNS, SIGNS),
-)
+SIGN_DIAGONALS = st.builds(lambda a, b: np.diag([a, b]), SIGNS, SIGNS)
+ADMITTED_FAMILY = st.one_of(st.builds(_rotation_form, ANGLES, ANGLES), SIGN_DIAGONALS)
 
 
 @given(
@@ -326,3 +328,67 @@ def test_exact_admission_refuses_exactly_when_sampled_does(s_end):
     ``connector_winding`` refuses exactly the endpoints whose sampled
     connector leaves U(2), and winds the others as it does."""
     assert_closed_form_matches_sampled(s_end)
+
+
+REFUSED_ENDS = {
+    "channel-swap": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "nan": np.full((2, 2), np.nan),
+    **{
+        f"{name}-x{scale!r}": scale * end
+        for name, end in ADMITTED_ENDS.items()
+        for scale in (1.0 - 1e-9, 1.0 + 1e-9)
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSED_ENDS))
+def test_loop_refuses_the_ends_the_connector_refuses(name):
+    """An end that ``connector_winding`` refuses is refused as either end of
+    a loop.  Ends scaled by 1 +- 1e-9 pass the 1e-8 node rule of
+    ``chord_winding``, so only the loop's 1e-10 end admission refuses them."""
+    bad = REFUSED_ENDS[name]
+    with pytest.raises(NonUnitaryPath):
+        connector_winding(bad)
+    match = "not unitary" if name == "nan" else "connector endpoint"
+    for nodes in ([bad, I2], [I2, bad]):
+        with pytest.raises(NonUnitaryPath, match=match):
+            loop_report(nodes, n_bound=0, resonance=ResonanceClass.generic())
+
+
+def _sector_phases(seed):
+    """A diagonal unitary of random phases: a node that a parity sector keeps."""
+    return np.diag(np.exp(2j * np.pi * np.random.default_rng(seed).random(2)))
+
+
+@given(
+    SEEDS,
+    st.one_of(st.none(), st.floats(0.05, 20.0)),
+    SIGNS,
+    st.integers(0, 4),
+    st.one_of(st.just(I2), ADMITTED_FAMILY),
+    st.one_of(st.just(I2), SIGN_DIAGONALS),
+    st.sampled_from(list(Sector)),
+)
+def test_loop_report_is_the_three_call_composition(seed, magnitude, sign, n_middle, end, sector_end, sector):
+    """One batch of chords winds each side as its own call does: a threshold
+    start (generic, or exceptional with a random gamma; +-1 in a parity
+    sector), random unitary middle nodes and an identity or admitted end,
+    full line or restricted to a sector.  The batch and the three calls
+    agree to 1e-15, or both refuse."""
+    if magnitude is None:
+        resonance = ResonanceClass.generic()
+    else:
+        resonance = ResonanceClass.exceptional(sign * (magnitude if sector is Sector.FULL else 1.0))
+    if sector is Sector.FULL:
+        middle = [_haar_unitary(seed + k) for k in range(n_middle)]
+    else:
+        middle, end = [_sector_phases(seed + k) for k in range(n_middle)], sector_end
+    nodes = restrict(np.array([threshold_matrix(resonance), *middle, end], dtype=complex), sector)
+    try:
+        want = (connector_winding(nodes[0]), chord_winding(nodes), 0.0 - connector_winding(nodes[-1]), 0.0)
+    except NonUnitaryPath:
+        with pytest.raises(NonUnitaryPath):
+            loop_report(nodes, n_bound=0, resonance=resonance)
+        return
+    got = loop_report(nodes, n_bound=0, resonance=resonance).w
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15, (got, want)

@@ -18,6 +18,7 @@ from levlab.loops import (
     ResonanceClass,
     Sector,
     chord_winding,
+    connector_winding,
     loop_report,
     restrict,
     unitarity_defect,
@@ -96,39 +97,49 @@ def test_jump_discontinuity_is_detected():
         winding(path, max_samples=4097)
 
 
+def sampled_windings(b2):
+    """Reference windings of the loop around the momentum side ``b2``: the
+    connectors to its two end values in closed form, and ``b2`` itself
+    sampled by ``loops.winding``."""
+    start, end = b2.eval(0.0), b2.eval(1.0)
+    return (connector_winding(start), loops.winding(b2), 0.0 - connector_winding(end), 0.0)
+
+
 def test_closed_identity_loop():
     b2 = identity_path()
-    report = loop_report(
-        b2.eval(0.0), winding(b2), b2.eval(1.0), n_bound=0, resonance=ResonanceClass.generic()
-    )
-    assert report.w == (0.0, 0.0, 0.0, 0.0)
+    report = loop_report([b2.eval(0.0), b2.eval(1.0)], n_bound=0, resonance=ResonanceClass.generic())
+    assert report.w == sampled_windings(b2) == (0.0, 0.0, 0.0, 0.0)
     assert report.total == 0.0
     assert report.correction == 0.0
 
 
 def test_loop_refuses_a_nan_end():
-    """A momentum side that starts or ends on nan values leaves no loop: its
-    connector refuses the end."""
+    """A momentum side that starts or ends on nan values leaves no loop: the
+    loop refuses it, as the connector to that end does."""
     nan = np.full((2, 2), np.nan, dtype=complex)
-    for start, end in ((nan, np.eye(2)), (np.eye(2), nan)):
+    with pytest.raises(NonUnitaryPath):
+        connector_winding(nan)
+    for nodes in ((nan, np.eye(2)), (np.eye(2), nan)):
         with pytest.raises(NonUnitaryPath):
-            loop_report(start, 0.0, end, n_bound=0, resonance=ResonanceClass.generic())
+            loop_report(nodes, n_bound=0, resonance=ResonanceClass.generic())
 
 
 def test_boundary_loop_closes_the_momentum_side(wound_paths):
     """B1 runs from the identity to B2's start and winds -1/2 at a generic
     start; B3 from an identity end back to the identity and B4 do not wind.
-    Only B2 is sampled."""
+    B2's nodes, an eighth of a turn apart, wind as the sampled side; only
+    the reference samples it."""
     b2 = arc_path(-np.pi, 0.0)  # diag(-1, 1) to the identity, half a turn up
-    report = loop_report(
-        b2.eval(0.0), loops.winding(b2), b2.eval(1.0), n_bound=0, resonance=ResonanceClass.generic()
-    )
+    nodes = [b2.eval(t) for t in np.linspace(0.0, 1.0, 5).tolist()]
+    report = loop_report(nodes, n_bound=0, resonance=ResonanceClass.generic())
+    reference = sampled_windings(b2)
     (same,) = wound_paths
     assert same is b2
     w1, w2, w3, w4 = report.w
     assert (w1, w3, w4) == (-0.5, 0.0, 0.0)
     assert math.copysign(1.0, w3) == 1.0  # +0.0: the tables print 0.0000, not -0.0000
     assert abs(w2 - 0.5) < 1e-12
+    assert max(abs(a - b) for a, b in zip(report.w, reference)) < 1e-12
 
 
 def test_doubling_evaluates_each_parameter_once():
@@ -354,24 +365,6 @@ def test_chord_steps_beyond_unit_norm_are_wound():
         assert abs(chord_winding(nodes) - phi / (2.0 * np.pi)) < 1e-15
 
 
-@given(st.integers(0, 2**32 - 1), st.sampled_from(list(Sector)), st.booleans())
-def test_single_chord_matches_stacked_path(seed, sector, from_connector_start):
-    """A two-node stack is wound in Python complex arithmetic; it agrees with
-    the stacked array path to 1e-15 on random unitary endpoints, from a random
-    unitary or from the connectors' start diag(-i, i), and refuses the same
-    chords."""
-    rng = np.random.default_rng(seed)
-    start = np.diag([-1j, 1j]) if from_connector_start else _random_unitary(rng)
-    nodes = restrict(np.array([start, _random_unitary(rng)]), sector)
-    try:
-        stacked = loops._stacked_chord_winding(nodes)
-    except NonUnitaryPath:
-        with pytest.raises(NonUnitaryPath):
-            chord_winding(nodes)
-        return
-    assert abs(chord_winding(nodes) - stacked) <= 1e-15
-
-
 _REFERENCE_WELLS = {
     "square-well": lambda: square_well(1.0, 1.0),
     "odd-resonance": lambda: tuned_exceptional_well("odd"),
@@ -406,17 +399,11 @@ def _assert_windings_match_polar_reference(analysis):
     for sector in sectors:
         report = analysis.report(sector)
         nodes = analysis._b2_nodes(sector)
+        assert report == loop_report(nodes, n_bound=report.n_bound, resonance=report.resonance)
         for sampled in (interpolated_path, polar_interpolated_path):
-            path = sampled(params, nodes)
-            reference = loop_report(
-                path.eval(0.0),
-                winding(path),
-                path.eval(1.0),
-                n_bound=report.n_bound,
-                resonance=report.resonance,
-            )
-            gap = max(abs(a - b) for a, b in zip(report.w, reference.w))
-            assert gap < 1e-12, (sector, sampled.__name__, report.w, reference.w)
+            reference = sampled_windings(sampled(params, nodes))
+            gap = max(abs(a - b) for a, b in zip(report.w, reference))
+            assert gap < 1e-12, (sector, sampled.__name__, report.w, reference)
 
 
 @pytest.mark.parametrize("name", list(_REFERENCE_WELLS))
