@@ -25,7 +25,6 @@ from .errors import (
     LevlabError,
     NonUnitaryPath,
     PhaseJumpTooLarge,
-    QuadratureNotConverged,
     ResolutionInsufficient,
     SolverDiverged,
     SymmetryRequired,

@@ -43,9 +43,5 @@ class GoldenMismatch(LevlabError):
     """A reproduced table entry differs from its frozen expected value."""
 
 
-class QuadratureNotConverged(LevlabError):
-    """Adaptive quadrature failed to reach its tolerance at the node cap."""
-
-
 class ConfigError(LevlabError):
     """Invalid configuration input."""

@@ -1,12 +1,21 @@
 """Half-line Fourier projection against its scale-multiplier form.
 
-The direct route integrates the closed-form Fourier transform; the multiplier
-route runs through the discretised Mellin transform.  They share no code, so
-agreement is a genuine cross-check of both.
+The direct route evaluates the half-line integral of the closed-form Fourier
+transform through the Faddeeva function; the multiplier route runs through
+the discretised Mellin transform.  They share no code, so agreement is a
+genuine cross-check of both.  The direct route is itself checked against two
+oracles: adaptive Gauss-Legendre quadrature of the transform, and the same
+closed form with scipy's Faddeeva function.
 """
+
+import subprocess
+import sys
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.polynomial.hermite import herm2poly
 from scipy.special import wofz
 
@@ -15,13 +24,15 @@ from levlab.dilation import (
     HERMITE,
     MellinEvaluator,
     ProbeFunction,
+    _faddeeva,
     apply_halfline_fourier,
     default_suite,
     identity_residual,
     suite_residuals,
 )
-from levlab.errors import QuadratureNotConverged
 from levlab.loops import r_even, r_odd
+
+RAY = np.geomspace(0.05, 6.0, 20)
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +61,11 @@ def dense_forward(ev, samples, rows=512):
     return out * ev.du / np.sqrt(2.0 * np.pi)
 
 
+def momentum_cutoff(fn):
+    """Past this momentum the transform is below 1e-17 of its peak."""
+    return abs(fn.freq) + (9.0 + 2.0 * fn.order) / fn.width
+
+
 # --- closed forms -----------------------------------------------------------
 
 
@@ -62,7 +78,7 @@ def test_fourier_closed_form_against_trapezoid(fn):
 
 @pytest.mark.parametrize("fn", default_suite(), ids=lambda f: f.label)
 def test_momentum_cutoff_bounds_the_transform(fn):
-    cut = fn.momentum_cutoff()
+    cut = momentum_cutoff(fn)
     edge = np.max(np.abs(fn.fourier(np.array([-cut, cut]))))
     peak = np.max(np.abs(fn.fourier(np.linspace(-cut, cut, 801))))
     assert edge < 1e-15 * peak
@@ -79,6 +95,17 @@ def test_validation_rejects_bad_functions():
         ProbeFunction(HERMITE, width=1.0, center=0.5)
     with pytest.raises(ValueError):
         ProbeFunction(HERMITE, width=1.0, order=-1)
+    # non-finite parameters, and orders that are not integers
+    for bad in (dict(width=np.inf), dict(freq=np.nan), dict(center=np.inf), dict(amplitude=np.nan)):
+        with pytest.raises(ValueError):
+            ProbeFunction(GAUSSIAN, **{"width": 1.0, **bad})
+    for order in (1.5, True):
+        with pytest.raises(ValueError):
+            ProbeFunction(HERMITE, width=1.0, order=order)
+
+
+def test_validation_accepts_numpy_integer_order():
+    assert ProbeFunction(HERMITE, width=1.0, order=np.int64(2)).label == "hermite(n=2, w=1)"
 
 
 # --- direct route -----------------------------------------------------------
@@ -103,6 +130,36 @@ def test_parity_of_direct_route():
     ) < 1e-12
 
 
+class QuadratureNotConverged(Exception):
+    """The quadrature oracle's node doubling did not settle."""
+
+
+@lru_cache(maxsize=16)
+def gauss_legendre(n):
+    return np.polynomial.legendre.leggauss(n)
+
+
+def halfline_fourier_quadrature(fn, r, omega, *, tol=1e-10, max_nodes=8192):
+    """(T f)(r omega) by Gauss-Legendre on [0, cutoff] of the momentum
+    half-line, the node count doubling until two estimates agree to ``tol``,
+    scaled by their largest value where that exceeds one; independent oracle
+    for the closed form."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    cap = momentum_cutoff(fn)
+    previous = None
+    n = 64
+    while n <= max_nodes:
+        base, weights = gauss_legendre(n)
+        nodes = 0.5 * cap * (base + 1.0)
+        vals = np.exp(1j * np.outer(r, nodes)) @ (0.5 * cap * weights * fn.fourier(omega * nodes))
+        vals /= np.sqrt(2.0 * np.pi)
+        if previous is not None and np.max(np.abs(vals - previous)) < tol * max(1.0, np.max(np.abs(vals))):
+            return vals
+        previous = vals
+        n *= 2
+    raise QuadratureNotConverged(f"not settled below {tol:g} at {max_nodes} nodes")
+
+
 def gaussian_tail_integral(alpha, beta, a):
     """int_a^inf exp(-alpha u^2 + i beta u) du
     = 1/2 sqrt(pi / alpha) exp(-alpha a^2 + i a beta) w(i z),
@@ -114,12 +171,16 @@ def gaussian_tail_integral(alpha, beta, a):
 
 
 def halfline_fourier_closed_form(fn, r, omega):
-    """(T f)(r omega) of a suite probe without quadrature; independent oracle
-    for the direct route.  A Gaussian lobe exp(-i (k - mu) c - w^2 (k - mu)^2 / 2)
-    at k = omega kappa is exp(i omega mu r) times one tail integral from
-    a = -omega mu.  The Hermite probe sums the moments
+    """(T f)(r omega) of a suite probe through scipy's Faddeeva function;
+    second oracle for the direct route.  A Gaussian lobe
+    exp(-i (k - mu) c - w^2 (k - mu)^2 / 2) at k = omega kappa is
+    exp(i omega mu r) times one tail integral from a = -omega mu.  The
+    Hermite probe sums the moments
     I_n = int_0^inf kappa^n exp(-w^2 kappa^2 / 2 + i r kappa) dkappa, which
-    integration by parts chains as I_n = ([n = 1] + (n - 1) I_{n-2} + i r I_{n-1}) / w^2."""
+    integration by parts chains as I_n = ([n = 1] + (n - 1) I_{n-2} + i r I_{n-1}) / w^2.
+    The chain amplifies rounding at large r / w, and the tail product
+    overflows once w |mu| passes about 38, so this oracle serves the default
+    suite only."""
     r = np.asarray(r, dtype=float)
     w = fn.width
     alpha = 0.5 * w * w
@@ -141,15 +202,112 @@ def halfline_fourier_closed_form(fn, r, omega):
 @pytest.mark.parametrize("omega", (1, -1))
 @pytest.mark.parametrize("fn", default_suite(), ids=lambda f: f.label)
 def test_direct_route_matches_closed_form(fn, omega):
-    r = np.geomspace(0.05, 6.0, 20)
-    exact = halfline_fourier_closed_form(fn, r, omega)
-    assert np.max(np.abs(apply_halfline_fourier(fn, r, omega) - exact)) < 1e-12
+    exact = halfline_fourier_closed_form(fn, RAY, omega)
+    assert np.max(np.abs(apply_halfline_fourier(fn, RAY, omega) - exact)) < 1e-13
+
+
+@pytest.mark.parametrize("omega", (1, -1))
+@pytest.mark.parametrize("fn", default_suite(), ids=lambda f: f.label)
+def test_direct_route_matches_quadrature(fn, omega):
+    quad = halfline_fourier_quadrature(fn, RAY, omega)
+    assert np.max(np.abs(apply_halfline_fourier(fn, RAY, omega) - quad)) < 1e-13
+
+
+@pytest.mark.parametrize("omega", (1, -1))
+@pytest.mark.parametrize("width", (0.3, 0.9, 3.0))
+@pytest.mark.parametrize("order", range(9))
+def test_hermite_orders_match_quadrature(order, width, omega):
+    # r / width reaches 20, where the three-term moment chain would lose up
+    # to 1e-8 of the peak at order 8
+    fn = ProbeFunction(HERMITE, width=width, order=order)
+    quad = halfline_fourier_quadrature(fn, RAY, omega)
+    gap = np.max(np.abs(apply_halfline_fourier(fn, RAY, omega) - quad))
+    assert gap <= 1e-11 * np.max(np.abs(quad))
+
+
+@pytest.mark.parametrize("order", (12, 16))
+def test_high_hermite_orders_stay_accurate(order):
+    # the three-term chain is off by 5e-5 (order 12) and 0.15 (order 16) of
+    # the peak here; the quadrature needs a tolerance relative to the peak
+    fn = ProbeFunction(HERMITE, width=0.3, order=order)
+    quad = halfline_fourier_quadrature(fn, RAY, 1, tol=1e-13)
+    gap = np.max(np.abs(apply_halfline_fourier(fn, RAY, 1) - quad))
+    assert gap <= 1e-11 * np.max(np.abs(quad))
+
+
+@given(
+    width=st.floats(0.2, 5.0),
+    product=st.floats(-60.0, 60.0),
+    center=st.floats(-3.0, 3.0),
+    omega=st.sampled_from((1, -1)),
+)
+def test_gaussian_probes_never_overflow(width, product, center, omega):
+    # width * |freq| up to 60: the tail of the far lobe starts 60 / sqrt(2)
+    # standard deviations out, where exp(-alpha a^2) underflows and the
+    # reflected w would overflow
+    fn = ProbeFunction(GAUSSIAN, width=width, center=center, freq=product / width)
+    with np.errstate(over="raise", invalid="raise"):
+        direct = apply_halfline_fourier(fn, RAY, omega)
+    quad = halfline_fourier_quadrature(fn, RAY, omega)
+    # |T f| <= (2 pi)^(-1/2) ||fhat||_1 <= |amplitude|; the peak itself can
+    # be tiny when the bump sits on the far side of the origin
+    assert np.max(np.abs(direct - quad)) <= 1e-12 * abs(fn.amplitude)
 
 
 def test_quadrature_reports_nonconvergence():
     fn = ProbeFunction(GAUSSIAN, width=1.0)
     with pytest.raises(QuadratureNotConverged):
-        apply_halfline_fourier(fn, 1.0, 1, max_nodes=64)
+        halfline_fourier_quadrature(fn, 1.0, 1, max_nodes=64)
+
+
+# --- the Faddeeva function --------------------------------------------------
+
+
+def relative_gap(z):
+    want = wofz(z)
+    return np.max(np.abs(_faddeeva(z) - want) / np.abs(want))
+
+
+@pytest.mark.parametrize("size", (1e-3, 1.0, 5.0, 30.0, 1e3, 1e5))
+def test_faddeeva_upper_half_plane(size):
+    rng = np.random.default_rng(7)
+    z = size * (rng.uniform(-1.0, 1.0, 2000) + 1j * rng.uniform(0.0, 1.0, 2000))
+    assert relative_gap(z) < 1e-13
+
+
+@pytest.mark.parametrize("size", (1e-3, 1.0, 5.0, 20.0))
+def test_faddeeva_lower_half_plane(size):
+    # exp(-z^2) reaches e^400 at z = -20i, still a finite double
+    rng = np.random.default_rng(8)
+    z = size * (rng.uniform(-1.0, 1.0, 2000) - 1j * rng.uniform(0.0, 1.0, 2000))
+    assert relative_gap(z) < 2e-13
+
+
+def test_faddeeva_near_the_real_axis():
+    x = np.linspace(-50.0, 50.0, 4001)
+    for offset in (0.0, 1e-12, -1e-12, 1e-6, -1e-6):
+        assert relative_gap(x + 1j * offset) < 1e-13, offset
+
+
+def test_faddeeva_on_the_imaginary_axis():
+    y = np.concatenate((np.geomspace(1e-8, 1e5, 200), -np.geomspace(1e-8, 20.0, 100)))
+    assert relative_gap(1j * y) < 1e-13
+
+
+def test_faddeeva_at_the_origin():
+    assert abs(_faddeeva(0.0) - 1.0) < 1e-15
+
+
+def test_faddeeva_keeps_shape():
+    z = np.array([[0.5 + 0.5j, -1.0 - 2.0j], [3.0, 1e3j]])
+    assert _faddeeva(z).shape == (2, 2)
+    assert relative_gap(z) < 1e-13
+
+
+def test_import_builds_no_faddeeva_table():
+    code = "import levlab.dilation as d; print(d._weideman_table.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
 
 
 def test_omega_must_be_a_sign():
