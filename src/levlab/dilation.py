@@ -24,10 +24,11 @@ reference w to a few parts in 1e14 in the upper half-plane.
 
 The Mellin convention is M f(s) = (2 pi)^(-1/2) * integral_0^inf
 x^(-1/2 - i s) f(x) dx, evaluated after x = exp(u) as an ordinary Fourier
-sum from a uniform u grid to a uniform s grid.  That sum is computed by the
-chirp-z transform (one zero-padded FFT per spectrum); the inverse is a dense
-sum at the few ray points the check needs, with its kernel kept for the last
-targets.
+sum from a uniform u grid to a uniform s grid.  The s grid is the
+reciprocal lattice of the u grid, so that sum is one zero-padded FFT per
+spectrum, and a spectral range past the Nyquist frequency pi / du is
+refused; the inverse is a dense sum at the few ray points the check needs,
+with its kernel kept for the last targets.
 """
 
 from __future__ import annotations
@@ -46,11 +47,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 GAUSSIAN = "gaussian-cosine"
 HERMITE = "hermite"
-
-# Evaluation point standing in for r = 0 (the Mellin kernel x^(-1/2+is)
-# needs a positive abscissa; the multiplier image is continuous at 0).
-ORIGIN_PROXY = 1e-9
-
 
 @dataclass(frozen=True)
 class ProbeFunction:
@@ -171,13 +167,13 @@ def _weideman_table() -> tuple[float, np.ndarray]:
 
 
 def _faddeeva(z) -> np.ndarray:
-    """w(z) = exp(-z^2) erfc(-i z), by Weideman's rule in the upper
-    half-plane and the reflection w(z) = 2 exp(-z^2) - w(-z) below it.
-    The reflected value grows like exp(-z^2); callers that multiply it by a
-    decaying factor pass upper half-plane points only."""
+    """w(z) = exp(-z^2) erfc(-i z) for Im z >= 0, by Weideman's rule.
+    Below the real axis w grows like exp(-z^2); ``_gaussian_tail`` mirrors
+    its arguments into the upper half-plane, so points below are refused."""
     z = np.asarray(z, dtype=complex)
-    lower = z.imag < 0.0
-    iz = 1j * np.where(lower, -z, z)
+    if np.any(z.imag < 0.0):
+        raise ValueError("the Faddeeva rule needs Im z >= 0")
+    iz = 1j * z
     scale, coeffs = _weideman_table()
     d = 1.0 / (scale - iz)
     # the powers Z^0 .. Z^(N-1) by one cumulative product: on the few dozen
@@ -186,10 +182,7 @@ def _faddeeva(z) -> np.ndarray:
     powers[..., 0] = 1.0
     powers[..., 1:] = ((scale + iz) * d)[..., None]
     np.cumprod(powers, axis=-1, out=powers)
-    w = (2.0 * (powers @ coeffs) * d + 1.0 / math.sqrt(math.pi)) * d
-    if lower.any():
-        w = np.where(lower, 2.0 * np.exp(-z * z) - w, w)
-    return w
+    return (2.0 * (powers @ coeffs) * d + 1.0 / math.sqrt(math.pi)) * d
 
 
 def _gaussian_tail(alpha: float, a, beta) -> np.ndarray:
@@ -266,13 +259,15 @@ class MellinEvaluator:
     Forward: phi(s) = (du / sqrt(2 pi)) * sum_u exp(-i sign s u) e^(u/2) f(e^u).
     Inverse at target x: x^(-1/2) (ds / sqrt(2 pi)) * sum_s exp(i sign s ln x) phi(s).
 
-    The forward sum is evaluated by the chirp-z transform: on uniform grids
-    s_j = s_0 + j ds and u_n = u_0 + n du the product s_j u_n splits as
-    s_0 u_0 + s_0 n du + j ds u_0 + beta (j^2 + n^2 - (j - n)^2) / 2 with
-    beta = sign ds du, so the sum is one convolution with the chirp
-    exp(i beta k^2 / 2), done by a zero-padded FFT.  The chirp spectrum and
-    the phase vectors on either side of it depend only on the grids and are
-    built once here.
+    The s grid is the reciprocal lattice of the u grid: s_j = j ds with
+    ds = 2 pi / (N du) and |s_j| <= s_max.  On u_n = u_0 + n du the phase
+    s_j u_n is s_j u_0 + 2 pi j n / N, so the forward sum is one FFT of N
+    points read at bins (sign j) mod N, times exp(-i sign s_j u_0).  A
+    spectrum sampled at step ds inverts to a function of period N du in u;
+    N is the smallest power of two of at least twice the u samples, so the
+    periodic images of a multiplied spectrum sit one full span away from
+    the data.  The sum is periodic in s with period 2 pi / du, so a grid
+    with s_max >= pi / du would alias and is refused.
 
     ``sign = +1`` is the convention the multiplier statement refers to;
     flipping it reverses the spectral axis and must wreck the identity, which
@@ -286,31 +281,30 @@ class MellinEvaluator:
         u_max: float = 4.0,
         du: float = 0.02,
         s_max: float = 48.0,
-        ds: float = 0.02,
         sign: float = 1.0,
     ):
         if sign not in (1.0, -1.0):
             raise ValueError("sign must be +-1")
+        if not all(math.isfinite(v) for v in (u_min, u_max, du, s_max)):
+            raise ValueError("Mellin grid bounds must be finite")
+        if not du > 0.0:
+            raise ValueError("du must be positive")
+        if not 0.0 < s_max < math.pi / du:
+            raise ValueError(f"s_max must lie in (0, pi / du) = (0, {math.pi / du:.6g}), or the spectrum aliases")
         self.u = np.arange(u_min, u_max + 0.5 * du, du)
-        self.du = du
-        self.s = np.arange(-s_max, s_max + 0.5 * ds, ds)
-        self.ds = ds
+        if self.u.size < 2:
+            raise ValueError("the u grid needs at least two samples")
+        # the step arange actually took, (start + step) - start, differs from
+        # the nominal du in the last bits; the reciprocal lattice needs it
+        self.du = self.u[1] - self.u[0]
         self.sign = sign
-        # The steps arange actually took, (start + step) - start, differ from
-        # the nominal ones in the last bits; the chirp phases need the former.
-        n_u, n_s = self.u.size, self.s.size
-        step_u = self.u[1] - self.u[0]
-        step_s = self.s[1] - self.s[0]
-        beta = sign * step_s * step_u
-        n = np.arange(n_u, dtype=float)
-        j = np.arange(n_s, dtype=float)
-        k = np.arange(-(n_u - 1), n_s, dtype=float)
-        # The smallest power of two of at least n_u + n_s - 1 points: the
-        # circular convolution then equals the linear one on every kept row.
-        self._fft_size = 1 << (n_u + n_s - 2).bit_length()
-        self._pre = np.exp(0.5 * self.u - 1j * (sign * self.s[0] * step_u * n + 0.5 * beta * n * n))
-        self._post = np.exp(-1j * (sign * self.s * self.u[0] + 0.5 * beta * j * j)) * (self.du / _SQRT_2PI)
-        self._chirp_spectrum = np.fft.fft(np.exp(0.5j * beta * k * k), self._fft_size)
+        self._fft_size = 1 << (2 * self.u.size - 1).bit_length()
+        self.ds = 2.0 * math.pi / (self._fft_size * self.du)
+        j = np.arange(-int(s_max / self.ds), int(s_max / self.ds) + 1)
+        self.s = j * self.ds
+        self._bins = (int(sign) * j) % self._fft_size
+        self._weight = np.exp(0.5 * self.u)
+        self._phase = np.exp(-1j * sign * self.s * self.u[0]) * (self.du / _SQRT_2PI)
         # The universal multipliers on the spectral grid, shared by every probe.
         self.r_even = r_even(self.s)
         self.r_odd = r_odd(self.s)
@@ -326,9 +320,8 @@ class MellinEvaluator:
 
     def forward(self, samples: np.ndarray) -> np.ndarray:
         """Mellin spectrum of a function given by its values on ``self.x``."""
-        weighted = np.fft.fft(self._pre * np.asarray(samples), self._fft_size)
-        conv = np.fft.ifft(weighted * self._chirp_spectrum)
-        return self._post * conv[self.u.size - 1 : self.u.size - 1 + self.s.size]
+        spectrum = np.fft.fft(self._weight * np.asarray(samples), self._fft_size)
+        return self._phase * spectrum[self._bins]
 
     def inverse_at(self, spectrum: np.ndarray, x) -> np.ndarray:
         """Inverse transform of a spectrum, evaluated at positive targets.
@@ -371,16 +364,15 @@ def _multiplier_halves(
     part of fn at the ray points r; neither depends on the direction omega.
     fn is sampled once at +x and once at -x for both parts, each part is
     transformed once, and both images are inverted together."""
-    targets = np.where(r <= 0.0, ORIGIN_PROXY, r)
     xs = ev.x
     plus, minus = fn.value(xs), fn.value(-xs)
     spectra = np.stack(
         (ev.r_even * ev.forward(0.5 * (plus + minus)), ev.r_odd * ev.forward(0.5 * (plus - minus))),
         axis=1,
     )
-    images = ev.inverse_at(spectra, targets)
-    even_half = 0.5 * (fn.even_part(targets) - images[:, 0])
-    odd_half = 0.5 * (fn.odd_part(targets) - images[:, 1])
+    images = ev.inverse_at(spectra, r)
+    even_half = 0.5 * (fn.even_part(r) - images[:, 0])
+    odd_half = 0.5 * (fn.odd_part(r) - images[:, 1])
     return even_half, odd_half
 
 

@@ -53,7 +53,7 @@ def trapezoid_fourier(fn, ks, half_span, dx=0.002):
 
 def dense_forward(ev, samples, rows=512):
     """The forward Mellin sum term by term, a few hundred s rows at a time;
-    independent oracle for the chirp-z evaluation."""
+    independent oracle for the single FFT on the reciprocal grid."""
     h = np.exp(0.5 * ev.u) * samples
     out = np.concatenate(
         [np.exp(-1j * ev.sign * np.outer(ev.s[i : i + rows], ev.u)) @ h for i in range(0, ev.s.size, rows)]
@@ -275,23 +275,20 @@ def test_faddeeva_upper_half_plane(size):
     assert relative_gap(z) < 1e-13
 
 
-@pytest.mark.parametrize("size", (1e-3, 1.0, 5.0, 20.0))
-def test_faddeeva_lower_half_plane(size):
-    # exp(-z^2) reaches e^400 at z = -20i, still a finite double
-    rng = np.random.default_rng(8)
-    z = size * (rng.uniform(-1.0, 1.0, 2000) - 1j * rng.uniform(0.0, 1.0, 2000))
-    assert relative_gap(z) < 2e-13
-
-
 def test_faddeeva_near_the_real_axis():
     x = np.linspace(-50.0, 50.0, 4001)
-    for offset in (0.0, 1e-12, -1e-12, 1e-6, -1e-6):
+    for offset in (0.0, 1e-12, 1e-6):
         assert relative_gap(x + 1j * offset) < 1e-13, offset
 
 
 def test_faddeeva_on_the_imaginary_axis():
-    y = np.concatenate((np.geomspace(1e-8, 1e5, 200), -np.geomspace(1e-8, 20.0, 100)))
-    assert relative_gap(1j * y) < 1e-13
+    assert relative_gap(1j * np.geomspace(1e-8, 1e5, 200)) < 1e-13
+
+
+@pytest.mark.parametrize("z", (-1e-12j, 0.5 - 0.5j, -20j, [1j, 2.0 - 1e-9j]), ids=str)
+def test_faddeeva_refuses_the_lower_half_plane(z):
+    with pytest.raises(ValueError):
+        _faddeeva(z)
 
 
 def test_faddeeva_at_the_origin():
@@ -299,7 +296,7 @@ def test_faddeeva_at_the_origin():
 
 
 def test_faddeeva_keeps_shape():
-    z = np.array([[0.5 + 0.5j, -1.0 - 2.0j], [3.0, 1e3j]])
+    z = np.array([[0.5 + 0.5j, -1.0 + 2.0j], [3.0, 1e3j]])
     assert _faddeeva(z).shape == (2, 2)
     assert relative_gap(z) < 1e-13
 
@@ -318,7 +315,7 @@ def test_omega_must_be_a_sign():
 
 # --- the Mellin transform ---------------------------------------------------
 
-UNALIGNED_GRID = dict(u_min=-10.3, u_max=2.1, du=0.037, s_max=9.7, ds=0.029)
+UNALIGNED_GRID = dict(u_min=-10.3, u_max=2.1, du=0.037, s_max=9.7)
 
 
 @pytest.mark.parametrize("sign", (1.0, -1.0))
@@ -327,7 +324,31 @@ def test_forward_matches_the_dense_sum(grid, sign):
     ev = MellinEvaluator(sign=sign, **grid)
     samples = ProbeFunction(GAUSSIAN, width=0.7, center=1.3).value(ev.x)
     dense = dense_forward(ev, samples)
-    assert np.max(np.abs(ev.forward(samples) - dense)) <= 1e-11 * np.max(np.abs(dense))
+    assert np.max(np.abs(ev.forward(samples) - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    (
+        dict(du=0.0),
+        dict(du=-0.02),
+        dict(u_min=4.0, u_max=-44.0),
+        dict(u_min=0.0, u_max=0.01),
+        dict(s_max=0.0),
+        dict(s_max=-48.0),
+        dict(u_min=-np.inf),
+        dict(u_max=np.nan),
+        dict(du=np.inf),
+        dict(s_max=np.inf),
+        dict(du=0.02, s_max=np.pi / 0.02),
+        dict(du=0.04, s_max=192.0),
+    ),
+    ids=lambda g: ",".join(f"{k}={v:g}" for k, v in g.items()),
+)
+def test_evaluator_refuses_bad_grids(grid):
+    # an s range at or past pi / du would read aliased bins
+    with pytest.raises(ValueError):
+        MellinEvaluator(**grid)
 
 
 def test_identity_transforms_each_part_once(evaluator, monkeypatch):
@@ -379,7 +400,7 @@ def test_inverse_kernel_is_built_once_per_targets(monkeypatch):
 @pytest.mark.parametrize("sign", (1.0, -1.0))
 def test_inverse_kernel_matches_complex_exponential(sign):
     # the kernel is built from tan of the half angle; the angles reach
-    # 48 |ln 1e-9|, about 1e3 rad, at the origin proxy
+    # 48 |ln 1e-9|, about 1e3 rad, at x = 1e-9
     ev = MellinEvaluator(sign=sign)
     x = np.concatenate([[1e-9], np.geomspace(0.05, 6.0, 20)])
     want = np.exp((1j * sign) * np.outer(np.log(x), ev.s))
@@ -427,6 +448,15 @@ def test_identity_for_zero_function(evaluator):
 def test_identity_across_suite(evaluator):
     for label, residual in suite_residuals(evaluator):
         assert residual < 1e-9, label
+
+
+def test_padding_keeps_periodic_images_off_the_data():
+    # at u_min = -36.9 the u grid has 2046 samples: an FFT of only 2048
+    # points would let the periodic images of the multiplied spectrum fold
+    # back onto the data (residuals near 9e-9); twice the samples keep them
+    # a full span away
+    for label, residual in suite_residuals(MellinEvaluator(u_min=-36.9)):
+        assert residual < 1e-10, label
 
 
 def test_flipped_spectral_axis_breaks_identity():
