@@ -34,8 +34,6 @@ from .loops import (
     ResonanceClass,
     Sector,
     WindingReport,
-    chord_winding,
-    connector_winding,
     loop_report,
     r_even,
     r_odd,

@@ -14,17 +14,17 @@ Each side carries a norm-continuous family of invertible 2x2 matrices; a
 closed loop has a well defined winding number of the determinant.
 
 Every system supplies only its momentum side B2, a stack of momentum nodes
-from S(0) to S(inf) joined by chords, and ``loop_report`` closes it: B1 is
-the threshold connector from the identity to S(0), B3 the connector to
-S(inf) run backwards, and B4 the identity, which does not wind.  A
-connector's endpoint is admitted by an exact unitarity rule, and its det
-phase is that of the chord from diag(-i, i) to the endpoint.  So the whole
-loop is a batch of chords, wound in one array pass by the roots of each
-chord's det; ``chord_winding`` and ``connector_winding`` wind one side
-alone by the same roots.  ``winding`` winds an analytic ``BoundaryPath``
-by phase unwrapping with adaptive sample doubling, the tests' reference for
-the closed forms; no system uses it, its knobs are its own arguments, and the
-package top level exports neither.
+from S(0) to S(inf) joined by chords, and ``loop_report``, the one winding
+entry, closes it: B1 is the threshold connector from the identity to S(0),
+B3 the connector to S(inf) run backwards, and B4 the identity, which does
+not wind.  A connector's endpoint is admitted by an exact unitarity rule,
+and its det phase is that of the chord from diag(-i, i) to the endpoint.  So
+the whole loop is a batch of chords, wound in one array pass by the roots of
+each chord's det.  ``restrict`` embeds one parity sector's part of even-odd
+matrices, for potentials and point interactions alike.  ``winding`` winds
+an analytic ``BoundaryPath`` by phase unwrapping with adaptive sample
+doubling, the tests' reference for the closed forms; no system uses it, its
+knobs are its own arguments, and the package top level exports neither.
 """
 
 from __future__ import annotations
@@ -160,16 +160,6 @@ def restrict(matrices, sector: Sector) -> np.ndarray:
     return out
 
 
-def sector_unitary(value: complex, sector: Sector) -> np.ndarray:
-    """diag(value, 1) for EVEN, diag(1, value) for ODD: one sector's
-    amplitude as a 2x2 unitary, built as one array."""
-    if sector is Sector.EVEN:
-        return np.array([[value, 0.0j], [0.0j, 1.0 + 0.0j]])
-    if sector is Sector.ODD:
-        return np.array([[1.0 + 0.0j, 0.0j], [0.0j, value]])
-    raise ValueError("sector amplitudes exist for parity sectors only")
-
-
 def sector_threshold_class(sector: Sector, value: float) -> ResonanceClass:
     """Threshold class of a parity sector from its zero-energy amplitude:
     +1 in the even sector is the even half-bound state, exceptional(+1), -1
@@ -292,85 +282,19 @@ def winding(
         n, dets, est = n2, fine, est2
 
 
-def connector_winding(s_end) -> float:
-    """Winding of the dilation-side connector from the identity to s_end.
-
-    At dilation parameter x the connector is
-
-        C(x) = 1 + (1/2) (1 - R(x)) (s_end - 1),   R(x) = diag(r_even(x), r_odd(x)),
-
-    the identity at x = -inf and s_end at x = +inf.  With y = exp(-pi x),
-    (1 - r_even) / 2 = alpha = 1 / (1 - i y) and (1 - r_odd) / 2 = conj(alpha),
-    so with J = diag(-i, i) and theta = 1 / (1 + y)
-
-        (1 + y^2) det C = y^2 + i (s00 - s11) y + det s_end
-                        = theta^-2 det((1 - theta) J + theta s_end),
-
-    because det J = 1 and tr(adj(J) s_end) = i (s00 - s11).  theta runs from
-    0 to 1 as x increases and the positive factors do not turn the phase, so
-    the connector winds as the chord from J to s_end, wound by the roots of
-    ``chord_winding``.  A generic endpoint diag(-1, 1) gives -1/2.
-
-    With M = s_end - 1 and sigma_z = diag(1, -1),
-
-        C^dag C - 1 = |alpha|^2 [(M + M^dag + M^dag M) + i y (sigma_z M - (sigma_z M)^dag)],
-
-    so C is unitary for every x exactly when s_end is unitary and sigma_z M
-    is Hermitian, as for both zero-energy scattering forms; an endpoint off
-    either by 1e-10 raises ``NonUnitaryPath``.
-    """
-    s = np.asarray(s_end, dtype=complex)[None]
-    _admit_ends(s)
-    return _turns_of(_root_angles(_J, s))
-
-
-def chord_winding(nodes) -> float:
-    """Winding of det along the chords (1 - theta) A + theta B, theta in
-    [0, 1], between consecutive unitary nodes of an (n, 2, 2) stack.
-
-    det of a chord is p(theta) = det A + theta tr(adj(A) (B - A)) +
-    theta^2 det(B - A), and each root rho of p turns its phase by
-    arg((1 - rho) / (-rho)) = arg(1 - 1/rho).  The reciprocal roots are
-    finite since |det A| = 1, and 0 for a root p lacks (p linear, as in a
-    parity sector, or constant).  Nodes must be unitary to 1e-8; a chord
-    whose |det| at the point of [0, 1] nearest a root is at most
-    ``_SINGULAR_DET`` times its squared Frobenius norm raises
-    ``NonUnitaryPath``.  All chords are wound in one array pass.
-    """
-    us = _node_stack(nodes)
-    return _turns_of(_root_angles(us[:-1], us[1:]))
-
-
-def _node_stack(nodes) -> np.ndarray:
-    """``nodes`` as an (n, 2, 2) complex stack, n >= 2, each node unitary to 1e-8."""
-    us = np.asarray(nodes, dtype=complex)
-    if us.ndim != 3 or us.shape[0] < 2 or us.shape[1:] != (2, 2):
-        raise ValueError("need an (n, 2, 2) stack of at least two nodes")
-    worst = unitarity_defect(us)
-    if not worst < 1e-8:
-        raise NonUnitaryPath(f"chord node is not unitary (defect {worst:.3e})")
-    return us
-
-
-def _admit_ends(ends: np.ndarray) -> None:
-    """Refuse, in one array check, connector endpoints (an (m, 2, 2) stack)
-    that are not unitary to 1e-10 or whose sigma_z (s - 1) is not Hermitian
-    to 1e-10: the rule of ``connector_winding``."""
-    dag = np.swapaxes(ends.conj(), -1, -2)
-    # sigma_z s - s^dag sigma_z is sigma_z M - (sigma_z M)^dag, M = s - 1
-    defects = np.concatenate([dag @ ends - np.eye(2), _SIGMA_Z @ ends - dag @ _SIGMA_Z])
-    worst = float(np.max(np.abs(defects)))
-    if not worst < 1e-10:
-        raise NonUnitaryPath(
-            f"connector endpoint leaves the unitary family along the path "
-            f"(worst defect {worst:.3e} >= 1e-10)"
-        )
-
-
 def _root_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The phase turn arg(1 - 1/rho) of each det root rho of the chords from
-    the starts ``a`` to the ends ``b``, (m, 2, 2) stacks, as a (2, m) array
-    with one row per root.  A singular chord raises ``NonUnitaryPath``."""
+    """The phase turn of each det root of the chords (1 - theta) a + theta b,
+    theta in [0, 1], from the starts ``a`` to the ends ``b``, (m, 2, 2)
+    stacks, as a (2, m) array with one row per root.
+
+    det of a chord is p(theta) = det a + theta tr(adj(a) (b - a)) +
+    theta^2 det(b - a), and each root rho of p turns its phase by
+    arg((1 - rho) / (-rho)) = arg(1 - 1/rho).  The reciprocal roots are
+    finite since |det a| = 1, and 0 for a root p lacks (p linear, as in a
+    parity sector, or constant).  A chord whose |det| at the point of
+    [0, 1] nearest a root is at most ``_SINGULAR_DET`` times its squared
+    Frobenius norm raises ``NonUnitaryPath``.
+    """
     d = b - a
     (a00, a01), (a10, a11) = a[:, 0].T, a[:, 1].T
     (d00, d01), (d10, d11) = d[:, 0].T, d[:, 1].T
@@ -400,17 +324,55 @@ def _turns_of(angles: np.ndarray) -> float:
 
 def loop_report(nodes, *, n_bound: int, resonance: ResonanceClass) -> WindingReport:
     """Report of the loop around the momentum side B2, an (n, 2, 2) node
-    stack from S(0) to S(inf), with the given bound-state count and threshold
-    class.  B1 connects the identity to S(0), B3 runs the connector to S(inf)
-    backwards, and B4 is the identity, which does not wind.  Both ends pass
-    ``connector_winding``'s admission in one check, and the n + 1 chords,
-    J -> S(0), B2's n - 1 and J -> S(inf), are wound in one array pass.
+    stack from S(0) to S(inf), n >= 2, with the given bound-state count and
+    threshold class.  B1 connects the identity to S(0), B3 runs the
+    connector to S(inf) backwards, and B4 is the identity, which does not
+    wind.  Each node must be unitary to 1e-8.
+
+    At dilation parameter x the connector to an endpoint s is
+
+        C(x) = 1 + (1/2) (1 - R(x)) (s - 1),   R(x) = diag(r_even(x), r_odd(x)),
+
+    the identity at x = -inf and s at x = +inf.  With y = exp(-pi x),
+    (1 - r_even) / 2 = alpha = 1 / (1 - i y) and (1 - r_odd) / 2 = conj(alpha),
+    so with J = diag(-i, i) and theta = 1 / (1 + y)
+
+        (1 + y^2) det C = y^2 + i (s00 - s11) y + det s
+                        = theta^-2 det((1 - theta) J + theta s),
+
+    because det J = 1 and tr(adj(J) s) = i (s00 - s11).  theta runs from 0
+    to 1 as x increases and the positive factors do not turn the phase, so a
+    connector winds as the chord from J to its endpoint; a generic endpoint
+    diag(-1, 1) gives -1/2.  With M = s - 1 and sigma_z = diag(1, -1),
+
+        C^dag C - 1 = |alpha|^2 [(M + M^dag + M^dag M) + i y (sigma_z M - (sigma_z M)^dag)],
+
+    so C is unitary for every x exactly when s is unitary and sigma_z M is
+    Hermitian, as for both zero-energy scattering forms.  Both ends are
+    admitted by that rule in one array check, and an end off it by 1e-10
+    raises ``NonUnitaryPath``.  The n + 1 chords, J -> S(0), B2's n - 1 and
+    J -> S(inf), are then wound in one array pass.
     """
-    us = _node_stack(nodes)
-    _admit_ends(us[[0, -1]])
+    us = np.asarray(nodes, dtype=complex)
+    if us.ndim != 3 or us.shape[0] < 2 or us.shape[1:] != (2, 2):
+        raise ValueError("need an (n, 2, 2) stack of at least two nodes")
+    worst = unitarity_defect(us)
+    if not worst < 1e-8:
+        raise NonUnitaryPath(f"chord node is not unitary (defect {worst:.3e})")
+    ends = us[[0, -1]]
+    dag = np.swapaxes(ends.conj(), -1, -2)
+    # sigma_z s - s^dag sigma_z is sigma_z M - (sigma_z M)^dag, M = s - 1
+    defects = np.concatenate([dag @ ends - np.eye(2), _SIGMA_Z @ ends - dag @ _SIGMA_Z])
+    worst = float(np.max(np.abs(defects)))
+    if not worst < 1e-10:
+        raise NonUnitaryPath(
+            f"connector endpoint leaves the unitary family along the path "
+            f"(worst defect {worst:.3e} >= 1e-10)"
+        )
     angles = _root_angles(np.concatenate([_J, us[:-1], _J]), np.concatenate([us, us[-1:]]))
-    # B2's block is summed contiguous, in ``chord_winding``'s order; 0.0 - w
-    # keeps an unwound B3 at +0.0 where -w would give -0.0
+    # B2's block is summed as a contiguous copy, which keeps the order of
+    # its sum on long stacks; 0.0 - w keeps an unwound B3 at +0.0 where -w
+    # would give -0.0
     b2 = _turns_of(angles[:, 1:-1].copy())
     ws = (_turns_of(angles[:, 0]), b2, 0.0 - _turns_of(angles[:, -1]), 0.0)
     total = float(sum(ws))

@@ -18,13 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .loops import (
-    Sector,
-    WindingReport,
-    loop_report,
-    sector_threshold_class,
-    sector_unitary,
-)
+import numpy as np
+
+from .loops import Sector, WindingReport, loop_report, restrict, sector_threshold_class
 
 DELTA = "delta"
 DELTA_PRIME = "delta-prime"
@@ -106,8 +102,8 @@ def verify_levinson(interaction: PointInteraction, sector: Sector) -> WindingRep
     the origin, so z / conj(z) turns monotonically through half a turn, a
     quarter turn on each side of kappa = 1: the node stack [S(0), S(1),
     S(inf)] has chords shorter than half a turn, and ``loop_report`` closes
-    it and winds it exactly.  The uncoupled sector scatters as the identity
-    throughout.
+    it and winds it exactly.  The nodes are S restricted to the sector, so
+    the uncoupled sector's are the identity.
     """
     if sector is Sector.FULL:
         raise ValueError("point-interaction verification runs per parity sector")
@@ -116,8 +112,10 @@ def verify_levinson(interaction: PointInteraction, sector: Sector) -> WindingRep
     if p != 0.0 and not math.isinf(p):
         # same sign, s = 1: the same B2 and the same bound-state count
         interaction = PointInteraction(interaction.kind, math.copysign(2.0, p))
-    amplitude = interaction.amplitude if coupled else (lambda kappa: 1.0 + 0.0j)
-    nodes = [sector_unitary(amplitude(kappa), sector) for kappa in (0.0, 1.0, math.inf)]
+    amplitudes = [interaction.amplitude(kappa) for kappa in (0.0, 1.0, math.inf)]
+    # S in the even-odd basis: the amplitude in the coupled slot, 1 in the other
+    s = restrict(np.array([np.diag([a, a]) for a in amplitudes]), interaction.sector)
+    nodes = restrict(s, sector)
     n_bound = interaction.n_bound if coupled else 0
-    resonance = sector_threshold_class(sector, amplitude(0.0).real)
+    resonance = sector_threshold_class(sector, amplitudes[0].real if coupled else 1.0)
     return loop_report(nodes, n_bound=n_bound, resonance=resonance)

@@ -27,7 +27,8 @@ and folds the block results in order.  A block holds at most
 ``BLOCK_ELEMENTS`` cell x momentum entries, so memory stays flat however
 large the mesh or the momentum batch.  The zero-energy solution at the cell
 edges, which the threshold classifier and the shooting counter both read, is
-built from the same primitive once per engine and handed out read-only.
+built from the same primitive once per engine, by prefix products of each
+block's cells in array passes, and handed out read-only.
 
 The module also hosts the finite-difference bound-state oracle: a tridiagonal
 discretisation of the full line whose negative eigenvalues are counted by the
@@ -59,14 +60,6 @@ _PIVMIN = 1e-290
 
 # Fewest points of a finite-difference count, so small boxes stay resolved.
 _FD_MIN_POINTS = 2000
-
-# Defaults of the mesh and the truncation radius, shared with SolverSettings:
-# coarse cell width, cells per declared feature width, tail tolerance of |V|
-# and the largest radius tried.
-COARSE_H = 0.05
-FEATURE_CELLS = 32
-TAIL_TOL = 1e-10
-RADIUS_CAP = 2048.0
 
 
 @dataclass
@@ -105,8 +98,8 @@ def build_mesh(
     x_min: float,
     x_max: float,
     *,
-    coarse_h: float = COARSE_H,
-    feature_cells: int = FEATURE_CELLS,
+    coarse_h: float,
+    feature_cells: int,
 ) -> Mesh:
     """Cells covering [x_min, x_max], aligned with declared breakpoints and
     refined to width/feature_cells inside each declared feature zone."""
@@ -285,17 +278,25 @@ class TransferEngine:
         n = self.mesh.n_cells
         psi = np.empty(n + 1)
         dpsi = np.empty(n + 1)
-        p, q = 1.0, 0.0
-        psi[0], dpsi[0] = p, q
+        psi[0], dpsi[0] = 1.0, 0.0
         for j in range(0, n, BLOCK_ELEMENTS):
-            cells = self._propagators(slice(j, j + BLOCK_ELEMENTS), np.zeros(1))[:, :, 0]
-            ps, qs = [], []
-            for a, b, c, d in zip(*(entry.tolist() for entry in cells)):
-                p, q = a * p + b * q, c * p + d * q
-                ps.append(p)
-                qs.append(q)
-            psi[j + 1 : j + 1 + len(ps)] = ps
-            dpsi[j + 1 : j + 1 + len(qs)] = qs
+            # (row, column, cell) entries of the block's cell propagators
+            pre = self._propagators(slice(j, j + BLOCK_ELEMENTS), np.zeros(1)).reshape(2, 2, -1)
+            m = pre.shape[2]
+            # Prefix products by doubling: after the pass with shift s, entry
+            # i holds the product of cells max(0, i - 2s + 1) .. i, the later
+            # cells on the left.
+            s = 1
+            while s < m:
+                later, earlier = pre[:, :, s:], pre[:, :, :-s]
+                pre = np.concatenate(
+                    [pre[:, :, :s], later[:, 0:1] * earlier[0:1] + later[:, 1:2] * earlier[1:2]], axis=2
+                )
+                s *= 2
+            # chained from the state the previous block ends on
+            p, q = psi[j], dpsi[j]
+            psi[j + 1 : j + 1 + m] = pre[0, 0] * p + pre[0, 1] * q
+            dpsi[j + 1 : j + 1 + m] = pre[1, 0] * p + pre[1, 1] * q
         states = (self.mesh.edges.view(), psi, dpsi)
         for array in states:
             array.flags.writeable = False
@@ -338,8 +339,8 @@ class TransferEngine:
 def truncation_radius(
     potential: Potential,
     *,
-    tol: float = TAIL_TOL,
-    cap: float = RADIUS_CAP,
+    tol: float,
+    cap: float,
 ) -> float:
     """Radius beyond which the remaining tail of |V| is below ``tol``.
 

@@ -52,10 +52,6 @@ from .loops import (
 )
 from .potentials import Potential, integrated_absolute
 from .propagate import (
-    COARSE_H,
-    FEATURE_CELLS,
-    RADIUS_CAP,
-    TAIL_TOL,
     TransferEngine,
     build_mesh,
     fd_negative_eigenvalue_count,
@@ -112,12 +108,12 @@ class SolverSettings:
     refine_phase_step: float = 0.35
     refine_entry_step: float = 0.3
     max_refine_rounds: int = 14
-    coarse_h: float = COARSE_H
-    feature_cells: int = FEATURE_CELLS
+    coarse_h: float = 0.05
+    feature_cells: int = 32
     solver_tol: float = 2e-10
     max_halvings: int = 6
-    tail_tol: float = TAIL_TOL
-    radius_cap: float = RADIUS_CAP
+    tail_tol: float = 1e-10
+    radius_cap: float = 2048.0
     dead_zone: tuple[float, float] = (1e-6, 1e-3)
     classify_probe: float = 2e-4
     classify_cross_tol: float = 1e-3
@@ -252,7 +248,8 @@ def s_matrix_grid(
     for unambiguous phase tracking.  ``symmetric`` is passed on to the result.
     """
     decades = math.log10(settings.kappa_max / settings.kappa_min)
-    n0 = int(round(decades * settings.points_per_decade)) + 1
+    # at least both ends, however short the span
+    n0 = max(2, int(round(decades * settings.points_per_decade)) + 1)
     kappas = np.geomspace(settings.kappa_min, settings.kappa_max, n0)
     mats = _plane_matrices(engine, kappas)
     for _ in range(settings.max_refine_rounds):

@@ -1,7 +1,8 @@
 """Threshold connectors: unitarity and half-integer windings.
 
-The closed-form ``connector_winding`` is checked against the sampled
-connector path it replaced, kept here as the reference.
+The closed-form connector windings of ``loop_report``, B1 and B3, are
+checked against the sampled connector path they replaced, kept here as the
+reference.
 """
 
 import math
@@ -18,12 +19,9 @@ from levlab.loops import (
     BoundaryPath,
     ResonanceClass,
     Sector,
-    chord_winding,
-    connector_winding,
     loop_report,
     r_even,
     restrict,
-    sector_unitary,
     unitarity_defect,
     winding,
 )
@@ -41,7 +39,7 @@ def dilation_coordinate(t):
 def sampled_connector(s_end):
     """The connector 1 + (1/2) (1 - diag(r_even(x), r_odd(x))) (s_end - 1) as
     a path over x = tan(pi (t - 1/2)), the identity at t = 0 and s_end at
-    t = 1: the reference for ``connector_winding``.  Like it, refuses an
+    t = 1: the reference for the connectors of ``loop_report``.  Refuses an
     endpoint whose connector leaves U(2) at one of 41 parameters."""
     s = np.asarray(s_end, dtype=complex)
     (d00, d01), (d10, d11) = (s - I2).tolist()
@@ -72,16 +70,28 @@ def constant_path(value):
     return BoundaryPath(lambda t: np.array(value, dtype=complex))
 
 
+def connector_windings(s_end):
+    """B1 and B3 of ``loop_report`` around the constant momentum side at
+    ``s_end``: the connector to it in closed form, and the same connector
+    run backwards.  The constant side's one chord does not wind."""
+    w1, w2, w3, _ = loop_report([s_end, s_end], n_bound=0, resonance=ResonanceClass.generic()).w
+    assert w2 == 0.0
+    return w1, w3
+
+
 def assert_closed_form_matches_sampled(s_end):
-    """``connector_winding`` equals the sampled connector's winding to 1e-12,
-    or both refuse the endpoint."""
+    """B1 of ``loop_report`` equals the sampled connector's winding to
+    1e-12, and B3 its negation, or both routes refuse the endpoint."""
     try:
         path = sampled_connector(s_end)
     except NonUnitaryPath:
         with pytest.raises(NonUnitaryPath):
-            connector_winding(s_end)
+            connector_windings(s_end)
         return
-    assert abs(connector_winding(s_end) - winding(path)) < 1e-12
+    w1, w3 = connector_windings(s_end)
+    sampled = winding(path)
+    assert abs(w1 - sampled) < 1e-12
+    assert abs(w3 + sampled) < 1e-12
 
 
 def sampled_defect(path, n_samples):
@@ -115,7 +125,7 @@ def test_generic_connector_winds_minus_half():
     path = sampled_connector(end)
     assert sampled_defect(path, 257) < 1e-10
     assert abs(winding(path) + 0.5) < 1e-9
-    assert connector_winding(end) == -0.5
+    assert connector_windings(end) == (-0.5, 0.5)
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
@@ -124,30 +134,31 @@ def test_exceptional_connector_winds_zero(gamma):
     path = sampled_connector(end)
     assert sampled_defect(path, 257) < 1e-10
     assert abs(winding(path)) < 1e-9
-    assert abs(connector_winding(end)) < 1e-12
+    assert max(map(abs, connector_windings(end))) < 1e-12
 
 
 def test_odd_sector_connector_winds_plus_half():
     # diag(1, -1) routes the jump through the odd multiplier instead
     end = np.diag([1.0, -1.0])
     assert abs(winding(sampled_connector(end)) - 0.5) < 1e-9
-    assert connector_winding(end) == 0.5
+    assert connector_windings(end) == (0.5, -0.5)
 
 
 def closed_loop(b2):
     """``loop_report`` of the momentum side b2's two end values.  Its
     windings equal, to 1e-12, the reference: the connectors to those ends
-    in closed form and b2 sampled by ``loops.winding``."""
+    sampled, the second run backwards, and b2 sampled by ``loops.winding``."""
     start, end = b2.eval(0.0), b2.eval(1.0)
     report = loop_report([start, end], n_bound=0, resonance=ResonanceClass.generic())
-    reference = (connector_winding(start), loops.winding(b2), 0.0 - connector_winding(end), 0.0)
+    b1, b3 = winding(sampled_connector(start)), winding(reversed_path(sampled_connector(end)))
+    reference = (b1, loops.winding(b2), b3, 0.0)
     assert max(abs(a - b) for a, b in zip(report.w, reference)) < 1e-12
     return report
 
 
 def wound_report(wound_paths, b2_value):
     """The report of the loop around a constant momentum side; the side is
-    the only path it samples."""
+    the only path handed to ``loops.winding``."""
     b2 = constant_path(b2_value)
     report = closed_loop(b2)
     assert wound_paths == [b2]
@@ -180,8 +191,8 @@ def test_connector_rejects_unitary_outside_family():
     # the swap matrix is unitary but the connector through it degenerates
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(NonUnitaryPath):
-        connector_winding(swap)
-    with pytest.raises(NonUnitaryPath):
+        sampled_connector(swap)
+    with pytest.raises(NonUnitaryPath, match="connector endpoint"):
         closed_loop(constant_path(swap))
 
 
@@ -189,7 +200,7 @@ def test_connector_rejects_unitary_outside_family():
 def test_exceptional_connectors_stay_unitary(magnitude, sign):
     end = threshold_matrix(ResonanceClass.exceptional(sign * magnitude))
     assert sampled_defect(sampled_connector(end), 65) < 1e-10
-    assert abs(connector_winding(end)) < 1e-12
+    assert max(map(abs, connector_windings(end))) < 1e-12
 
 
 def _matrix_formula(s_end, x):
@@ -242,7 +253,7 @@ def test_closed_form_matches_sampled_connector_on_golden_point_ends():
             for sector in (Sector.EVEN, Sector.ODD):
                 for kappa in (0.0, math.inf):
                     value = interaction.amplitude(kappa) if sector is interaction.sector else 1.0
-                    assert_closed_form_matches_sampled(sector_unitary(value, sector))
+                    assert_closed_form_matches_sampled(restrict(np.diag([value, value]), sector))
 
 
 @given(st.floats(0.01, 100.0), st.sampled_from([-1.0, 1.0]))
@@ -262,7 +273,8 @@ ADMITTED_ENDS = {
 def test_connector_det_is_a_chord_det(name):
     """det C(x) and det((1 - theta) J + theta s), J = diag(-i, i) and
     theta = 1 / (1 + exp(-pi x)), differ by a positive factor: the connector
-    winds as the chord from J to its endpoint."""
+    winds as the chord from J to its endpoint, and B1 of ``loop_report`` as
+    that chord sampled."""
     s = ADMITTED_ENDS[name]
     chord_start = np.diag([-1j, 1j])
     xs = np.geomspace(1e-3, 10.0, 97)
@@ -271,17 +283,19 @@ def test_connector_det_is_a_chord_det(name):
         connector = np.linalg.det(_matrix_formula(s, x))
         chord = np.linalg.det((1.0 - theta) * chord_start + theta * s)
         assert abs(np.angle(connector * np.conj(chord))) < 1e-12, x
-    assert connector_winding(s) == chord_winding(np.stack([chord_start, s]))
+    chord = BoundaryPath(lambda t: (1.0 - t) * chord_start + t * s)
+    assert abs(connector_windings(s)[0] - winding(chord)) < 1e-12
 
 
 @pytest.mark.parametrize("scale", [1.0 - 1e-9, 1.0 + 1e-9])
 @pytest.mark.parametrize("name", list(ADMITTED_ENDS))
 def test_connector_refuses_endpoints_off_unitary_by_1e_9(name, scale):
     """A real scale keeps sigma_z (s - 1) Hermitian, so only the endpoint's
-    unitarity check, tighter than the 1e-8 of ``chord_winding``, refuses."""
+    unitarity check, tighter than the 1e-8 node rule of ``loop_report``,
+    refuses."""
     s = scale * ADMITTED_ENDS[name]
-    with pytest.raises(NonUnitaryPath):
-        connector_winding(s)
+    with pytest.raises(NonUnitaryPath, match="connector endpoint"):
+        connector_windings(s)
     assert_closed_form_matches_sampled(s)
 
 
@@ -325,8 +339,8 @@ ADMITTED_FAMILY = st.one_of(st.builds(_rotation_form, ANGLES, ANGLES), SIGN_DIAG
 def test_exact_admission_refuses_exactly_when_sampled_does(s_end):
     """The admitted family (rotation forms and +-1 diagonals), the same
     right-multiplied by unitaries near the identity, and Haar unitaries:
-    ``connector_winding`` refuses exactly the endpoints whose sampled
-    connector leaves U(2), and winds the others as it does."""
+    ``loop_report`` refuses exactly the endpoints whose sampled connector
+    leaves U(2), and winds the others as it does."""
     assert_closed_form_matches_sampled(s_end)
 
 
@@ -343,52 +357,14 @@ REFUSED_ENDS = {
 
 @pytest.mark.parametrize("name", list(REFUSED_ENDS))
 def test_loop_refuses_the_ends_the_connector_refuses(name):
-    """An end that ``connector_winding`` refuses is refused as either end of
-    a loop.  Ends scaled by 1 +- 1e-9 pass the 1e-8 node rule of
-    ``chord_winding``, so only the loop's 1e-10 end admission refuses them."""
+    """An end whose sampled connector leaves U(2) is refused as either end
+    of a loop.  Ends scaled by 1 +- 1e-9 pass the loop's 1e-8 node rule, so
+    only its 1e-10 end admission refuses them."""
     bad = REFUSED_ENDS[name]
     with pytest.raises(NonUnitaryPath):
-        connector_winding(bad)
+        sampled_connector(bad)
     match = "not unitary" if name == "nan" else "connector endpoint"
     for nodes in ([bad, I2], [I2, bad]):
         with pytest.raises(NonUnitaryPath, match=match):
             loop_report(nodes, n_bound=0, resonance=ResonanceClass.generic())
 
-
-def _sector_phases(seed):
-    """A diagonal unitary of random phases: a node that a parity sector keeps."""
-    return np.diag(np.exp(2j * np.pi * np.random.default_rng(seed).random(2)))
-
-
-@given(
-    SEEDS,
-    st.one_of(st.none(), st.floats(0.05, 20.0)),
-    SIGNS,
-    st.integers(0, 4),
-    st.one_of(st.just(I2), ADMITTED_FAMILY),
-    st.one_of(st.just(I2), SIGN_DIAGONALS),
-    st.sampled_from(list(Sector)),
-)
-def test_loop_report_is_the_three_call_composition(seed, magnitude, sign, n_middle, end, sector_end, sector):
-    """One batch of chords winds each side as its own call does: a threshold
-    start (generic, or exceptional with a random gamma; +-1 in a parity
-    sector), random unitary middle nodes and an identity or admitted end,
-    full line or restricted to a sector.  The batch and the three calls
-    agree to 1e-15, or both refuse."""
-    if magnitude is None:
-        resonance = ResonanceClass.generic()
-    else:
-        resonance = ResonanceClass.exceptional(sign * (magnitude if sector is Sector.FULL else 1.0))
-    if sector is Sector.FULL:
-        middle = [_haar_unitary(seed + k) for k in range(n_middle)]
-    else:
-        middle, end = [_sector_phases(seed + k) for k in range(n_middle)], sector_end
-    nodes = restrict(np.array([threshold_matrix(resonance), *middle, end], dtype=complex), sector)
-    try:
-        want = (connector_winding(nodes[0]), chord_winding(nodes), 0.0 - connector_winding(nodes[-1]), 0.0)
-    except NonUnitaryPath:
-        with pytest.raises(NonUnitaryPath):
-            loop_report(nodes, n_bound=0, resonance=resonance)
-        return
-    got = loop_report(nodes, n_bound=0, resonance=resonance).w
-    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15, (got, want)

@@ -114,16 +114,16 @@ def test_every_solver_setting_is_read():
     assert _settings_never_read() == []
 
 
-def _chord_calls(path: Path) -> list[str]:
-    """Calls in the file to ``chord_winding`` or ``connector_winding``, by
-    name or as an attribute."""
+def _winding_calls(path: Path) -> list[str]:
+    """Calls in the file to ``winding``, the sampled path winder, by name or
+    as an attribute."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in ("chord_winding", "connector_winding"):
+            if name == "winding":
                 found.append(f"{name} (line {node.lineno})")
     return found
 
@@ -135,5 +135,5 @@ def _chord_calls(path: Path) -> list[str]:
 )
 def test_only_loops_closes_boundary_loops(path):
     """Every system hands its node stack to ``loops.loop_report``, which
-    winds the whole loop in one batch."""
-    assert _chord_calls(path) == []
+    winds the whole loop in one batch; no other module samples a path."""
+    assert _winding_calls(path) == []

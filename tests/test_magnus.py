@@ -19,7 +19,7 @@ from levlab import propagate
 from levlab.loops import unitarity_defect
 from levlab.potentials import gaussian_wells
 from levlab.propagate import Mesh, TransferEngine, _cosh_sinhc, build_mesh, truncation_radius
-from levlab.scattering import ENGINE_PROBE_KAPPAS, PotentialAnalysis, s_matrix_grid, zero_energy_tail
+from levlab.scattering import ENGINE_PROBE_KAPPAS, PotentialAnalysis, SolverSettings, s_matrix_grid, zero_energy_tail
 
 from conftest import random_well_family, sech2_well
 
@@ -90,7 +90,8 @@ def _probe_gaps(potential, *, stop=1e-11, max_halvings=8):
         c1, c2, scale, _ = zero_energy_tail(engine)
         return np.concatenate([t, r_l, r_r, [c1 / scale, c2 / scale]])
 
-    r = truncation_radius(potential)
+    settings = SolverSettings()
+    r = truncation_radius(potential, tol=settings.tail_tol, cap=settings.radius_cap)
     mesh = build_mesh(potential, -r, r, coarse_h=0.2, feature_cells=4)
     previous, gaps = snapshot(mesh), []
     while not gaps or gaps[-1] >= stop:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from levlab.loops import BoundaryPath, Sector, restrict, sector_threshold_class, sector_unitary, winding
+from levlab import point
+from levlab.loops import BoundaryPath, Sector, restrict, sector_threshold_class, winding
 from levlab.point import DELTA, DELTA_PRIME, PointInteraction, verify_levinson
 
 INF = math.inf
@@ -28,6 +29,16 @@ def zero_energy_class(interaction, sector):
     uncoupled sector scatters as 1."""
     value = interaction.amplitude(0.0).real if sector is interaction.sector else 1.0
     return sector_threshold_class(sector, value)
+
+
+def sector_unitary(value, sector):
+    """One sector's amplitude as a 2x2 unitary, diag(value, 1) for EVEN and
+    diag(1, value) for ODD: the embedding ``restrict`` replaced, kept as its
+    reference."""
+    if sector is Sector.EVEN:
+        return np.array([[value, 0.0j], [0.0j, 1.0 + 0.0j]])
+    return np.array([[1.0 + 0.0j, 0.0j], [0.0j, value]])
+
 
 COUPLINGS = [-5.0, -1.0, -0.1, 0.1, 1.0, 5.0, INF]
 
@@ -112,12 +123,14 @@ def test_amplitude_survives_extreme_scales(coupling):
 
 
 def test_interaction_matrix_embeds_by_sector():
-    m = sector_unitary(s_alpha(-2.0, 1.0), PointInteraction(DELTA, -2.0).sector)
-    assert m[0, 0] == s_alpha(-2.0, 1.0)
+    a = s_alpha(-2.0, 1.0)
+    m = restrict(np.diag([a, a]), PointInteraction(DELTA, -2.0).sector)
+    assert m[0, 0] == a
     assert m[1, 1] == 1.0
-    m = sector_unitary(s_beta(2.0, 1.0), PointInteraction(DELTA_PRIME, 2.0).sector)
+    b = s_beta(2.0, 1.0)
+    m = restrict(np.diag([b, b]), PointInteraction(DELTA_PRIME, 2.0).sector)
     assert m[0, 0] == 1.0
-    assert m[1, 1] == s_beta(2.0, 1.0)
+    assert m[1, 1] == b
     full = np.array([[s_alpha(-2.0, 1.0), 0.3], [0.4, s_beta(2.0, 1.0)]])
     assert np.array_equal(restrict(full, Sector.EVEN), sector_unitary(full[0, 0], Sector.EVEN))
     assert np.array_equal(restrict(full, Sector.ODD), sector_unitary(full[1, 1], Sector.ODD))
@@ -134,6 +147,33 @@ def test_interaction_rejects_bad_couplings():
         PointInteraction(DELTA, -INF)
     with pytest.raises(ValueError):
         PointInteraction("contact", 1.0)
+
+
+GOLDEN_COUPLINGS = [(kind, coupling) for kind in (DELTA, DELTA_PRIME) for coupling in (-1.0, 0.0, 1.0, INF)]
+
+
+@pytest.mark.parametrize("kind,coupling", GOLDEN_COUPLINGS)
+def test_nodes_are_the_sector_embedding_bit_for_bit(kind, coupling, monkeypatch):
+    """Both sectors' three nodes, built by ``restrict``, equal the embedding
+    of the +-2 twin's amplitude at 0, 1 and inf (1 in the uncoupled sector)
+    bit for bit, signed zeros included."""
+    stacks = []
+    wind = point.loop_report
+
+    def capture(nodes, **kwargs):
+        stacks.append(nodes)
+        return wind(nodes, **kwargs)
+
+    monkeypatch.setattr(point, "loop_report", capture)
+    interaction = PointInteraction(kind, coupling)
+    twin = PointInteraction(kind, 2.0 * coupling) if coupling in (-1.0, 1.0) else interaction
+    for sector in (Sector.EVEN, Sector.ODD):
+        verify_levinson(interaction, sector)
+        amplitude = twin.amplitude if sector is interaction.sector else (lambda kappa: 1.0 + 0.0j)
+        want = np.array([sector_unitary(amplitude(kappa), sector) for kappa in (0.0, 1.0, INF)])
+        got = stacks.pop()
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_full_sector_has_no_single_report():

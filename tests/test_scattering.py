@@ -13,6 +13,7 @@ from levlab.loops import Sector, unitarity_defect
 from levlab.potentials import Potential, gaussian_wells, square_well, zero_potential
 from levlab.propagate import (
     BLOCK_ELEMENTS,
+    Mesh,
     TransferEngine,
     build_mesh,
     sturm_negative_count,
@@ -22,12 +23,24 @@ from levlab.reporting import tuned_resonance_depth
 from levlab.scattering import (
     PotentialAnalysis,
     SolverSettings,
+    classify_threshold,
     count_bound_states_shooting,
+    s_matrix_grid,
     time_delay_integral,
     to_even_odd,
     zero_energy_tail,
     zero_energy_tail_slope,
 )
+
+# The solver's default mesh and truncation knobs.
+DEFAULTS = SolverSettings()
+
+
+def default_mesh(pot):
+    """The mesh over the potential's truncation radius, built with the
+    solver's default knobs."""
+    radius = truncation_radius(pot, tol=DEFAULTS.tail_tol, cap=DEFAULTS.radius_cap)
+    return build_mesh(pot, -radius, radius, coarse_h=DEFAULTS.coarse_h, feature_cells=DEFAULTS.feature_cells)
 
 
 def test_basis_change_swap_matrix():
@@ -99,8 +112,7 @@ def test_symmetric_eigenphases_follow_the_diagonal_slots():
 def test_symmetric_well_reflections_coincide():
     pot = gaussian_wells([(2.0, 0.7, 0.5), (2.0, -0.7, 0.5)])
     assert pot.symmetric
-    radius = truncation_radius(pot)
-    engine = TransferEngine(build_mesh(pot, -radius, radius))
+    engine = TransferEngine(default_mesh(pot))
     kappas = np.geomspace(0.02, 10.0, 15)
     _, r_left, r_right = engine.plane_wave_coefficients(kappas)
     assert np.max(np.abs(r_left - r_right)) < 1e-8
@@ -109,8 +121,7 @@ def test_symmetric_well_reflections_coincide():
 def test_asymmetric_well_reflections_differ():
     pot = gaussian_wells([(2.0, 0.7, 0.5)])
     assert not pot.symmetric
-    radius = truncation_radius(pot)
-    engine = TransferEngine(build_mesh(pot, -radius, radius))
+    engine = TransferEngine(default_mesh(pot))
     kappas = np.geomspace(0.02, 10.0, 15)
     _, r_left, r_right = engine.plane_wave_coefficients(kappas)
     assert np.max(np.abs(r_left - r_right)) > 1e-3
@@ -333,8 +344,7 @@ def test_sector_report_refuses_when_counters_disagree(monkeypatch):
 
 def test_zero_energy_solution_is_computed_once():
     pot = gaussian_wells([(6.0, 0.4, 0.8), (3.0, -1.1, 0.5)])
-    radius = truncation_radius(pot)
-    mesh = build_mesh(pot, -radius, radius)
+    mesh = default_mesh(pot)
     engine = TransferEngine(mesh)
     first = engine.edge_states()
     second = engine.edge_states()
@@ -348,6 +358,62 @@ def test_zero_energy_solution_is_computed_once():
     assert count_bound_states_shooting(engine, settings) == count_bound_states_shooting(fresh, settings)
     assert zero_energy_tail(engine) == zero_energy_tail(fresh)
     assert np.array_equal(engine.edge_states()[1], fresh.edge_states()[1])
+
+
+
+def _sequential_edge_states(engine):
+    """Reference: the zero-energy solution stepped one cell at a time from
+    (1, 0), (psi, psi') <- P_j (psi, psi') with each cell's propagator."""
+    cells = engine._propagators(slice(None), np.zeros(1))[:, :, 0]
+    p, q = 1.0, 0.0
+    psi, dpsi = [p], [q]
+    for a, b, c, d in zip(*(entry.tolist() for entry in cells)):
+        p, q = a * p + b * q, c * p + d * q
+        psi.append(p)
+        dpsi.append(q)
+    return engine.mesh.edges, np.array(psi), np.array(dpsi)
+
+
+@pytest.mark.parametrize("n_cells", [BLOCK_ELEMENTS + 1, 2 * BLOCK_ELEMENTS + 777])
+def test_zero_energy_solution_matches_the_sequential_recurrence(n_cells):
+    """The block prefix products, each block chained from the last state of
+    the one before, give the cell-by-cell solution to 1e-12 relative; the
+    first mesh ends on a block of one cell."""
+    pot = gaussian_wells([(6.0, 0.4, 0.8), (3.0, -1.1, 0.5)])
+    edges = np.linspace(-12.0, 12.0, n_cells + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    gap = math.sqrt(15.0) / 10.0 * np.diff(edges)
+    engine = TransferEngine(Mesh(edges=edges, v_lo=pot(mid - gap), v_mid=pot(mid), v_hi=pot(mid + gap)))
+    got, want = engine.edge_states(), _sequential_edge_states(engine)
+    assert np.array_equal(got[0], want[0])
+    for a, b in zip(got[1:], want[1:]):
+        assert a.shape == b.shape == (n_cells + 1,)
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_family_counts_and_classes_match_the_sequential_solution(well_family, monkeypatch):
+    """Every conftest member's shooting count and threshold class, read off
+    the cell-by-cell zero-energy solution, are the pipeline's."""
+    settings = SolverSettings()
+    want = [(member.n_bound_shooting, member.resonance) for member in well_family]
+    monkeypatch.setattr(TransferEngine, "edge_states", _sequential_edge_states)
+    got = [
+        (count_bound_states_shooting(member.engine, settings), classify_threshold(member.engine, settings))
+        for member in well_family
+    ]
+    assert got == want
+
+
+def test_grid_keeps_both_ends_of_a_short_span():
+    """A span too short for one point per decade's share still puts
+    kappa_min and kappa_max on the grid; the default grid keeps its 169
+    starting nodes."""
+    engine = TransferEngine(default_mesh(square_well(1.0, 1.0)))
+    short = SolverSettings(kappa_min=1.0, kappa_max=1.04)
+    kappas = s_matrix_grid(engine, short).kappas
+    assert kappas[0] == 1.0 and kappas[-1] == 1.04
+    coarse = SolverSettings(refine_phase_step=10.0, refine_entry_step=10.0)
+    assert s_matrix_grid(engine, coarse).kappas.size == 169
 
 
 # --- threshold classification near a tuned resonance ------------------------
@@ -391,7 +457,7 @@ def test_slow_tail_warns_then_fails_truncation():
             label="lorentzian well",
         )
     with pytest.raises(DecayTooSlow):
-        truncation_radius(pot)
+        truncation_radius(pot, tol=DEFAULTS.tail_tol, cap=DEFAULTS.radius_cap)
 
 
 def _loop_time_delay(matrices):

@@ -12,7 +12,10 @@ import pytest
 
 from levlab.potentials import square_well
 from levlab.propagate import BLOCK_ELEMENTS, TransferEngine, build_mesh
-from levlab.scattering import PotentialAnalysis
+from levlab.scattering import PotentialAnalysis, SolverSettings
+
+# The solver's default mesh knobs.
+DEFAULTS = SolverSettings()
 
 
 def closed_form_amplitudes(depth, half_width, kappa):
@@ -63,7 +66,7 @@ def test_oracle_threshold_reflection():
 @pytest.mark.parametrize("depth,half_width", CASES)
 def test_transfer_matches_closed_form(depth, half_width):
     pot = square_well(depth, half_width)
-    mesh = build_mesh(pot, -half_width, half_width)
+    mesh = build_mesh(pot, -half_width, half_width, coarse_h=DEFAULTS.coarse_h, feature_cells=DEFAULTS.feature_cells)
     engine = TransferEngine(mesh)
     t_num, r_left, r_right = engine.plane_wave_coefficients(KAPPAS)
     for i, kappa in enumerate(KAPPAS):
@@ -86,7 +89,9 @@ WIDE_KAPPAS = np.geomspace(1e-3, 50.0, 200)
 @pytest.fixture(scope="module")
 def wide_engine():
     pot = square_well(WIDE_DEPTH, WIDE_HALF_WIDTH)
-    engine = TransferEngine(build_mesh(pot, -WIDE_HALF_WIDTH, WIDE_HALF_WIDTH + 5.0))
+    engine = TransferEngine(build_mesh(
+        pot, -WIDE_HALF_WIDTH, WIDE_HALF_WIDTH + 5.0, coarse_h=DEFAULTS.coarse_h, feature_cells=DEFAULTS.feature_cells
+    ))
     assert engine.mesh.n_cells % 2 == 1
     assert 2 * engine.mesh.n_cells > BLOCK_ELEMENTS
     return engine

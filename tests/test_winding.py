@@ -1,5 +1,5 @@
 """Winding engine on paths with analytically known answers, and the closed
-form of a potential's momentum side against its sampled oracle."""
+form of every side of a loop against its sampled oracle."""
 
 import bisect
 import math
@@ -17,8 +17,6 @@ from levlab.loops import (
     BoundaryPath,
     ResonanceClass,
     Sector,
-    chord_winding,
-    connector_winding,
     loop_report,
     restrict,
     unitarity_defect,
@@ -28,6 +26,8 @@ from levlab.point import DELTA, DELTA_PRIME, PointInteraction, verify_levinson
 from levlab.potentials import gaussian_wells, square_well
 from levlab.reporting import tuned_exceptional_well
 from levlab.scattering import PotentialAnalysis
+
+from test_gamma_paths import sampled_connector
 
 
 def phase_path(turns):
@@ -97,12 +97,18 @@ def test_jump_discontinuity_is_detected():
         winding(path, max_samples=4097)
 
 
-def sampled_windings(b2):
-    """Reference windings of the loop around the momentum side ``b2``: the
-    connectors to its two end values in closed form, and ``b2`` itself
-    sampled by ``loops.winding``."""
-    start, end = b2.eval(0.0), b2.eval(1.0)
-    return (connector_winding(start), loops.winding(b2), 0.0 - connector_winding(end), 0.0)
+def sampled_connectors(start, end):
+    """B1 and B3 sampled: the connectors to a momentum side's end values,
+    the second run backwards, which negates its winding."""
+    return winding(sampled_connector(start)), 0.0 - winding(sampled_connector(end))
+
+
+def sampled_windings(b2, connectors=None):
+    """Reference windings of the loop around the momentum side ``b2``, every
+    side sampled: ``connectors``, or ``sampled_connectors`` of b2's end
+    values, and ``b2`` itself, the one path handed to ``loops.winding``."""
+    b1, b3 = connectors or sampled_connectors(b2.eval(0.0), b2.eval(1.0))
+    return (b1, loops.winding(b2), b3, 0.0)
 
 
 def test_closed_identity_loop():
@@ -115,10 +121,10 @@ def test_closed_identity_loop():
 
 def test_loop_refuses_a_nan_end():
     """A momentum side that starts or ends on nan values leaves no loop: the
-    loop refuses it, as the connector to that end does."""
+    loop refuses it, as the sampled connector to that end does."""
     nan = np.full((2, 2), np.nan, dtype=complex)
     with pytest.raises(NonUnitaryPath):
-        connector_winding(nan)
+        sampled_connector(nan)
     for nodes in ((nan, np.eye(2)), (np.eye(2), nan)):
         with pytest.raises(NonUnitaryPath):
             loop_report(nodes, n_bound=0, resonance=ResonanceClass.generic())
@@ -200,14 +206,14 @@ def _polar_factor(m00, m01, m10, m11):
 
 
 # A sampled value with |det| at or below this share of its squared Frobenius
-# norm is singular to rounding, as in ``chord_winding``.
+# norm is singular to rounding, as on the chords of ``loop_report``.
 SINGULAR_DET = 1e-14
 
 
 def interpolated_path(node_params, node_values):
-    """Sampled oracle for ``chord_winding``: the piecewise-linear path through
-    unitary nodes, (1 - theta) A + theta B between neighbours, as a path over
-    the node parameters.
+    """Sampled oracle for the chords of ``loop_report``: the piecewise-linear
+    path through unitary nodes, (1 - theta) A + theta B between neighbours,
+    as a path over the node parameters.
 
     Node parameters must increase strictly from 0 to 1; each node must be
     unitary to 1e-8.  A singular sampled value raises ``NonUnitaryPath``.
@@ -288,37 +294,57 @@ def test_interpolated_path_is_linear_between_nodes():
         assert np.array_equal(path.eval(theta), (1.0 - theta) * nodes[0] + theta * nodes[1])
 
 
+def wind_chords(nodes, *, frame=True):
+    """B2's winding in ``loop_report``.  ``frame`` puts an identity node,
+    which is always admitted, at both ends of an arbitrary unitary stack, so
+    B2 winds its chords from and back to the identity."""
+    if frame:
+        nodes = [np.eye(2), *nodes, np.eye(2)]
+    return loop_report(nodes, n_bound=0, resonance=ResonanceClass.generic()).w[1]
+
+
 def test_singular_interpolant_raises():
     """Halfway from 1 to -1 the chord is the zero matrix, and in the even
     sector its det 1 - 2 theta vanishes there: no det phase exists, and the
-    closed form must not invent one."""
-    with pytest.raises(NonUnitaryPath):
-        chord_winding([np.eye(2), -np.eye(2)])
-    with pytest.raises(NonUnitaryPath):
-        chord_winding(restrict(np.array([np.eye(2), -np.eye(2)]), Sector.EVEN))
+    closed form must not invent one.  Both ends are admitted, so only the
+    chord is refused."""
+    with pytest.raises(NonUnitaryPath, match="det vanishes"):
+        wind_chords([np.eye(2), -np.eye(2)], frame=False)
+    with pytest.raises(NonUnitaryPath, match="det vanishes"):
+        wind_chords(restrict(np.array([np.eye(2), -np.eye(2)]), Sector.EVEN), frame=False)
     with pytest.raises(NonUnitaryPath):
         interpolated_path([0.0, 1.0], [np.eye(2), -np.eye(2)]).eval(0.5)
 
 
 def test_chord_winding_refuses_non_unitary_nodes():
-    with pytest.raises(NonUnitaryPath):
-        chord_winding([np.eye(2), 1.01 * np.eye(2)])
-    with pytest.raises(NonUnitaryPath):
-        chord_winding([np.eye(2), np.full((2, 2), np.nan)])
+    """Nodes off unitary by more than 1e-8, nan nodes among them, are
+    refused before any end is admitted; so are stacks of the wrong shape."""
+    for frame in (False, True):
+        with pytest.raises(NonUnitaryPath, match="not unitary"):
+            wind_chords([np.eye(2), 1.01 * np.eye(2)], frame=frame)
+        with pytest.raises(NonUnitaryPath, match="not unitary"):
+            wind_chords([np.eye(2), np.full((2, 2), np.nan)], frame=frame)
     one_nan = np.array([[1.0, np.nan], [0.0, 1.0]])
     for nodes in ([np.eye(2), one_nan], [np.eye(2), np.eye(2), one_nan]):
         with pytest.raises(NonUnitaryPath, match="not unitary"):
-            chord_winding(nodes)
+            wind_chords(nodes, frame=False)
     for bad in (np.eye(2), np.eye(2)[None], np.zeros((2, 3, 3))):
-        with pytest.raises(ValueError):
-            chord_winding(bad)
+        with pytest.raises(ValueError, match="stack of at least two nodes"):
+            loop_report(bad, n_bound=0, resonance=ResonanceClass.generic())
 
 
 def test_constant_chords_do_not_wind():
+    """A chord between equal nodes adds exactly nothing to B2: around a
+    constant admitted side B2 is 0.0 and the connectors cancel.  Framed by
+    the identity, a constant stack winds out and back to rounding."""
+    rotation = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+    for s in (np.eye(2), np.diag([-1.0, 1.0]), np.diag([1.0, -1.0]), rotation):
+        report = loop_report([s, s, s], n_bound=0, resonance=ResonanceClass.generic())
+        assert report.w[1] == 0.0 and report.w[0] + report.w[2] == 0.0
     u = _random_unitary(np.random.default_rng(3))
-    assert chord_winding([u, u, u]) == 0.0
     v = np.diag([1.0, np.exp(0.7j)])
-    assert chord_winding([v, v]) == 0.0
+    for nodes in ([u, u, u], [v, v]):
+        assert abs(wind_chords(nodes)) < 1e-15
 
 
 def _chain(seed, steps, sector):
@@ -347,22 +373,26 @@ def _min_det_share(nodes, n=2001):
     st.sampled_from(list(Sector)),
 )
 def test_chord_winding_matches_sampled_chords(seed, steps, sector):
-    """Random unitary chords, with steps up to spectral norm 2: the closed
-    form equals the sampled winding of the same chords to 1e-12.  A parity
-    sector makes each chord's det linear in theta."""
+    """Random unitary chords, with steps up to spectral norm 2, framed by
+    identity nodes: B2 in closed form equals the sampled winding of the same
+    framed chords to 1e-12.  A parity sector makes each chord's det linear
+    in theta."""
     nodes = _chain(seed, steps, sector)
-    assume(_min_det_share(nodes) > 1e-3)
-    params = np.linspace(0.0, 1.0, len(nodes))
-    assert abs(chord_winding(nodes) - winding(interpolated_path(params, nodes))) < 1e-12
+    framed = np.concatenate([[np.eye(2)], nodes, [np.eye(2)]])
+    assume(_min_det_share(framed) > 1e-3)
+    sampled = winding(interpolated_path(np.linspace(0.0, 1.0, len(framed)), framed))
+    assert abs(wind_chords(nodes) - sampled) < 1e-12
 
 
 def test_chord_steps_beyond_unit_norm_are_wound():
     """A chord from 1 to exp(i phi) with phi near pi has spectral norm near
-    2; its det stays off zero and winds by the chord's own angle."""
+    2; its det stays off zero and winds by the chord's own angle.  The
+    chord on to the admitted end diag(-1, 1) is short, so B2 winds half a
+    turn in the direction of phi."""
     for phi in (2.5, 3.0, -3.0):
-        nodes = np.array([np.eye(2), np.diag([np.exp(1j * phi), 1.0])])
+        nodes = np.array([np.eye(2), np.diag([np.exp(1j * phi), 1.0]), np.diag([-1.0, 1.0])])
         assert np.linalg.norm(nodes[1] - nodes[0], 2) > 1.0
-        assert abs(chord_winding(nodes) - phi / (2.0 * np.pi)) < 1e-15
+        assert abs(wind_chords(nodes, frame=False) - math.copysign(0.5, phi)) < 1e-15
 
 
 _REFERENCE_WELLS = {
@@ -400,8 +430,9 @@ def _assert_windings_match_polar_reference(analysis):
         report = analysis.report(sector)
         nodes = analysis._b2_nodes(sector)
         assert report == loop_report(nodes, n_bound=report.n_bound, resonance=report.resonance)
+        connectors = sampled_connectors(nodes[0], nodes[-1])
         for sampled in (interpolated_path, polar_interpolated_path):
-            reference = sampled_windings(sampled(params, nodes))
+            reference = sampled_windings(sampled(params, nodes), connectors)
             gap = max(abs(a - b) for a, b in zip(report.w, reference))
             assert gap < 1e-12, (sector, sampled.__name__, report.w, reference)
 
