@@ -206,6 +206,21 @@ def _output_path(flag, output: dict, key: str):
     return path
 
 
+def _require_distinct_files(paths: dict) -> None:
+    """Refuse two given paths that resolve to one file: the later write would
+    replace the earlier dump, or an output would overwrite the config."""
+    seen = {}
+    for role, path in paths.items():
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(
+                f"cannot write output file: the {role} path {path!r} names the same file as {seen[real]}"
+            )
+        seen[real] = f"the {role} path {path!r}"
+
+
 def _write_output(writer, path: str) -> None:
     try:
         writer(path)
@@ -239,6 +254,7 @@ def _cmd_potential(args) -> int:
         raise ConfigError("'output' must be an object")
     csv_path = _output_path(args.csv, output, "csv")
     phase_path = _output_path(args.phase_csv, output, "phase_csv")
+    _require_distinct_files({"config": args.config, "'csv'": csv_path, "'phase_csv'": phase_path})
     analysis = PotentialAnalysis(potential, settings)
 
     print(f"potential: {potential.label}")

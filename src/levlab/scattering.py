@@ -21,7 +21,8 @@ Everything the index bookkeeping needs from a potential is produced here:
 
 Matrices are kept in the plane-wave basis (transmission on the diagonal);
 the index constructions read their even-odd stack, where the threshold forms
-are real orthogonal.
+are real orthogonal.  ``ScatteringData``'s two CSV dumps read it in array
+passes: one unwrap, one batched ``eig``, one row writer.
 """
 
 from __future__ import annotations
@@ -172,60 +173,49 @@ class ScatteringData:
 
     def det_phases(self) -> np.ndarray:
         """Continuously unwrapped argument of det S along the grid."""
-        dets = np.linalg.det(self.even_odd)
-        return np.angle(dets[0]) + np.concatenate([[0.0], np.cumsum(phase_steps(dets))])
+        return _unwrapped_angle(np.linalg.det(self.even_odd))
 
     def eigenphase_curves(self) -> np.ndarray:
         """Unwrapped eigenphases (n, 2), columns ordered by their angle at the
         first node.  A symmetric potential's follow the two diagonal slots of
-        the even-odd stack; otherwise branches are matched by eigenvector
-        overlap, which rounding decides where two eigenphases nearly meet."""
-        mats, n = self.even_odd, self.kappas.size
+        the even-odd stack.  Otherwise the eig columns v, w of consecutive
+        nodes pair crosswise only where |<v0,w1>|^2 + |<v1,w0>|^2 strictly
+        exceeds |<v0,w0>|^2 + |<v1,w1>|^2 (an exact tie pairs them straight);
+        rounding decides where two eigenphases nearly meet."""
         if self.symmetric:
-            slots = np.diagonal(mats, axis1=1, axis2=2)
-            slots = slots[:, np.argsort(np.angle(slots[0]))]
-            steps = np.angle(slots[1:] * np.conj(slots[:-1]))
-            return np.angle(slots[0]) + np.concatenate([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
-        phases = np.empty((n, 2))
-        lam, vec = np.linalg.eig(mats[0])
-        order = np.argsort(np.angle(lam))
-        lam, vec = lam[order], vec[:, order]
-        phases[0] = np.angle(lam)
-        for i in range(1, n):
-            w, v = np.linalg.eig(mats[i])
-            overlap = np.abs(vec.conj().T @ v) ** 2
-            if overlap[0, 0] + overlap[1, 1] < overlap[0, 1] + overlap[1, 0]:
-                w, v = w[::-1], v[:, ::-1]
-            phases[i] = phases[i - 1] + np.angle(w * np.conj(lam))
-            lam, vec = w, v
-        return phases
+            slots = np.diagonal(self.even_odd, axis1=1, axis2=2)
+            return _unwrapped_angle(slots[:, np.argsort(np.angle(slots[0]))])
+        lam, vec = np.linalg.eig(self.even_odd)
+        overlap = np.abs(vec[:-1].conj().swapaxes(1, 2) @ vec[1:]) ** 2
+        cross = overlap[:, 0, 1] + overlap[:, 1, 0] > overlap[:, 0, 0] + overlap[:, 1, 1]
+        swapped = np.logical_xor.accumulate(np.r_[np.angle(lam[0, 0]) > np.angle(lam[0, 1]), cross])
+        return _unwrapped_angle(np.where(swapped[:, None], lam[:, ::-1], lam))
 
     def write_csv(self, path) -> None:
         """Entrywise CSV dump; floats use shortest round-trip formatting, so
         identical data produces byte-identical files."""
-        header = "kappa,re11,im11,re12,im12,re21,im21,re22,im22"
-        rows = [header]
-        for k, m in zip(self.kappas, self.matrices):
-            cells = [repr(float(k))]
-            for i in (0, 1):
-                for j in (0, 1):
-                    cells.append(repr(float(m[i, j].real)))
-                    cells.append(repr(float(m[i, j].imag)))
-            rows.append(",".join(cells))
-        _write_lines(path, rows)
+        entries = np.ascontiguousarray(self.matrices, dtype=complex).reshape(-1, 4).view(float)
+        table = np.column_stack([self.kappas, entries])
+        _write_rows(path, "kappa,re11,im11,re12,im12,re21,im21,re22,im22", table)
 
     def write_phase_csv(self, path) -> None:
         """Phase dump in the even-odd basis: unwrapped arg det S and both
         eigenphase curves per momentum, formatted as in ``write_csv``."""
-        rows = ["kappa,arg_det,phase1,phase2"]
-        for k, d, pair in zip(self.kappas, self.det_phases(), self.eigenphase_curves()):
-            rows.append(",".join(repr(float(v)) for v in (k, d, pair[0], pair[1])))
-        _write_lines(path, rows)
+        table = np.column_stack([self.kappas, self.det_phases(), self.eigenphase_curves()])
+        _write_rows(path, "kappa,arg_det,phase1,phase2", table)
 
 
-def _write_lines(path, rows: list[str]) -> None:
+def _unwrapped_angle(values: np.ndarray) -> np.ndarray:
+    """Angle of unit-modulus values, unwrapped along axis 0."""
+    steps = np.cumsum(phase_steps(values), axis=0)
+    return np.angle(values[0]) + np.concatenate([np.zeros((1,) + steps.shape[1:]), steps])
+
+
+def _write_rows(path, header: str, table: np.ndarray) -> None:
+    """The header, then one line per table row in shortest round-trip form."""
     with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in table.tolist())
 
 
 def _plane_matrices(engine: TransferEngine, kappas: np.ndarray) -> np.ndarray:

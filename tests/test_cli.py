@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -411,6 +412,64 @@ def test_potential_unwritable_output_path_is_config_error(tmp_path, capsys, via,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "config error: cannot write output file" in captured.err
+
+
+@pytest.mark.parametrize(
+    "csv_via, phase_via",
+    [("flag", "flag"), ("config", "config"), ("flag", "config"), ("config", "flag")],
+)
+def test_potential_dumps_naming_one_file_are_refused(tmp_path, capsys, monkeypatch, csv_via, phase_via):
+    """Two dumps naming one file (here once as ./same.csv) would leave only
+    the phase dump in it: refused before the analysis, nothing written."""
+    monkeypatch.chdir(tmp_path)
+    argv, output = ["potential"], {}
+    for key, via, path in (("csv", csv_via, "same.csv"), ("phase_csv", phase_via, "./same.csv")):
+        if via == "flag":
+            argv += ["--" + key.replace("_", "-"), path]
+        else:
+            output[key] = path
+    assert main(argv + ["--config", write_config(tmp_path, dict(WELL_CONFIG, output=output))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: cannot write output file" in captured.err and "names the same file" in captured.err
+    assert not (tmp_path / "same.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["csv", "phase_csv"])
+@pytest.mark.parametrize("via", ["flag", "config", "symlink"])
+def test_potential_dump_naming_the_config_is_refused(tmp_path, capsys, key, via):
+    """An output path that resolves to the config file (given as is, from the
+    config's own ``output``, or through a symlink) would overwrite it."""
+    cfg_file = tmp_path / "config.json"
+    cfg = str(cfg_file)
+    argv = ["potential"]
+    if via == "config":
+        write_config(tmp_path, dict(WELL_CONFIG, output={key: cfg}))
+    else:
+        write_config(tmp_path, WELL_CONFIG)
+        target = cfg
+        if via == "symlink":
+            target = str(tmp_path / "link.json")
+            os.symlink(cfg, target)
+        argv += ["--" + key.replace("_", "-"), target]
+    before = cfg_file.read_text()
+    assert main(argv + ["--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "names the same file as the config path" in captured.err
+    assert cfg_file.read_text() == before
+
+
+def test_potential_flag_clears_a_shared_config_output(tmp_path, capsys):
+    """A flag replaces its ``output`` entry before the paths are compared, so
+    a config whose two entries coincide runs when one flag tells them apart."""
+    shared = tmp_path / "same.csv"
+    cfg = write_config(tmp_path, dict(WELL_CONFIG, output={"csv": str(shared), "phase_csv": str(shared)}))
+    phases = tmp_path / "p.csv"
+    assert main(["potential", "--config", cfg, "--phase-csv", str(phases)]) == 0
+    capsys.readouterr()
+    s_rows = shared.read_text().splitlines()
+    assert s_rows[0].startswith("kappa,re11") and len(s_rows) == len(phases.read_text().splitlines())
 
 
 def test_potential_numerics_override(tmp_path, capsys):

@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 from levlab import propagate, scattering
 from levlab.errors import ClassificationAmbiguous, DecayTooSlow, PhaseJumpTooLarge, ResolutionInsufficient
 from levlab.loops import Sector, unitarity_defect
-from levlab.potentials import Potential, gaussian_wells, square_well, zero_potential
+from levlab.potentials import Potential, gaussian_wells, square_well, tabulated_potential, zero_potential
 from levlab.propagate import (
     BLOCK_ELEMENTS,
     Mesh,
@@ -107,6 +107,117 @@ def test_symmetric_eigenphases_follow_the_diagonal_slots():
     bump = a[:, None, None] * np.eye(2) + b[:, None, None] * np.array([[0.0, 1.0], [1.0, 0.0]])
     perturbed = scattering.ScatteringData(data.kappas, data.matrices + bump, symmetric=True)
     assert np.max(np.abs(perturbed.eigenphase_curves() - curves)) < 1e-12
+
+
+# The CI tabulated well: asymmetric, so its phase dump takes the eig branch.
+TABULATED_WELL = tabulated_potential([-2.0, -0.5, 0.0, 1.5, 2.0], [0.0, -3.0, -1.0, -2.5, 0.0])
+PAIR_WELL = gaussian_wells([(2.0, 0.7, 0.5), (2.0, -0.7, 0.5)])
+
+
+def per_node_eigenphases(mats):
+    """The asymmetric eigenphase curves as one eig call per node, carrying the
+    previous node's ordered eigenvectors to decide each swap by overlap."""
+    n = len(mats)
+    phases = np.empty((n, 2))
+    lam, vec = np.linalg.eig(mats[0])
+    order = np.argsort(np.angle(lam))
+    lam, vec = lam[order], vec[:, order]
+    phases[0] = np.angle(lam)
+    for i in range(1, n):
+        w, v = np.linalg.eig(mats[i])
+        overlap = np.abs(vec.conj().T @ v) ** 2
+        if overlap[0, 0] + overlap[1, 1] < overlap[0, 1] + overlap[1, 0]:
+            w, v = w[::-1], v[:, ::-1]
+        phases[i] = phases[i - 1] + np.angle(w * np.conj(lam))
+        lam, vec = w, v
+    return phases
+
+
+@pytest.mark.parametrize("member", [None, 2, 3, 14], ids=["tabulated", "member-2", "member-3", "member-14"])
+def test_asymmetric_eigenphases_match_the_per_node_loop(well_family, member):
+    """The batched eig branch takes every branch choice the per-node loop
+    takes; only the summation order of the unwrap differs."""
+    analysis = PotentialAnalysis(TABULATED_WELL) if member is None else well_family[member]
+    data = analysis.scattering
+    assert not data.symmetric
+    curves = data.eigenphase_curves()
+    assert curves.shape == (data.kappas.size, 2)
+    assert np.max(np.abs(curves - per_node_eigenphases(data.even_odd))) < 1e-13
+
+
+def test_asymmetric_eigenphases_follow_a_crossing():
+    """S = R(k) diag(e^{ia}, e^{ib}) R(k)^T with R turning slowly: the curves
+    follow a and b through their crossing (and a past pi), where a per-node
+    sort by angle would reflect them."""
+    k = np.linspace(0.0, 1.0, 200)
+    a, b = 0.2 + 3.5 * k, 2.0 - 1.5 * k
+    c, s = np.cos(0.3 * k), np.sin(0.3 * k)
+    rot = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    phases = np.zeros((k.size, 2, 2), dtype=complex)
+    phases[:, 0, 0], phases[:, 1, 1] = np.exp(1j * a), np.exp(1j * b)
+    even_odd = rot @ phases @ rot.swapaxes(1, 2)
+    data = scattering.ScatteringData(k, to_even_odd(even_odd))
+    curves = data.eigenphase_curves()
+    assert np.max(np.abs(curves - np.column_stack([a, b]))) < 1e-12
+    assert np.any(np.diff(np.sign(a - b)) != 0)
+
+
+def test_eigenphase_tie_pairs_the_eig_columns_straight(monkeypatch):
+    """Where the straight and cross overlap sums tie exactly, eig's column j
+    continues its column j of the node before.  Here node 1's columns cross
+    node 0's, and node 2's Hadamard columns tie with node 1's, so node 2
+    keeps node 1's swap."""
+    h = 1.0 / math.sqrt(2.0)
+    swap, hadamard = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[h, h], [h, -h]])
+    overlap = np.abs(swap.T @ hadamard) ** 2
+    assert overlap[0, 0] + overlap[1, 1] == overlap[0, 1] + overlap[1, 0]
+    lam = np.exp(1j * np.array([[0.1, 0.5], [0.45, 0.15], [0.4, 0.2]]))
+    vec = np.array([np.eye(2), swap, hadamard], dtype=complex)
+    monkeypatch.setattr(np.linalg, "eig", lambda mats: (lam, vec))
+    data = scattering.ScatteringData(np.array([1.0, 2.0, 3.0]), np.tile(np.eye(2, dtype=complex), (3, 1, 1)))
+    curves = data.eigenphase_curves()
+    assert np.allclose(curves, [[0.1, 0.5], [0.15, 0.45], [0.2, 0.4]], atol=1e-15)
+
+
+def per_cell_dumps(data):
+    """The bytes of both dumps as a per-cell formatter writes them."""
+    rows = ["kappa,re11,im11,re12,im12,re21,im21,re22,im22"]
+    for k, m in zip(data.kappas, data.matrices):
+        cells = [repr(float(k))]
+        for i in (0, 1):
+            for j in (0, 1):
+                cells.append(repr(float(m[i, j].real)))
+                cells.append(repr(float(m[i, j].imag)))
+        rows.append(",".join(cells))
+    phases = ["kappa,arg_det,phase1,phase2"]
+    for k, d, pair in zip(data.kappas, data.det_phases(), data.eigenphase_curves()):
+        phases.append(",".join(repr(float(v)) for v in (k, d, pair[0], pair[1])))
+    return [("\n".join(lines) + "\n").encode() for lines in (rows, phases)]
+
+
+def signed_zero_stack():
+    """A two-node stack whose dump holds -0.0 and 1e-300 entries."""
+    mats = np.empty((2, 2, 2), dtype=complex)
+    mats.real = [[[1.0, 1e-300], [-0.0, -1.0]], [[-0.0, -1e-300], [0.0, 1.0]]]
+    mats.imag = [[[-0.0, 0.0], [1e-300, -0.0]], [[1.0, -0.0], [-1e-300, -0.0]]]
+    return scattering.ScatteringData(np.array([1e-300, 0.5]), mats)
+
+
+@pytest.mark.parametrize("source", ["symmetric", "asymmetric", "signed-zero"])
+def test_dumps_match_the_per_cell_formatter_byte_for_byte(tmp_path, source):
+    data = {
+        "symmetric": lambda: PotentialAnalysis(PAIR_WELL).scattering,
+        "asymmetric": lambda: PotentialAnalysis(TABULATED_WELL).scattering,
+        "signed-zero": signed_zero_stack,
+    }[source]()
+    assert data.symmetric == (source == "symmetric")
+    data.write_csv(tmp_path / "s.csv")
+    data.write_phase_csv(tmp_path / "p.csv")
+    dumps = [(tmp_path / name).read_bytes() for name in ("s.csv", "p.csv")]
+    assert dumps == per_cell_dumps(data)
+    assert dumps[0].count(b"\n") == dumps[1].count(b"\n") == data.kappas.size + 1
+    if source == "signed-zero":
+        assert b",-0.0," in dumps[0] and b"1e-300" in dumps[0]
 
 
 def test_symmetric_well_reflections_coincide():
