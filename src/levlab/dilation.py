@@ -27,8 +27,9 @@ x^(-1/2 - i s) f(x) dx, evaluated after x = exp(u) as an ordinary Fourier
 sum from a uniform u grid to a uniform s grid.  The s grid is the
 reciprocal lattice of the u grid, so that sum is one zero-padded FFT per
 spectrum, and a spectral range past the Nyquist frequency pi / du is
-refused; the inverse is a dense sum at the few ray points the check needs,
-with its kernel kept for the last targets.
+refused, as is a probe whose spectrum the s range cuts off; the inverse is
+a dense sum at the few ray points the check needs, with its kernel kept for
+the last targets.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from numbers import Integral
 import numpy as np
 from numpy.polynomial.hermite import hermval
 
+from .errors import ResolutionInsufficient
 from .loops import r_even, r_odd
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -134,6 +136,13 @@ class ProbeFunction:
     def odd_part(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         return 0.5 * (self.value(r) - self.value(-r))
+
+
+# A forward spectrum resolves its probe only if its outermost SPECTRUM_EDGE_BINS
+# bins at each end stay within SPECTRUM_EDGE_RATIO of its peak; past that the
+# cut at |s| = s_max shows in the identity residual.
+SPECTRUM_EDGE_BINS = 20
+SPECTRUM_EDGE_RATIO = 1e-9
 
 
 # Unused by the package: kept only because the benchmark clears this memo by
@@ -363,17 +372,31 @@ def _multiplier_halves(
     """(1/2)(1 - r_even) on the even part and (1/2)(1 - r_odd) on the odd
     part of fn at the ray points r; neither depends on the direction omega.
     fn is sampled once at +x and once at -x for both parts, each part is
-    transformed once, and both images are inverted together."""
+    transformed once and its spectrum checked by ``_resolved``, and both
+    images are inverted together."""
     xs = ev.x
     plus, minus = fn.value(xs), fn.value(-xs)
-    spectra = np.stack(
-        (ev.r_even * ev.forward(0.5 * (plus + minus)), ev.r_odd * ev.forward(0.5 * (plus - minus))),
-        axis=1,
-    )
+    even = _resolved(ev.forward(0.5 * (plus + minus)), fn)
+    odd = _resolved(ev.forward(0.5 * (plus - minus)), fn)
+    spectra = np.stack((ev.r_even * even, ev.r_odd * odd), axis=1)
     images = ev.inverse_at(spectra, r)
     even_half = 0.5 * (fn.even_part(r) - images[:, 0])
     odd_half = 0.5 * (fn.odd_part(r) - images[:, 1])
     return even_half, odd_half
+
+
+def _resolved(spectrum: np.ndarray, fn: ProbeFunction) -> np.ndarray:
+    """The forward spectrum of a part of fn, refused with
+    ResolutionInsufficient where its edge bins exceed SPECTRUM_EDGE_RATIO of
+    its peak: the fixed s grid cuts off a spectrum still that large."""
+    size = np.abs(spectrum)
+    edge = max(size[:SPECTRUM_EDGE_BINS].max(), size[-SPECTRUM_EDGE_BINS:].max())
+    if not edge <= SPECTRUM_EDGE_RATIO * size.max():  # a nan spectrum is refused too
+        raise ResolutionInsufficient(
+            f"Mellin spectrum of {fn.label} still reaches {edge / size.max():.1e} of its peak "
+            "at the edge of the s grid; the grid cannot resolve this probe"
+        )
+    return spectrum
 
 
 def identity_residual(fn: ProbeFunction, evaluator: MellinEvaluator | None = None) -> float:

@@ -32,7 +32,9 @@ class ClassificationAmbiguous(LevlabError):
 
 
 class ResolutionInsufficient(LevlabError):
-    """Doubling the grid changed a discrete count."""
+    """A grid fails to resolve its data: doubling it changed a discrete
+    count, or a Mellin spectrum is still above ``SPECTRUM_EDGE_RATIO`` of its
+    peak at the edge of the fixed s grid."""
 
 
 class SymmetryRequired(LevlabError):

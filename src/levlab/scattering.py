@@ -2,7 +2,10 @@
 
 Everything the index bookkeeping needs from a potential is produced here:
 
-* unitary scattering matrices on an adaptively refined momentum grid,
+* unitary scattering matrices on an adaptively refined momentum grid, from
+  the converged pair (M, M/2) of a mesh-halving ladder: nodes up to the top
+  probe momentum, where M's probe data lie within ``solver_tol`` of M/2's,
+  are propagated on M, and nodes above it, which no probe certifies, on M/2,
 * the threshold class (generic, or exceptional with the asymptotic ratio
   gamma of the bounded zero-energy solution) with an independent cross-check
   against a small-momentum extrapolation of the scattering matrix itself,
@@ -79,7 +82,8 @@ SHALLOW_STRENGTH = 1.2
 SHALLOW_MOMENTUM_FACTOR = 0.45
 SHALLOW_MOMENTUM_FLOOR = 5e-3
 SHALLOW_DECAY_LENGTHS = 8.0
-# Probe momenta whose scattering data must stop moving under mesh halving.
+# Probe momenta whose scattering data must stop moving under mesh halving;
+# grid nodes up to the last one are propagated on the coarser mesh of the pair.
 ENGINE_PROBE_KAPPAS = np.geomspace(1e-3, 50.0, 10)
 ENGINE_PROBE_KAPPAS.flags.writeable = False
 
@@ -218,7 +222,31 @@ def _write_rows(path, header: str, table: np.ndarray) -> None:
         fh.writelines(",".join(map(repr, row)) + "\n" for row in table.tolist())
 
 
-def _plane_matrices(engine: TransferEngine, kappas: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class MeshPair:
+    """The converged pair (M, M/2) of the mesh-halving ladder, read as one
+    engine.  The ladder stops once M's data at the probe momenta lie within
+    ``solver_tol`` of M/2's, and that step-doubling estimate bounds M's own
+    error; so momenta up to the top probe are propagated on M, which has
+    half the cells, and only the momenta above it, which no probe covers,
+    on M/2."""
+
+    coarse: TransferEngine
+    fine: TransferEngine
+
+    def plane_wave_coefficients(self, kappas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(t, r_left, r_right) as from ``TransferEngine``, each momentum
+        propagated on the mesh of its band."""
+        kappas = np.asarray(kappas, dtype=float)
+        inside = kappas <= ENGINE_PROBE_KAPPAS[-1]
+        out = np.empty((3,) + kappas.shape, dtype=complex)
+        for engine, band in ((self.coarse, inside), (self.fine, ~inside)):
+            if band.any():
+                out[:, band] = engine.plane_wave_coefficients(kappas[band])
+        return tuple(out)
+
+
+def _plane_matrices(engine: TransferEngine | MeshPair, kappas: np.ndarray) -> np.ndarray:
     t, r_left, r_right = engine.plane_wave_coefficients(kappas)
     mats = np.empty((kappas.size, 2, 2), dtype=complex)
     mats[:, 0, 0] = t
@@ -229,13 +257,16 @@ def _plane_matrices(engine: TransferEngine, kappas: np.ndarray) -> np.ndarray:
 
 
 def s_matrix_grid(
-    engine: TransferEngine, settings: SolverSettings, *, symmetric: bool = False
+    engine: TransferEngine | MeshPair, settings: SolverSettings, *, symmetric: bool = False
 ) -> ScatteringData:
     """Plane-basis scattering matrices on a refined geometric momentum grid.
 
     Midpoints are inserted wherever the determinant phase or the entries jump
     by more than the configured steps, so every neighbour pair is close enough
-    for unambiguous phase tracking.  ``symmetric`` is passed on to the result.
+    for unambiguous phase tracking.  ``engine`` is one ``TransferEngine``, or
+    a ``MeshPair`` that takes each momentum from the mesh of its band; the
+    refinement reads only the matrices, so both give the same rule.
+    ``symmetric`` is passed on to the result.
     """
     decades = math.log10(settings.kappa_max / settings.kappa_min)
     # at least both ends, however short the span
@@ -422,13 +453,15 @@ class PotentialAnalysis:
 
     @cached_property
     def engine(self) -> TransferEngine:
-        """Transfer engine on a mesh refined until probe data stops moving."""
+        """Transfer engine on the finer mesh M/2 of the first pair (M, M/2)
+        whose probe data agree to ``solver_tol``.  M's engine is kept for
+        the momentum grid."""
         s = self.settings
         r = self.radius
         mesh = build_mesh(
             self.potential, -r, r, coarse_h=s.coarse_h, feature_cells=s.feature_cells
         )
-        previous = None
+        previous = coarser = None
         for _ in range(s.max_halvings + 1):
             engine = TransferEngine(mesh)
             t, r_l, r_r = engine.plane_wave_coefficients(ENGINE_PROBE_KAPPAS)
@@ -437,8 +470,9 @@ class PotentialAnalysis:
                 [t, r_l, r_r, [complex(c1 / scale), complex(c2 / scale)]]
             )
             if previous is not None and float(np.max(np.abs(snapshot - previous))) < s.solver_tol:
+                self._coarser = coarser
                 return engine
-            previous = snapshot
+            previous, coarser = snapshot, engine
             mesh = mesh.halved(self.potential)
         raise SolverDiverged(
             f"scattering data not converged after {s.max_halvings} mesh halvings"
@@ -446,8 +480,12 @@ class PotentialAnalysis:
 
     @cached_property
     def scattering(self) -> ScatteringData:
-        """Plane-basis scattering matrices on the refined momentum grid."""
-        return s_matrix_grid(self.engine, self.settings, symmetric=self.potential.symmetric)
+        """Plane-basis scattering matrices on the refined momentum grid, each
+        node propagated on the mesh of its band of the converged pair."""
+        fine = self.engine  # the ladder keeps M in ``_coarser``
+        pair = MeshPair(self._coarser, fine)
+        self._coarser = None  # nothing reads M past the grid
+        return s_matrix_grid(pair, self.settings, symmetric=self.potential.symmetric)
 
     @cached_property
     def resonance(self) -> ResonanceClass:

@@ -30,6 +30,7 @@ from levlab.dilation import (
     identity_residual,
     suite_residuals,
 )
+from levlab.errors import ResolutionInsufficient
 from levlab.loops import r_even, r_odd
 
 RAY = np.geomspace(0.05, 6.0, 20)
@@ -448,6 +449,45 @@ def test_identity_for_zero_function(evaluator):
 def test_identity_across_suite(evaluator):
     for label, residual in suite_residuals(evaluator):
         assert residual < 1e-9, label
+
+
+RESOLVED_PROBES = default_suite() + (
+    ProbeFunction(HERMITE, width=0.3, order=8),
+    ProbeFunction(HERMITE, width=0.9, order=8),
+)
+UNRESOLVED_PROBES = (
+    ProbeFunction(HERMITE, width=0.3, order=12),
+    ProbeFunction(HERMITE, width=0.3, order=20),
+    ProbeFunction(HERMITE, width=0.3, order=40),
+    ProbeFunction(HERMITE, width=0.3, order=80),
+    ProbeFunction(HERMITE, width=0.9, order=20),
+    ProbeFunction(GAUSSIAN, width=4.0, freq=3.0),
+    ProbeFunction(GAUSSIAN, width=2.0, freq=3.0),
+    ProbeFunction(GAUSSIAN, width=0.2, center=1.0),
+)
+
+
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+@pytest.mark.parametrize("fn", RESOLVED_PROBES, ids=lambda f: f.label)
+def test_resolved_probes_pass_the_spectrum_edge_check(fn, sign):
+    # edge-to-peak ratios up to 3.2e-11; flipping the sign reverses the
+    # spectral axis, which keeps both edges
+    residual = identity_residual(fn, MellinEvaluator(sign=sign))
+    assert residual < 1e-10 if sign > 0 else residual > 0.3
+
+
+@pytest.mark.parametrize("fn", UNRESOLVED_PROBES, ids=lambda f: f.label)
+def test_probes_the_grid_cannot_resolve_are_refused(fn, evaluator):
+    # edge-to-peak ratios 2.6e-9 to 0.74, residuals 1.1e-9 to 0.31
+    with pytest.raises(ResolutionInsufficient, match="edge of the s grid"):
+        identity_residual(fn, evaluator)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_probe_is_refused_not_nan(evaluator):
+    # hermval overflows on the grid at order 160, so the spectrum is nan
+    with pytest.raises(ResolutionInsufficient, match="reaches nan"):
+        identity_residual(ProbeFunction(HERMITE, width=0.3, order=160), evaluator)
 
 
 def test_padding_keeps_periodic_images_off_the_data():

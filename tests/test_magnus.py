@@ -19,7 +19,14 @@ from levlab import propagate
 from levlab.loops import unitarity_defect
 from levlab.potentials import gaussian_wells
 from levlab.propagate import Mesh, TransferEngine, _cosh_sinhc, build_mesh, truncation_radius
-from levlab.scattering import ENGINE_PROBE_KAPPAS, PotentialAnalysis, SolverSettings, s_matrix_grid, zero_energy_tail
+from levlab.scattering import (
+    ENGINE_PROBE_KAPPAS,
+    MeshPair,
+    PotentialAnalysis,
+    SolverSettings,
+    s_matrix_grid,
+    zero_energy_tail,
+)
 
 from conftest import random_well_family, sech2_well
 
@@ -164,11 +171,14 @@ def test_half_angle_kernel_matches_libm_oracle():
     ids=["family-member-2", "family-member-3", "family-member-9", "sech2-1.5"],
 )
 def test_scattering_grid_matches_libm_kernel(potential, monkeypatch):
-    # Up to kappa_max = 1e3, past the band the engine's probes certify.
+    # Up to kappa_max = 1e3, past the band the engine's probes certify.  The
+    # oracle reads the same mesh pair as the grid, so only the kernels differ.
     analysis = PotentialAnalysis(potential)
+    fine = analysis.engine.mesh
+    coarse = analysis._coarser.mesh  # the ladder's M, kept until the grid is built
     grid = analysis.scattering
     monkeypatch.setattr(propagate, "_cosh_sinhc", libm_cosh_sinhc)
-    oracle = s_matrix_grid(TransferEngine(analysis.engine.mesh), analysis.settings)
+    oracle = s_matrix_grid(MeshPair(TransferEngine(coarse), TransferEngine(fine)), analysis.settings)
     assert grid.kappas[-1] == analysis.settings.kappa_max
     assert np.array_equal(grid.kappas, oracle.kappas)
     assert np.max(np.abs(grid.matrices - oracle.matrices)) <= 1e-12

@@ -21,8 +21,11 @@ from levlab.propagate import (
 )
 from levlab.reporting import tuned_resonance_depth
 from levlab.scattering import (
+    ENGINE_PROBE_KAPPAS,
+    MeshPair,
     PotentialAnalysis,
     SolverSettings,
+    _plane_matrices,
     classify_threshold,
     count_bound_states_shooting,
     s_matrix_grid,
@@ -31,6 +34,8 @@ from levlab.scattering import (
     zero_energy_tail,
     zero_energy_tail_slope,
 )
+
+from conftest import WELL_FAMILY_SIZE
 
 # The solver's default mesh and truncation knobs.
 DEFAULTS = SolverSettings()
@@ -525,6 +530,81 @@ def test_grid_keeps_both_ends_of_a_short_span():
     assert kappas[0] == 1.0 and kappas[-1] == 1.04
     coarse = SolverSettings(refine_phase_step=10.0, refine_entry_step=10.0)
     assert s_matrix_grid(engine, coarse).kappas.size == 169
+
+
+# --- the band rule of the converged mesh pair --------------------------------
+
+BAND_EDGE = float(np.max(ENGINE_PROBE_KAPPAS))
+
+
+def test_mesh_pair_routes_each_momentum_by_band():
+    """Momenta up to the top probe, in any order, come from the coarser mesh
+    and the rest from the finer one; the two meshes differ by far more than
+    the batch-dependent rounding at every momentum."""
+    pot = gaussian_wells([(12.0, 0.3, 0.8)])
+    mesh = build_mesh(pot, -8.0, 8.0, coarse_h=0.4, feature_cells=4)
+    coarse, fine = TransferEngine(mesh), TransferEngine(mesh.halved(pot))
+    kappas = np.array([80.0, 3.0, BAND_EDGE, 0.2, np.nextafter(BAND_EDGE, np.inf), 700.0, 20.0])
+    got = _plane_matrices(MeshPair(coarse, fine), kappas)
+    inside = kappas <= BAND_EDGE
+    for engine, band in ((coarse, inside), (fine, ~inside)):
+        want = _plane_matrices(engine, kappas[band])
+        other = _plane_matrices(fine if engine is coarse else coarse, kappas[band])
+        assert np.max(np.abs(got[band] - want)) <= 1e-14
+        assert np.min(np.max(np.abs(other - want), axis=(1, 2))) > 1e-10
+
+
+@pytest.fixture(scope="module")
+def single_mesh_family(well_family):
+    """Each conftest member analysed with every grid node on the finer mesh
+    M/2, as before the band rule: same engine, grid from one engine."""
+    out = []
+    for member in well_family:
+        ref = PotentialAnalysis(member.potential, member.settings)
+        ref.engine = member.engine
+        ref.scattering = s_matrix_grid(member.engine, member.settings, symmetric=member.potential.symmetric)
+        out.append(ref)
+    return out
+
+
+MEMBERS = pytest.mark.parametrize("member", range(WELL_FAMILY_SIZE), ids=lambda m: f"member-{m}")
+
+
+@MEMBERS
+def test_band_rule_keeps_the_single_mesh_nodes(well_family, single_mesh_family, member):
+    assert np.array_equal(well_family[member].scattering.kappas, single_mesh_family[member].scattering.kappas)
+
+
+@MEMBERS
+def test_in_band_nodes_lie_within_solver_tol_of_the_finer_mesh(well_family, single_mesh_family, member):
+    """Up to the top probe the nodes come from M, which the halving
+    certificate holds to ``solver_tol`` of M/2."""
+    got, want = well_family[member].scattering, single_mesh_family[member].scattering
+    inside = got.kappas <= BAND_EDGE
+    assert inside.sum() > 100
+    gap = np.max(np.abs(got.matrices[inside] - want.matrices[inside]))
+    assert gap <= well_family[member].settings.solver_tol
+
+
+@MEMBERS
+def test_above_band_nodes_come_from_the_finer_mesh(well_family, single_mesh_family, member):
+    """Above the top probe, which no probe certifies, the nodes stay on M/2;
+    only the batch-dependent block split of the product moves them."""
+    got, want = well_family[member].scattering, single_mesh_family[member].scattering
+    above = got.kappas > BAND_EDGE
+    assert above.sum() > 20
+    assert np.max(np.abs(got.matrices[above] - want.matrices[above])) <= 1e-14
+
+
+@MEMBERS
+def test_band_rule_keeps_windings_counts_class_and_delay(well_family, single_mesh_family, member):
+    got, want = well_family[member], single_mesh_family[member]
+    a, b = got.report(), want.report()
+    assert np.max(np.abs(np.subtract(a.w, b.w))) <= 1e-12
+    assert abs(a.total - b.total) <= 1e-12 and abs(a.residual - b.residual) <= 1e-12
+    assert (a.n_bound, a.resonance) == (b.n_bound, b.resonance)
+    assert got.n_bound_fd == want.n_bound_fd
+    assert abs(got.time_delay() - want.time_delay()) <= 1e-12
 
 
 # --- threshold classification near a tuned resonance ------------------------
