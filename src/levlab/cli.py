@@ -38,6 +38,15 @@ _SECTOR_BY_NAME = {s.value: s for s in Sector}
 # maps to its least value, of the knob's type; 0.0 stands for "positive".
 _SAMPLER_KNOBS = {"winding_samples": 16, "winding_tol": 0.0, "corner_tol": 0.0}
 
+# The keys each config object may hold; any other key is refused.
+_CONFIG_KEYS = ("system", "param", "potential", "sectors", "numerics", "output")
+_OUTPUT_KEYS = ("csv", "phase_csv")
+_POTENTIAL_KEYS = {
+    "square-well": ("depth", "half_width"),
+    "gaussian-sum": ("wells",),
+    "tabulated": ("xs", "values", "decay_exponent"),
+}
+
 
 def _is_inf(value) -> bool:
     """Whether ``value`` is the word 'inf' as ``--param`` takes it."""
@@ -106,26 +115,35 @@ def _cmd_point(args) -> int:
 # potential
 
 
+def _require_known(what: str, entries: dict, valid) -> None:
+    """Refuse the keys of a config object that nothing reads, so a misspelt
+    key is an error rather than a silently dropped setting."""
+    unknown = sorted(set(entries) - set(valid))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {', '.join(unknown)}")
+
+
 def _build_potential(cfg) -> Potential:
     if not isinstance(cfg, dict):
         raise ConfigError("'potential' must be an object")
     kind = cfg.get("kind")
+    if not isinstance(kind, str) or kind not in _POTENTIAL_KEYS:
+        raise ConfigError(f"unknown potential kind {kind!r}")
+    _require_known(f"{kind} potential", cfg, ("kind", *_POTENTIAL_KEYS[kind]))
     try:
         if kind == "square-well":
             return square_well(_real(cfg["depth"]), _real(cfg["half_width"]))
         if kind == "gaussian-sum":
             return gaussian_wells([tuple(map(_real, well)) for well in cfg["wells"]])
-        if kind == "tabulated":
-            return tabulated_potential(
-                [_real(v) for v in cfg["xs"]],
-                [_real(v) for v in cfg["values"]],
-                decay_exponent=_real(cfg.get("decay_exponent", math.inf)),
-            )
+        return tabulated_potential(
+            [_real(v) for v in cfg["xs"]],
+            [_real(v) for v in cfg["values"]],
+            decay_exponent=_real(cfg.get("decay_exponent", math.inf)),
+        )
     except KeyError as exc:
         raise ConfigError(f"potential config is missing {exc.args[0]!r}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad potential config: {exc}")
-    raise ConfigError(f"unknown potential kind {kind!r}")
 
 
 def _build_settings(config: dict) -> SolverSettings:
@@ -133,9 +151,7 @@ def _build_settings(config: dict) -> SolverSettings:
     if not isinstance(overrides, dict):
         raise ConfigError("'numerics' must be an object")
     valid = {f.name for f in dataclasses.fields(SolverSettings)} | set(_SAMPLER_KNOBS)
-    unknown = sorted(set(overrides) - valid)
-    if unknown:
-        raise ConfigError(f"unknown numerics keys: {', '.join(unknown)}")
+    _require_known("numerics", overrides, valid)
     if isinstance(overrides.get("dead_zone"), list):
         overrides = dict(overrides, dead_zone=tuple(overrides["dead_zone"]))
     try:
@@ -230,6 +246,7 @@ def _write_output(writer, path: str) -> None:
 
 def _cmd_potential(args) -> int:
     config = _load_config(args.config)
+    _require_known("top-level", config, _CONFIG_KEYS)
     settings = _build_settings(config)  # validated for point systems too, where no knob acts
     system = config.get("system", "potential")
     if system in (DELTA, DELTA_PRIME):
@@ -252,6 +269,7 @@ def _cmd_potential(args) -> int:
     output = config.get("output", {})
     if not isinstance(output, dict):
         raise ConfigError("'output' must be an object")
+    _require_known("output", output, _OUTPUT_KEYS)
     csv_path = _output_path(args.csv, output, "csv")
     phase_path = _output_path(args.phase_csv, output, "phase_csv")
     _require_distinct_files({"config": args.config, "'csv'": csv_path, "'phase_csv'": phase_path})

@@ -21,14 +21,14 @@ kappa because the exponential handles the free oscillation exactly.
 
 One primitive builds the propagators of a block of cells for all requested
 momenta at once, as ``(4, cells, k)`` arrays of the four entries.  The full
-transfer matrix reduces each block by a pairwise tree product (later cells
-multiply from the left, an odd trailing cell is carried to the next level)
-and folds the block results in order.  A block holds at most
-``BLOCK_ELEMENTS`` cell x momentum entries, so memory stays flat however
-large the mesh or the momentum batch.  The zero-energy solution at the cell
-edges, which the threshold classifier and the shooting counter both read, is
-built from the same primitive once per engine, by prefix products of each
-block's cells in array passes, and handed out read-only.
+transfer matrix reduces each block, then the stacked block results, by one
+pairwise tree product (later cells multiply from the left, an odd trailing
+cell is carried up a level), and reduces a stack that outgrows a block on
+the way.  A block holds at most ``BLOCK_ELEMENTS`` cell x momentum entries,
+so memory stays flat however large the mesh or the batch.  The zero-energy
+solution at the cell edges, which the threshold classifier and the shooting
+counter both read, is built from the same primitive once per engine, by
+prefix products of each block's cells in array passes, handed out read-only.
 
 The module also hosts the finite-difference bound-state oracle: a tridiagonal
 discretisation of the full line whose negative eigenvalues are counted by the
@@ -262,16 +262,12 @@ class TransferEngine:
         matrix u(x_max) = T u(x_min), one per momentum."""
         k2 = np.asarray(kappas, dtype=float) ** 2
         rows = max(1, BLOCK_ELEMENTS // max(1, k2.size))
-        t11, t12, t21, t22 = np.ones_like(k2), np.zeros_like(k2), np.zeros_like(k2), np.ones_like(k2)
+        blocks = []
         for j in range(0, self.mesh.n_cells, rows):
-            b11, b12, b21, b22 = _tree_product(self._propagators(slice(j, j + rows), k2))
-            t11, t12, t21, t22 = (
-                b11 * t11 + b12 * t21,
-                b11 * t12 + b12 * t22,
-                b21 * t11 + b22 * t21,
-                b21 * t12 + b22 * t22,
-            )
-        return t11, t12, t21, t22
+            blocks.append(_tree_product(self._propagators(slice(j, j + rows), k2)))
+            if len(blocks) > rows:  # keeps the stack of results no larger than a block
+                blocks = [_tree_product(np.stack(blocks, axis=1))]
+        return tuple(_tree_product(np.stack(blocks, axis=1)))
 
     @cached_property
     def _zero_energy(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -225,11 +225,11 @@ def _write_rows(path, header: str, table: np.ndarray) -> None:
 @dataclass(frozen=True)
 class MeshPair:
     """The converged pair (M, M/2) of the mesh-halving ladder, read as one
-    engine.  The ladder stops once M's data at the probe momenta lie within
-    ``solver_tol`` of M/2's, and that step-doubling estimate bounds M's own
-    error; so momenta up to the top probe are propagated on M, which has
-    half the cells, and only the momenta above it, which no probe covers,
-    on M/2."""
+    engine; ``PotentialAnalysis.mesh_pair`` keeps it.  The ladder stops once
+    M's data at the probe momenta lie within ``solver_tol`` of M/2's, and
+    that step-doubling estimate bounds M's own error; so momenta up to the
+    top probe are propagated on M, which has half the cells, and only the
+    momenta above it, which no probe covers, on M/2."""
 
     coarse: TransferEngine
     fine: TransferEngine
@@ -452,10 +452,8 @@ class PotentialAnalysis:
         )
 
     @cached_property
-    def engine(self) -> TransferEngine:
-        """Transfer engine on the finer mesh M/2 of the first pair (M, M/2)
-        whose probe data agree to ``solver_tol``.  M's engine is kept for
-        the momentum grid."""
+    def mesh_pair(self) -> MeshPair:
+        """The first pair (M, M/2) of the halving ladder whose probe data agree to ``solver_tol``."""
         s = self.settings
         r = self.radius
         mesh = build_mesh(
@@ -470,8 +468,7 @@ class PotentialAnalysis:
                 [t, r_l, r_r, [complex(c1 / scale), complex(c2 / scale)]]
             )
             if previous is not None and float(np.max(np.abs(snapshot - previous))) < s.solver_tol:
-                self._coarser = coarser
-                return engine
+                return MeshPair(coarser, engine)
             previous, coarser = snapshot, engine
             mesh = mesh.halved(self.potential)
         raise SolverDiverged(
@@ -479,13 +476,14 @@ class PotentialAnalysis:
         )
 
     @cached_property
+    def engine(self) -> TransferEngine:
+        """``mesh_pair.fine``, on M/2: the zero-energy solution, classifier and shooting count read it."""
+        return self.mesh_pair.fine
+
+    @cached_property
     def scattering(self) -> ScatteringData:
-        """Plane-basis scattering matrices on the refined momentum grid, each
-        node propagated on the mesh of its band of the converged pair."""
-        fine = self.engine  # the ladder keeps M in ``_coarser``
-        pair = MeshPair(self._coarser, fine)
-        self._coarser = None  # nothing reads M past the grid
-        return s_matrix_grid(pair, self.settings, symmetric=self.potential.symmetric)
+        """Plane-basis S on the refined grid, each node on the mesh of its band of ``mesh_pair``."""
+        return s_matrix_grid(self.mesh_pair, self.settings, symmetric=self.potential.symmetric)
 
     @cached_property
     def resonance(self) -> ResonanceClass:

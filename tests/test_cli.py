@@ -233,6 +233,7 @@ def test_potential_config_errors(tmp_path, capsys):
 
     for payload in (
         {"potential": {"kind": "velvet"}},
+        {"potential": {"kind": ["square-well"], "depth": 1.0, "half_width": 1.0}},
         {"potential": {"kind": "square-well", "depth": 1.0}},
         {"system": "rotor"},
         {"system": "delta"},
@@ -245,6 +246,40 @@ def test_potential_config_errors(tmp_path, capsys):
         assert main(["potential", "--config", cfg]) == 2, payload
     err = capsys.readouterr().err
     assert "config error" in err
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        (dict(WELL_CONFIG, numeric={"points_per_decade": 12}), "unknown top-level keys: numeric"),
+        ({"system": "delta", "param": -1, "parm": 2}, "unknown top-level keys: parm"),
+        (dict(WELL_CONFIG, output={"csv_path": "s.csv"}), "unknown output keys: csv_path"),
+        (dict(WELL_CONFIG, output={"csv": "s.csv", "phase": "p.csv"}), "unknown output keys: phase"),
+        (
+            {"potential": dict(WELL_CONFIG["potential"], halfwidth=2.0)},
+            "unknown square-well potential keys: halfwidth",
+        ),
+        (
+            {"potential": {"kind": "gaussian-sum", "wells": [[2.0, 0.0, 0.5]], "symmetric": True}},
+            "unknown gaussian-sum potential keys: symmetric",
+        ),
+        (
+            {"potential": {"kind": "tabulated", "xs": [-2.0, 2.0], "values": [-1.0, -1.0], "decay": 3.0, "tail": 1}},
+            "unknown tabulated potential keys: decay, tail",
+        ),
+    ],
+    ids=["top-level", "top-level-point", "output", "output-beside-csv", "square-well", "gaussian-sum", "tabulated"],
+)
+def test_potential_unknown_config_key_is_refused_before_analysis(tmp_path, capsys, monkeypatch, config, message):
+    """A misspelt key at any level is a config error, not a dropped setting,
+    and nothing is computed or written."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, config)
+    assert main(["potential", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: {message}" in captured.err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
 @pytest.mark.parametrize(

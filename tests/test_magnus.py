@@ -21,7 +21,6 @@ from levlab.potentials import gaussian_wells
 from levlab.propagate import Mesh, TransferEngine, _cosh_sinhc, build_mesh, truncation_radius
 from levlab.scattering import (
     ENGINE_PROBE_KAPPAS,
-    MeshPair,
     PotentialAnalysis,
     SolverSettings,
     s_matrix_grid,
@@ -174,11 +173,9 @@ def test_scattering_grid_matches_libm_kernel(potential, monkeypatch):
     # Up to kappa_max = 1e3, past the band the engine's probes certify.  The
     # oracle reads the same mesh pair as the grid, so only the kernels differ.
     analysis = PotentialAnalysis(potential)
-    fine = analysis.engine.mesh
-    coarse = analysis._coarser.mesh  # the ladder's M, kept until the grid is built
     grid = analysis.scattering
     monkeypatch.setattr(propagate, "_cosh_sinhc", libm_cosh_sinhc)
-    oracle = s_matrix_grid(MeshPair(TransferEngine(coarse), TransferEngine(fine)), analysis.settings)
+    oracle = s_matrix_grid(analysis.mesh_pair, analysis.settings)
     assert grid.kappas[-1] == analysis.settings.kappa_max
     assert np.array_equal(grid.kappas, oracle.kappas)
     assert np.max(np.abs(grid.matrices - oracle.matrices)) <= 1e-12

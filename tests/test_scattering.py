@@ -15,6 +15,7 @@ from levlab.propagate import (
     BLOCK_ELEMENTS,
     Mesh,
     TransferEngine,
+    _mesh_from_edges,
     build_mesh,
     sturm_negative_count,
     truncation_radius,
@@ -507,6 +508,36 @@ def test_zero_energy_solution_matches_the_sequential_recurrence(n_cells):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
+def _sequential_transfer(engine, kappas):
+    """Reference: the transfer matrices multiplied one cell at a time,
+    T <- P_j T, in cell order from the identity."""
+    cells = engine._propagators(slice(None), np.asarray(kappas) ** 2)
+    n = len(kappas)
+    t11, t12, t21, t22 = np.ones(n), np.zeros(n), np.zeros(n), np.ones(n)
+    for a, b, c, d in cells.transpose(1, 0, 2):
+        t11, t12, t21, t22 = a * t11 + b * t21, a * t12 + b * t22, c * t11 + d * t21, c * t12 + d * t22
+    return np.array([t11, t12, t21, t22])
+
+
+TREE_CELLS = 1001
+
+
+@pytest.mark.parametrize("batch,blocks", [(1, 1), (20, 2), (40, 3), (200, 13), (600, 38)])
+def test_transfer_matches_the_sequential_product(batch, blocks):
+    """The block products, stacked and reduced by the same pairwise tree,
+    give the cell-by-cell product to 1e-13 relative, whether the batch puts
+    the mesh in one block, two, an odd number or many; at 600 momenta a
+    block has 27 cells, so the stack outgrows a block and is reduced on the
+    way."""
+    assert -(-TREE_CELLS // (BLOCK_ELEMENTS // batch)) == blocks
+    pot = gaussian_wells([(6.0, 0.4, 0.8), (3.0, -1.1, 0.5)])
+    engine = TransferEngine(_mesh_from_edges(pot, np.linspace(-6.0, 6.0, TREE_CELLS + 1)))
+    kappas = np.geomspace(1e-3, 80.0, batch)
+    got, want = np.array(engine.transfer(kappas)), _sequential_transfer(engine, kappas)
+    assert got.shape == want.shape == (4, batch)
+    assert np.max(np.abs(got - want) / np.max(np.abs(want), axis=0)) <= 1e-13
+
+
 def test_family_counts_and_classes_match_the_sequential_solution(well_family, monkeypatch):
     """Every conftest member's shooting count and threshold class, read off
     the cell-by-cell zero-energy solution, are the pipeline's."""
@@ -605,6 +636,29 @@ def test_band_rule_keeps_windings_counts_class_and_delay(well_family, single_mes
     assert (a.n_bound, a.resonance) == (b.n_bound, b.resonance)
     assert got.n_bound_fd == want.n_bound_fd
     assert abs(got.time_delay() - want.time_delay()) <= 1e-12
+
+
+def test_engine_is_the_finer_engine_of_the_pair():
+    analysis = PotentialAnalysis(gaussian_wells([(4.0, 0.3, 0.8)]))
+    assert analysis.engine is analysis.mesh_pair.fine
+    assert analysis.mesh_pair.coarse.mesh.n_cells * 2 == analysis.engine.mesh.n_cells
+
+
+def test_grid_read_again_is_rebuilt_from_the_same_pair():
+    """The pair outlives the grid: dropped and read again, the grid comes
+    back bit for bit, and an assigned ``engine`` does not cut the ladder's
+    pair off from the grid."""
+    pot = gaussian_wells([(4.0, 0.3, 0.8)])
+    analysis = PotentialAnalysis(pot)
+    first = analysis.scattering
+    del analysis.scattering
+    again = analysis.scattering
+    assert again is not first
+    assert np.array_equal(again.kappas, first.kappas) and np.array_equal(again.matrices, first.matrices)
+    assigned = PotentialAnalysis(pot)
+    assigned.engine = analysis.engine
+    grid = assigned.scattering
+    assert np.array_equal(grid.kappas, first.kappas) and np.array_equal(grid.matrices, first.matrices)
 
 
 # --- threshold classification near a tuned resonance ------------------------
