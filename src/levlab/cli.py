@@ -40,6 +40,9 @@ _SAMPLER_KNOBS = {"winding_samples": 16, "winding_tol": 0.0, "corner_tol": 0.0}
 
 # The keys each config object may hold; any other key is refused.
 _CONFIG_KEYS = ("system", "param", "potential", "sectors", "numerics", "output")
+# A point interaction is reported in closed form: it reads no potential,
+# sectors or dumps.
+_POINT_KEYS = ("system", "param", "numerics")
 _OUTPUT_KEYS = ("csv", "phase_csv")
 _POTENTIAL_KEYS = {
     "square-well": ("depth", "half_width"),
@@ -250,6 +253,10 @@ def _cmd_potential(args) -> int:
     settings = _build_settings(config)  # validated for point systems too, where no knob acts
     system = config.get("system", "potential")
     if system in (DELTA, DELTA_PRIME):
+        _require_known(f"{system} system", config, _POINT_KEYS)
+        flags = [flag for flag, path in (("--csv", args.csv), ("--phase-csv", args.phase_csv)) if path is not None]
+        if flags:
+            raise ConfigError(f"a {system} system writes no dumps: {', '.join(flags)}")
         if "param" not in config:
             raise ConfigError(f"system {system!r} needs a 'param' entry")
         param = config["param"]

@@ -33,9 +33,12 @@ class Potential:
     propagation mesh must refine.
 
     ``zero_radius`` is the radius beyond which the profile returns exactly
-    ``0.0``; the finite-difference count evaluates the profile only inside
-    it.  It defaults to ``support_radius``, and to infinity (no window) when
-    neither is declared.
+    ``0.0``.  It defaults to ``support_radius``, and to infinity when neither
+    is declared.  ``tail_bound``, when declared, maps a level to a radius
+    beyond which |V| < level; ``bounded_radius`` reads it, capped at
+    ``zero_radius``, and falls back to ``zero_radius`` without it.  The
+    finite-difference count evaluates the profile only inside the radius at
+    which |V| is too small to move a diagonal entry.
     """
 
     profile: Callable[[np.ndarray], np.ndarray]
@@ -46,6 +49,7 @@ class Potential:
     features: tuple[tuple[float, float], ...] = ()
     label: str = "potential"
     zero_radius: Optional[float] = None
+    tail_bound: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if math.isnan(self.decay_exponent):
@@ -79,6 +83,12 @@ class Potential:
             return max(abs(c) + 4.0 * w for c, w in self.features)
         return 8.0
 
+    def bounded_radius(self, level: float) -> float:
+        """Radius beyond which |V| < ``level``."""
+        if self.tail_bound is None:
+            return self.zero_radius
+        return min(self.tail_bound(level), self.zero_radius)
+
     def __call__(self, x) -> np.ndarray:
         return self.profile(np.asarray(x, dtype=float))
 
@@ -110,7 +120,9 @@ def gaussian_wells(wells: Sequence[tuple[float, float, float]]) -> Potential:
     well contributing -depth * exp(-(x - center)^2 / (2 width^2)).
 
     The profile is exactly 0.0 beyond max |center| + width sqrt(1500), since
-    each exponent there is below -750."""
+    each exponent there is below -750.  With n wells, |V| < level beyond
+    max |center| + width sqrt(2 ln(n |depth| / level)), where every well is
+    below level / n."""
     entries = [(float(d), float(c), float(w)) for d, c, w in wells]
     for d, c, w in entries:
         if not all(math.isfinite(v) for v in (d, c, w)):
@@ -123,6 +135,10 @@ def gaussian_wells(wells: Sequence[tuple[float, float, float]]) -> Potential:
         for d, c, w in entries:
             out -= d * np.exp(-((x - c) ** 2) / (2.0 * w * w))
         return out
+
+    def tail_bound(level: float) -> float:
+        share = len(entries) / level
+        return max(abs(c) + w * math.sqrt(2.0 * math.log(max(1.0, share * abs(d)))) for d, c, w in entries)
 
     mirrored = {(d, -c, w) for d, c, w in entries}
     symmetric = mirrored == set(entries)
@@ -138,6 +154,7 @@ def gaussian_wells(wells: Sequence[tuple[float, float, float]]) -> Potential:
             (abs(c) + w * math.sqrt(2.0 * _GAUSS_ZERO_EXPONENT) for _, c, w in entries),
             default=None,
         ),
+        tail_bound=tail_bound if entries else None,
     )
 
 

@@ -24,17 +24,23 @@ momenta at once, as ``(4, cells, k)`` arrays of the four entries.  The full
 transfer matrix reduces each block, then the stacked block results, by one
 pairwise tree product (later cells multiply from the left, an odd trailing
 cell is carried up a level), and reduces a stack that outgrows a block on
-the way.  A block holds at most ``BLOCK_ELEMENTS`` cell x momentum entries,
-so memory stays flat however large the mesh or the batch.  The zero-energy
-solution at the cell edges, which the threshold classifier and the shooting
-counter both read, is built from the same primitive once per engine, by
-prefix products of each block's cells in array passes, handed out read-only.
+the way.  Blocks and stacks are stored in tree order (``_tree_order``): each
+level's earlier cells first, then its later cells, so every level multiplies
+two contiguous runs; the pairs and the arithmetic are those of the tree in
+cell order, bit for bit.  A block holds at most ``BLOCK_ELEMENTS`` cell x
+momentum entries, and a batch of more than ``TRANSFER_CHUNK`` momenta is
+propagated in chunks of that many, so memory stays flat however large the
+mesh or the batch.  The zero-energy solution at the cell edges, which the
+threshold classifier and the shooting counter both read, is built from the
+same primitive once per engine, by prefix products of each block's cells in
+array passes, handed out read-only.
 
 The module also hosts the finite-difference bound-state oracle: a tridiagonal
 discretisation of the full line whose negative eigenvalues are counted by the
 Sturm sequence of its LDL^T factorisation, entered at pivot +inf, with no
 diagonalisation.  The matrix has one coupling, every off-diagonal being
--1/h^2.  Only the rows inside the potential's ``zero_radius`` are built; the
+-1/h^2.  Only the rows inside ``Potential.bounded_radius`` at an eighth of an
+ulp of 2/h^2 are built, since beyond it V cannot move a diagonal entry; the
 free rows beyond it, at either end, are stepped in closed form.
 """
 
@@ -42,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,6 +60,15 @@ _GAUSS_OUTER = math.sqrt(15.0) / 10.0  # offset of the outer Gauss nodes from mi
 # Values per block of propagator entries (cells x momenta) or of Sturm pivots;
 # bounds the memory of the block-wise loops.
 BLOCK_ELEMENTS = 1 << 14
+
+# Most momenta per propagated batch; a larger batch is split into chunks of
+# this many, each propagated alone.  Beyond it a block holds one to three
+# cells, and the stack of block results is reduced every two to four blocks,
+# each reduction in freshly faulted pages.  Picked from a sweep of 256 to
+# 8192 at 3000, 9000 and 20000 momenta on a 2816-cell mesh in a fresh
+# process: 9000 momenta took 0.83M minor faults and 1.8-2.8 s in one batch,
+# 0.09M and 1.0-1.2 s in chunks of 4096, and 0.39M in chunks of 256 to 1024.
+TRANSFER_CHUNK = 4096
 
 # Sturm pivots within this of zero are taken as -_PIVMIN.
 _PIVMIN = 1e-290
@@ -162,23 +177,54 @@ def _cosh_sinhc(theta2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c, snc
 
 
+# Bounded, since a long-running process meets new remainder block sizes with
+# every mesh; the four benchmark workloads over two seeds meet 229 sizes
+# (0.6 MB).
+@lru_cache(maxsize=512)
+def _tree_order(m: int) -> np.ndarray:
+    """Storage order of ``m`` cells for ``_tree_product``: position p holds
+    cell ``_tree_order(m)[p]``.
+
+    The earlier cells of the level's pairs come first, then the later cells
+    in the same pair order, then an odd trailing cell, which is always last.
+    The pairs follow the tree order of the next level, so its products land
+    in that level's storage order as they are made.  Read-only.
+    """
+    if m == 1:
+        order = np.zeros(1, dtype=np.intp)
+    else:
+        pairs = 2 * _tree_order((m + 1) // 2)[: m // 2]
+        order = np.concatenate([pairs, pairs + 1, np.arange(2 * (m // 2), m)])
+    order.flags.writeable = False
+    return order
+
+
+def _tree_stack(results: list) -> np.ndarray:
+    """The ``(4, k)`` products ``results``, in order, stacked for
+    ``_tree_product`` as ``(4, len(results), k)`` in tree order."""
+    return np.stack([results[i] for i in _tree_order(len(results))], axis=1)
+
+
 def _tree_product(cells: np.ndarray) -> np.ndarray:
     """Ordered product of a stack of 2x2 propagators, pairwise.
 
-    ``cells`` holds the entries (e11, e12, e21, e22) as ``(4, m, k)``; cell
-    j + 1 multiplies cell j from the left.  Each level halves the stack; an
-    odd trailing cell is carried to the next level unchanged.  A level is
-    two multiplies and one add over the entries viewed as ``(2, 2, m, k)``,
-    so it costs three ufunc calls however short its stack.  Returns the
-    ``(4, k)`` entries of the product.
+    ``cells`` holds the entries (e11, e12, e21, e22) as ``(4, m, k)``, stored
+    in the order ``_tree_order(m)`` of the cells it multiplies; cell j + 1
+    multiplies cell j from the left.  Each level multiplies pairs of
+    neighbouring cells and halves the stack; an odd trailing cell is carried
+    to the next level unchanged.  In tree order a level's earlier cells are
+    the run ``[:half]`` and its later cells the run ``[half:2 half]``, so a
+    level is two multiplies and one add over two contiguous runs of the
+    entries viewed as ``(2, 2, m, k)``: three ufunc calls however short its
+    stack.  Returns the ``(4, k)`` entries of the product.
     """
     k = cells.shape[2]
     cells = cells.reshape(2, 2, -1, k)  # (row, column, cell, momentum)
     while cells.shape[2] > 1:
         m = cells.shape[2]
         half = m // 2
-        a = cells[:, :, 0 : 2 * half : 2]  # earlier cell of each pair
-        b = cells[:, :, 1 : 2 * half : 2]  # later cell, applied second
+        a = cells[:, :, :half]  # earlier cell of each pair
+        b = cells[:, :, half : 2 * half]  # later cell, applied second
         # entry (i, j) of b a is b_i0 a_0j + b_i1 a_1j
         out = np.empty((2, 2, (m + 1) // 2, k))
         np.multiply(b[:, 0:1], a[0:1], out=out[:, :, :half])
@@ -213,16 +259,12 @@ class TransferEngine:
         y = h + (a2 - (2.0 / 3.0) * h2 * b) / 120.0
         w = h2 * b / 90.0
         z0 = b / 12.0 + (h * (b * b) / 30.0 - h * (a * a)) / 120.0
-        self._v = mesh.v_mid
-        self._x0 = (-20.0 * h * a + h2 * a * b / 30.0) / 240.0
-        self._x1 = (h2 * h) * a / 180.0
-        self._y = y
-        self._z0 = z0
-        self._w = w
+        x0 = (-20.0 * h * a + h2 * a * b / 30.0) / 240.0
+        x1 = (h2 * h) * a / 180.0
         # theta^2 = X^2 + Y Z = X^2 + (p0 + p1 q); p0 = 0.0 and p1 = h^2 on a
-        # constant cell.
-        self._p0 = y * z0
-        self._p1 = y * (y + w)
+        # constant cell.  One row per coefficient, so a block's cells are
+        # gathered by one indexing.
+        self._coefficients = np.stack([mesh.v_mid, x0, x1, y, z0, w, y * z0, y * (y + w)])
 
     @property
     def x_min(self) -> float:
@@ -232,14 +274,16 @@ class TransferEngine:
     def x_max(self) -> float:
         return float(self.mesh.edges[-1])
 
-    def _propagators(self, cells: slice, k2: np.ndarray) -> np.ndarray:
+    def _propagators(self, cells, k2: np.ndarray) -> np.ndarray:
         """Entries (e11, e12, e21, e22) of the cell propagators, as
-        ``(4, cells, k)``, for the energies ``k2``."""
-        q = self._v[cells, None] - k2
-        x = self._x1[cells, None] * q
-        x += self._x0[cells, None]
-        theta2 = self._p1[cells, None] * q
-        theta2 += self._p0[cells, None]
+        ``(4, cells, k)``, for the energies ``k2``; ``cells`` is a slice or
+        an index array of the mesh's cells."""
+        v, x0, x1, y, z0, w, p0, p1 = self._coefficients[:, cells, None]
+        q = v - k2
+        x = x1 * q
+        x += x0
+        theta2 = p1 * q
+        theta2 += p0
         theta2 += x * x
         c, snc = _cosh_sinhc(theta2)
         # exp(Omega) = c + snc Omega with Omega = [[X, Y], [Z, -X]]; entry 21
@@ -248,10 +292,10 @@ class TransferEngine:
         out = np.empty((4,) + theta2.shape)
         x *= snc
         np.add(c, x, out=out[0])
-        np.multiply(snc, self._y[cells, None], out=out[1])
+        np.multiply(snc, y, out=out[1])
         np.multiply(out[1], q, out=out[2])
-        z = self._w[cells, None] * q
-        z += self._z0[cells, None]
+        z = w * q
+        z += z0
         z *= snc
         out[2] += z
         np.subtract(c, x, out=out[3])
@@ -259,15 +303,26 @@ class TransferEngine:
 
     def transfer(self, kappas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Entries (t11, t12, t21, t22) of the full left-to-right transfer
-        matrix u(x_max) = T u(x_min), one per momentum."""
+        matrix u(x_max) = T u(x_min), one per momentum.  A batch of more than
+        ``TRANSFER_CHUNK`` momenta is propagated in chunks of that many."""
         k2 = np.asarray(kappas, dtype=float) ** 2
+        if k2.size <= TRANSFER_CHUNK:
+            return tuple(self._chunk_transfer(k2))
+        chunks = [self._chunk_transfer(k2[i : i + TRANSFER_CHUNK]) for i in range(0, k2.size, TRANSFER_CHUNK)]
+        return tuple(np.concatenate(chunks, axis=1))
+
+    def _chunk_transfer(self, k2: np.ndarray) -> np.ndarray:
+        """``(4, k)`` transfer entries for the energies ``k2``: each block's
+        cells gathered in tree order and reduced, then the stacked block
+        results, in tree order too."""
+        n = self.mesh.n_cells
         rows = max(1, BLOCK_ELEMENTS // max(1, k2.size))
         blocks = []
-        for j in range(0, self.mesh.n_cells, rows):
-            blocks.append(_tree_product(self._propagators(slice(j, j + rows), k2)))
+        for j in range(0, n, rows):
+            blocks.append(_tree_product(self._propagators(j + _tree_order(min(rows, n - j)), k2)))
             if len(blocks) > rows:  # keeps the stack of results no larger than a block
-                blocks = [_tree_product(np.stack(blocks, axis=1))]
-        return tuple(_tree_product(np.stack(blocks, axis=1)))
+                blocks = [_tree_product(_tree_stack(blocks))]
+        return _tree_product(_tree_stack(blocks))
 
     @cached_property
     def _zero_energy(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -461,14 +516,17 @@ def _fd_count_once(potential: Potential, box: float, n: int) -> int:
 
     first, second = abscissae(0, 2)
     h = second - first
-    # Only rows [lo, hi) can feel V: elsewhere |x| > zero_radius, V(x) is
-    # exactly 0.0 and diag is 2/h^2 bit for bit, so those rows are free and
-    # are stepped as the head and tail runs, never materialised.  One spare
-    # row each side absorbs the rounding of the index bounds.
-    r = min(potential.zero_radius, box)
+    free = 2.0 / (h * h)
+    # Only rows [lo, hi) can feel V.  Elsewhere |x| > r, where |V| is below
+    # an eighth of an ulp of 2/h^2: less than half the rounding step even
+    # where 2/h^2 is a power of two, so diag is 2/h^2 bit for bit.  Those
+    # rows are free and are stepped as the head and tail runs, never
+    # materialised.  One spare row each side absorbs the rounding of the
+    # index bounds.
+    r = min(potential.bounded_radius(float(np.spacing(free)) / 8.0), box)
     lo = max(0, math.floor((box - r) / step) - 2)
     hi = min(n, math.ceil((box + r) / step) + 1)
-    diag = 2.0 / (h * h) + potential(abscissae(lo, hi))
+    diag = free + potential(abscissae(lo, hi))
     return sturm_negative_count(diag, 1.0 / (h * h), head=lo, tail=n - hi)
 
 

@@ -143,6 +143,31 @@ def test_potential_point_system_config_checks_numerics(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "extra,flags,message",
+    [
+        (
+            {"output": {"csv": "s.csv"}, "potential": {"kind": "velvet"}},
+            ["--csv", "s2.csv"],
+            "unknown delta system keys: output, potential",
+        ),
+        ({"sectors": ["even"]}, [], "unknown delta system keys: sectors"),
+        ({"system": "delta-prime"}, ["--csv", "s.csv"], "a delta-prime system writes no dumps: --csv"),
+        ({}, ["--csv", "s.csv", "--phase-csv", "p.csv"], "a delta system writes no dumps: --csv, --phase-csv"),
+    ],
+)
+def test_point_system_refuses_what_it_does_not_read(tmp_path, capsys, monkeypatch, extra, flags, message):
+    """A point system reads no potential, sectors or dumps: asking for any
+    of them exits 2 before any output, and no dump is written."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, {"system": "delta", "param": -1, "numerics": {"kappa_max": 40.0}, **extra})
+    assert main(["potential", "--config", cfg, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: {message}" in captured.err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
     "plain", [{"system": "delta", "param": -1}, WELL_CONFIG], ids=["point", "square-well"]
 )
 def test_potential_point_system_config_ignores_winding_numerics(tmp_path, capsys, plain):

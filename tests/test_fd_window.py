@@ -1,16 +1,18 @@
 """The finite-difference count on the window where V can be felt.
 
-Beyond ``Potential.zero_radius`` the profile is exactly 0.0, so the FD rows
-there are free (diagonal 2/h^2 bit for bit) and are stepped as a head and a
-tail run without being materialised.  These tests hold the windowed count
-to the full-grid construction it replaced: equal counts, and a window
-``diag`` and abscissae bit-identical to the full grid's rows.
+Beyond ``Potential.bounded_radius`` at an eighth of an ulp of 2/h^2, |V| is
+too small to move a diagonal entry, so the FD rows there are free (diagonal
+2/h^2 bit for bit) and are stepped as a head and a tail run without being
+materialised.  These tests hold the windowed count to the full-grid
+construction it replaced: equal counts, free rows outside the window, and a
+window ``diag`` and abscissae bit-identical to the full grid's rows.
 
 The half-line grids with a reflecting first row count each parity
 sector's bound states directly; they are the oracle of the parity rule the
 analysis uses instead.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +25,8 @@ from levlab.potentials import Potential, gaussian_wells, square_well, tabulated_
 from levlab.propagate import sturm_negative_count
 from levlab.reporting import tuned_exceptional_well
 from levlab.scattering import PotentialAnalysis
+
+from conftest import random_well_family
 
 
 def _full_grid(potential, box, n, parity=None):
@@ -106,12 +110,81 @@ def test_window_count_and_diag_match_full_grid(windows, kind):
     assert max(counts) > 1
 
 
+def _weak_designs(seed):
+    """The shallow well (0.005, 0, 1) and the 3 x 3 weak-well design of the
+    benchmark's weak-wells pass: one Gaussian at the midpoint of each stratum
+    of log-depth in [3e-3, 0.3] and width in [0.3, 3], centres drawn
+    uniformly on [-1, 1] from ``seed``."""
+    rng = np.random.default_rng(seed)
+    mids = (np.arange(3) + 0.5) / 3
+    lo, hi = math.log(3e-3), math.log(0.3)
+    design = list(itertools.product(np.exp(lo + (hi - lo) * mids), 0.3 + 2.7 * mids))
+    centres = rng.uniform(-1.0, 1.0, size=len(design))
+    return [[(0.005, 0.0, 1.0)]] + [[(float(d), float(c), float(w))] for (d, w), c in zip(design, centres)]
+
+
+FAMILY_AND_WEAK_WELLS = {f"member-{i}": [wells] for i, wells in enumerate(random_well_family())}
+FAMILY_AND_WEAK_WELLS.update({f"weak-seed-{seed}": _weak_designs(seed) for seed in range(1, 11)})
+
+
+@pytest.mark.parametrize("name", FAMILY_AND_WEAK_WELLS)
+def test_rows_outside_the_tight_window_are_free(windows, monkeypatch, name):
+    """On every grid the bound-state count builds, for the conftest family
+    and the weak-well designs: each row left out of the window has diagonal
+    2/h^2 exactly, and the windowed count is the full grid's.  Beyond
+    ``zero_radius`` V is exactly 0.0 (tested below), so only the rows inside
+    it are evaluated."""
+    grids = []
+    count_once = propagate._fd_count_once
+
+    def recorded(potential, box, n):
+        count = count_once(potential, box, n)
+        grids.append((box, n, count))
+        return count
+
+    monkeypatch.setattr(propagate, "_fd_count_once", recorded)
+    for wells in FAMILY_AND_WEAK_WELLS[name]:
+        potential = gaussian_wells(wells)
+        PotentialAnalysis(potential).n_bound_fd
+        assert len(windows) == len(grids) >= 2
+        for (box, n, count), (diag, head, tail) in zip(grids, windows):
+            xs = np.linspace(-box, box, n + 2)[1:-1]
+            h = xs[1] - xs[0]
+            free = 2.0 / (h * h)
+            full = np.full(n, free)
+            inside = np.flatnonzero(np.abs(xs) <= potential.zero_radius)
+            full[inside] = free + potential(xs[inside])
+            assert head > inside[0] and n - tail <= inside[-1]  # tighter than zero_radius
+            assert np.all(full[:head] == free) and np.all(full[n - tail :] == free)
+            assert diag.tobytes() == full[head : n - tail].tobytes()
+            assert count == sturm_negative_count(full, 1.0 / (h * h))
+        grids.clear()
+        windows.clear()
+
+
+def test_tight_window_of_a_gaussian_is_its_closed_form():
+    """The stated radius is max |c| + w sqrt(2 ln(n |d| / level)), a well
+    too shallow to reach the level contributes |c|, and the radius never
+    passes zero_radius."""
+    wells = [(3.0, -1.0, 0.5), (-0.2, 2.0, 1.5), (1e-20, 4.0, 2.0)]
+    potential = gaussian_wells(wells)
+    level = 1e-12
+    want = max(abs(c) + w * math.sqrt(2.0 * math.log(max(1.0, 3 * abs(d) / level))) for d, c, w in wells)
+    assert potential.bounded_radius(level) == want
+    assert want == pytest.approx(2.0 + 1.5 * math.sqrt(2.0 * math.log(0.6e12)), rel=1e-15)
+    xs = np.linspace(want, want + 30.0, 3001)
+    assert np.max(np.abs(potential(np.concatenate([xs, -xs])))) < level
+    assert potential.bounded_radius(1e-320) == potential.zero_radius
+    assert square_well(1.0, 2.0).bounded_radius(1e-12) == 2.0
+
+
 def test_box_narrower_than_window_takes_whole_grid(windows):
-    wide = gaussian_wells([(0.5, 0.0, 2.0)])
-    assert wide.zero_radius > 40.0
+    wide = gaussian_wells([(0.5, 0.0, 6.0)])
+    _, h, _ = _full_grid(wide, 40.0, 2000)
+    assert wide.bounded_radius(np.spacing(2.0 / (h * h)) / 8.0) > 40.0
     count, diag, head = _windowed(windows, wide, 40.0, 2000)
     assert (head, diag.size) == (0, 2000)
-    assert count == _full_count(wide, 40.0, 2000) == 2
+    assert count == _full_count(wide, 40.0, 2000) == 5
 
 
 def test_box_wider_than_window_materialises_only_the_window(windows):
