@@ -18,10 +18,6 @@ import numpy as np
 # Integrability of (1 + |x|)^(1/2 + eps) V requires faster decay than this.
 MIN_DECAY_EXPONENT = 2.5
 
-# np.exp(-x) is exactly 0.0 for x >= this (it underflows past 745.2), so a
-# Gaussian well is exactly 0.0 from sqrt(2 * this) widths off its centre.
-_GAUSS_ZERO_EXPONENT = 750.0
-
 
 @dataclass(eq=False)
 class Potential:
@@ -32,13 +28,11 @@ class Potential:
     cannot certify.  ``features`` lists (center, width) pairs marking zones the
     propagation mesh must refine.
 
-    ``zero_radius`` is the radius beyond which the profile returns exactly
-    ``0.0``.  It defaults to ``support_radius``, and to infinity when neither
-    is declared.  ``tail_bound``, when declared, maps a level to a radius
-    beyond which |V| < level; ``bounded_radius`` reads it, capped at
-    ``zero_radius``, and falls back to ``zero_radius`` without it.  The
-    finite-difference count evaluates the profile only inside the radius at
-    which |V| is too small to move a diagonal entry.
+    ``tail_bound``, when declared, maps a level to a radius beyond which
+    |V| < level; without it ``bounded_radius`` falls back to
+    ``support_radius``, or to infinity.  The finite-difference count
+    evaluates the profile only inside the radius at which |V| is too small
+    to move a diagonal entry.
     """
 
     profile: Callable[[np.ndarray], np.ndarray]
@@ -48,7 +42,6 @@ class Potential:
     breakpoints: tuple[float, ...] = ()
     features: tuple[tuple[float, float], ...] = ()
     label: str = "potential"
-    zero_radius: Optional[float] = None
     tail_bound: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
@@ -63,10 +56,6 @@ class Potential:
             )
         if self.support_radius is not None and not self.support_radius > 0:
             raise ValueError("support_radius must be positive")
-        if self.zero_radius is None:
-            self.zero_radius = math.inf if self.support_radius is None else self.support_radius
-        if not self.zero_radius > 0:
-            raise ValueError("zero_radius must be positive")
         if self.symmetric:
             xs = np.linspace(0.1, self.probe_radius(), 37)
             left = self(-xs)
@@ -85,9 +74,9 @@ class Potential:
 
     def bounded_radius(self, level: float) -> float:
         """Radius beyond which |V| < ``level``."""
-        if self.tail_bound is None:
-            return self.zero_radius
-        return min(self.tail_bound(level), self.zero_radius)
+        if self.tail_bound is not None:
+            return self.tail_bound(level)
+        return math.inf if self.support_radius is None else self.support_radius
 
     def __call__(self, x) -> np.ndarray:
         return self.profile(np.asarray(x, dtype=float))
@@ -119,8 +108,7 @@ def gaussian_wells(wells: Sequence[tuple[float, float, float]]) -> Potential:
     """Sum of Gaussian wells; each entry is (depth, center, width) with the
     well contributing -depth * exp(-(x - center)^2 / (2 width^2)).
 
-    The profile is exactly 0.0 beyond max |center| + width sqrt(1500), since
-    each exponent there is below -750.  With n wells, |V| < level beyond
+    Its ``tail_bound`` is the closed form: with n wells, |V| < level beyond
     max |center| + width sqrt(2 ln(n |depth| / level)), where every well is
     below level / n."""
     entries = [(float(d), float(c), float(w)) for d, c, w in wells]
@@ -150,10 +138,6 @@ def gaussian_wells(wells: Sequence[tuple[float, float, float]]) -> Potential:
         symmetric=symmetric,
         features=tuple((c, w) for _, c, w in entries),
         label=label,
-        zero_radius=max(
-            (abs(c) + w * math.sqrt(2.0 * _GAUSS_ZERO_EXPONENT) for _, c, w in entries),
-            default=None,
-        ),
         tail_bound=tail_bound if entries else None,
     )
 
@@ -178,7 +162,11 @@ def tabulated_potential(
         return np.interp(q, x, v, left=0.0, right=0.0)
 
     radius = float(max(abs(x[0]), abs(x[-1])))
-    probe = np.linspace(0.0, radius, 101)
+    # V(q) and V(-q) are affine in q on each open interval between the knots
+    # 0 and |x| (a table end can jump to 0), so the knots and two interior
+    # points of each interval decide symmetry everywhere.
+    knots = np.unique(np.abs(np.append(x, 0.0)))
+    probe = np.concatenate([knots, knots[:-1] + np.diff(knots) / 3.0, knots[1:] - np.diff(knots) / 3.0])
     symmetric = bool(np.max(np.abs(profile(probe) - profile(-probe))) < 1e-12)
     min_dx = float(np.min(np.diff(x)))
     span = 0.5 * float(x[-1] - x[0])

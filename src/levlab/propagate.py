@@ -40,8 +40,9 @@ discretisation of the full line whose negative eigenvalues are counted by the
 Sturm sequence of its LDL^T factorisation, entered at pivot +inf, with no
 diagonalisation.  The matrix has one coupling, every off-diagonal being
 -1/h^2.  Only the rows inside ``Potential.bounded_radius`` at an eighth of an
-ulp of 2/h^2 are built, since beyond it V cannot move a diagonal entry; the
-free rows beyond it, at either end, are stepped in closed form.
+ulp of 2/h^2 are built, since beyond it V cannot move a diagonal entry.  The
+free rows beyond it take closed forms: the pivot the head run hands on, and
+the negative pivots of the tail run, of which there is at most one.
 """
 
 from __future__ import annotations
@@ -306,8 +307,6 @@ class TransferEngine:
         matrix u(x_max) = T u(x_min), one per momentum.  A batch of more than
         ``TRANSFER_CHUNK`` momenta is propagated in chunks of that many."""
         k2 = np.asarray(kappas, dtype=float) ** 2
-        if k2.size <= TRANSFER_CHUNK:
-            return tuple(self._chunk_transfer(k2))
         chunks = [self._chunk_transfer(k2[i : i + TRANSFER_CHUNK]) for i in range(0, k2.size, TRANSFER_CHUNK)]
         return tuple(np.concatenate(chunks, axis=1))
 
@@ -425,36 +424,29 @@ def truncation_radius(
 # Finite-difference bound-state oracle
 
 
-def _free_run(d: float, c: float, m: int) -> tuple[float, int]:
+def _head_pivot(c: float, m: int) -> float:
     """Pivot of the last of ``m`` free rows (diagonal 2c, off-diagonal -c)
-    entered with pivot ``d``, and how many of their pivots are negative;
-    ``(d, 0)`` when ``m`` is 0.
+    entered at pivot +inf: +inf for no row, 2c after one, (m + 1) c / m after
+    m; none is negative."""
+    if m < 2:
+        return math.inf if m == 0 else c + c
+    d = c + c
+    return c * (d + (m - 1) * c) / (d + (m - 2) * c)
+
+
+def _tail_negatives(d: float, c: float, m: int) -> int:
+    """How many of ``m`` free rows entered with pivot ``d`` have a negative
+    pivot.
 
     With q_(-1) = d the pivots are c q_j / q_(j-1), where q_j = d + (j+1)(d-c)
     is linear in j because the recurrence has a double root.  So q changes
-    sign at most once, and only when 0 < d < c.
+    sign at most once, and only when 0 < d < c: first at row
+    max(1, ceil(d / (c - d))) - 1.  The quotient underflows to 0 when d is far
+    below c; then q_0 = 2d - c < 0 and the first row is the negative one.
     """
-    count = 0
-    if m and not -c <= d <= c:
-        # Step one row as the loop does (this also takes d = +-inf); the
-        # pivot lands in [c, 3c], so q below stays far from overflow.
-        d, m = c + c - c * c / d, m - 1
-    elif 0.0 < d < c:
-        e = d - c
-        # First j + 1 with q_j <= 0.  The quotient underflows to 0 when d is
-        # far below c; then q_0 = 2d - c < 0 and k = 1.
-        k = max(1, math.ceil(d / -e))
-        if k <= m:
-            # The one negative pivot, under the loop's pivmin rule; it is
-            # the only pivot of the run that can come near pivmin.
-            d = min(c * (d + k * e) / (d + (k - 1) * e), -_PIVMIN)
-            count, m = 1, m - k
-            if m and d < -c:
-                d, m = c + c - c * c / d, m - 1
-    if m == 0:
-        return d, count
-    e = d - c
-    return c * (d + m * e) / (d + (m - 1) * e), count
+    if not 0.0 < d < c:
+        return 0
+    return int(max(1, math.ceil(d / (c - d))) <= m)
 
 
 def _step_rows(d: float, a, b2: float) -> tuple[float, int]:
@@ -486,23 +478,22 @@ def sturm_negative_count(diag: np.ndarray, c: float, *, head: int = 0, tail: int
 
     A row is free when its diagonal entry is 2c bit for bit (V = 0, or below
     half an ulp of 2/h^2).  The free rows at either end of ``diag`` join the
-    head and the tail, and each of those two runs is stepped in closed form
-    in O(1): it has at most one negative pivot, at an index known in closed
-    form, and its exit pivot follows from the entry pivot.  Every row
+    head and the tail, and each of those two runs takes O(1) in closed form:
+    the head run has no negative pivot and hands its exit pivot on, and the
+    tail run has at most one, at an index known in closed form.  Every row
     between takes the row-by-row recurrence, so its pivot, pivmin rule and
-    sign rule are the loop's exactly; pivots after a free run differ from
+    sign rule are the loop's exactly; pivots after the head run differ from
     the loop's only at the rounding level.
     """
     c = float(c)
     kept = np.flatnonzero(diag != c + c)
     lo, hi = (int(kept[0]), int(kept[-1]) + 1) if kept.size else (diag.size, diag.size)
-    d, count = _free_run(math.inf, c, head + lo)
+    d, count = _head_pivot(c, head + lo), 0
     for start in range(lo, hi, BLOCK_ELEMENTS):
         # Python floats: fast to loop over, with memory bounded by the block.
         d, negatives = _step_rows(d, diag[start : min(start + BLOCK_ELEMENTS, hi)].tolist(), c * c)
         count += negatives
-    d, negatives = _free_run(d, c, diag.size - hi + tail)
-    return count + negatives
+    return count + _tail_negatives(d, c, diag.size - hi + tail)
 
 
 def _fd_count_once(potential: Potential, box: float, n: int) -> int:

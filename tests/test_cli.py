@@ -10,6 +10,7 @@ import pytest
 from levlab.cli import main
 from levlab.loops import Sector
 from levlab.point import PointInteraction, verify_levinson
+from levlab.potentials import tabulated_potential
 
 WELL_CONFIG = {"potential": {"kind": "square-well", "depth": 1.0, "half_width": 1.0}}
 
@@ -246,6 +247,35 @@ def test_potential_tabulated_slow_tail_warns_but_runs(tmp_path, capsys):
         code = main(["potential", "--config", cfg])
     assert code == 0
     assert "index identity: OK" in capsys.readouterr().out
+
+
+# V(0.005) = -3 but V(-0.005) = -1.99: a spike between two points of any even
+# probe grid coarser than the table.
+SPIKE_TABLE = {
+    "kind": "tabulated",
+    "xs": [-1.0, -0.5, 0.0, 0.005, 0.01, 0.5, 1.0],
+    "values": [0.0, -1.0, -2.0, -3.0, -1.98, -1.0, 0.0],
+}
+
+
+def test_tabulated_symmetry_is_decided_between_probes(tmp_path, capsys):
+    """A table is symmetric only if V(-x) = V(x) everywhere: at every |x|,
+    and between them, where a table end can jump to 0."""
+    assert not tabulated_potential(SPIKE_TABLE["xs"], SPIKE_TABLE["values"]).symmetric
+    # Both tables agree at 0, 1 and 2; V(1.5) = 0 but V(-1.5) = -0.25.
+    assert not tabulated_potential([-2.0, 0.0, 1.0], [0.0, -1.0, -0.5]).symmetric
+    # A collinear extra breakpoint on one side, and an even grid, stay symmetric.
+    assert tabulated_potential([-1.0, 0.0, 0.5, 1.0], [0.0, -1.0, -0.5, 0.0]).symmetric
+    xs = np.linspace(-3.0, 3.0, 61)
+    assert tabulated_potential(xs, -np.exp(-xs * xs)).symmetric
+    cfg = write_config(tmp_path, {"potential": SPIKE_TABLE})
+    assert main(["potential", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "[full]" in out and "[even]" not in out and "[odd ]" not in out
+    assert "index identity: OK" in out
+    cfg = write_config(tmp_path, {"potential": SPIKE_TABLE, "sectors": ["even"]}, name="even.json")
+    assert main(["potential", "--config", cfg]) == 2
+    assert "declared symmetric" in capsys.readouterr().err
 
 
 def test_potential_config_errors(tmp_path, capsys):

@@ -110,6 +110,12 @@ def test_window_count_and_diag_match_full_grid(windows, kind):
     assert max(counts) > 1
 
 
+def _underflow_radius(wells):
+    """Largest |c| + w sqrt(1500) over the wells: beyond it every exponent is
+    below -750, so np.exp underflows and the profile is exactly 0.0."""
+    return max(abs(c) + w * math.sqrt(1500.0) for _, c, w in wells)
+
+
 def _weak_designs(seed):
     """The shallow well (0.005, 0, 1) and the 3 x 3 weak-well design of the
     benchmark's weak-wells pass: one Gaussian at the midpoint of each stratum
@@ -131,8 +137,8 @@ FAMILY_AND_WEAK_WELLS.update({f"weak-seed-{seed}": _weak_designs(seed) for seed 
 def test_rows_outside_the_tight_window_are_free(windows, monkeypatch, name):
     """On every grid the bound-state count builds, for the conftest family
     and the weak-well designs: each row left out of the window has diagonal
-    2/h^2 exactly, and the windowed count is the full grid's.  Beyond
-    ``zero_radius`` V is exactly 0.0 (tested below), so only the rows inside
+    2/h^2 exactly, and the windowed count is the full grid's.  Beyond the
+    underflow radius V is exactly 0.0 (tested below), so only the rows inside
     it are evaluated."""
     grids = []
     count_once = propagate._fd_count_once
@@ -152,9 +158,9 @@ def test_rows_outside_the_tight_window_are_free(windows, monkeypatch, name):
             h = xs[1] - xs[0]
             free = 2.0 / (h * h)
             full = np.full(n, free)
-            inside = np.flatnonzero(np.abs(xs) <= potential.zero_radius)
+            inside = np.flatnonzero(np.abs(xs) <= _underflow_radius(wells))
             full[inside] = free + potential(xs[inside])
-            assert head > inside[0] and n - tail <= inside[-1]  # tighter than zero_radius
+            assert head > inside[0] and n - tail <= inside[-1]  # tighter than the underflow radius
             assert np.all(full[:head] == free) and np.all(full[n - tail :] == free)
             assert diag.tobytes() == full[head : n - tail].tobytes()
             assert count == sturm_negative_count(full, 1.0 / (h * h))
@@ -163,9 +169,8 @@ def test_rows_outside_the_tight_window_are_free(windows, monkeypatch, name):
 
 
 def test_tight_window_of_a_gaussian_is_its_closed_form():
-    """The stated radius is max |c| + w sqrt(2 ln(n |d| / level)), a well
-    too shallow to reach the level contributes |c|, and the radius never
-    passes zero_radius."""
+    """The stated radius is max |c| + w sqrt(2 ln(n |d| / level)), and a well
+    too shallow to reach the level contributes |c|."""
     wells = [(3.0, -1.0, 0.5), (-0.2, 2.0, 1.5), (1e-20, 4.0, 2.0)]
     potential = gaussian_wells(wells)
     level = 1e-12
@@ -174,7 +179,6 @@ def test_tight_window_of_a_gaussian_is_its_closed_form():
     assert want == pytest.approx(2.0 + 1.5 * math.sqrt(2.0 * math.log(0.6e12)), rel=1e-15)
     xs = np.linspace(want, want + 30.0, 3001)
     assert np.max(np.abs(potential(np.concatenate([xs, -xs])))) < level
-    assert potential.bounded_radius(1e-320) == potential.zero_radius
     assert square_well(1.0, 2.0).bounded_radius(1e-12) == 2.0
 
 
@@ -215,7 +219,7 @@ def test_window_abscissae_equal_the_full_grid(windows):
         seen.append(x.copy())
         return np.where(np.abs(x) <= 3.0, -1.0, 0.0)
 
-    potential = Potential(profile=profile, zero_radius=3.0)
+    potential = Potential(profile=profile, tail_bound=lambda level: 3.0)
     box, n = 50.0, 4001
     _, diag, lo = _windowed(windows, potential, box, n)
     xs, _, _ = _full_grid(potential, box, n)
@@ -229,18 +233,18 @@ def test_gaussian_profile_is_exactly_zero_at_and_beyond_its_radius(depth):
         for centre in (-5.0, 0.0, 2.5):
             wells = [(depth, centre, width), (0.5 * depth, -0.5 * centre, 0.5 * width)]
             potential = gaussian_wells(wells)
-            r = potential.zero_radius
+            r = _underflow_radius(wells)
             assert r == abs(centre) + width * math.sqrt(1500.0)
             edge = np.array([r, -r, np.nextafter(r, np.inf), np.nextafter(-r, -np.inf)])
             assert np.all(potential(edge) == 0.0), (depth, width, centre)
 
 
-def test_zero_radius_defaults():
-    assert square_well(1.0, 2.5).zero_radius == 2.5
-    assert tabulated_potential([-1.0, 3.0], [-1.0, -1.0]).zero_radius == 3.0
-    assert Potential(profile=np.sin).zero_radius == math.inf
-    with pytest.raises(ValueError, match="zero_radius"):
-        Potential(profile=np.sin, zero_radius=math.nan)
+def test_bounded_radius_defaults():
+    """Without a declared tail bound the radius is the support radius, or
+    infinity."""
+    assert square_well(1.0, 2.5).bounded_radius(1e-12) == 2.5
+    assert tabulated_potential([-1.0, 3.0], [-1.0, -1.0]).bounded_radius(1e-12) == 3.0
+    assert Potential(profile=np.sin).bounded_radius(1e-12) == math.inf
     with pytest.raises(ValueError, match="support_radius"):
         Potential(profile=np.sin, support_radius=math.nan)
 

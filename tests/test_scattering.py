@@ -298,9 +298,9 @@ def test_sturm_count_matches_eigenvalues():
 def test_sturm_enters_at_pivot_inf():
     # A free row 0 and a zero first pivot with no head are entry cases below.
     c = 3.0
-    assert propagate._free_run(math.inf, c, 1) == (2.0 * c, 0)
-    assert propagate._free_run(math.inf, c, 0) == (math.inf, 0)
-    assert propagate._free_run(-0.5, c, 0) == (-0.5, 0)
+    assert propagate._head_pivot(c, 1) == 2.0 * c
+    assert propagate._head_pivot(c, 0) == math.inf
+    assert propagate._tail_negatives(-0.5, c, 0) == 0
     # One head row counts as the free row 0 materialised.
     for first in (2.0 * c, 0.7 * c, 0.0):
         window = np.array([first, 2.0 * c, 2.0 * c, -1.0, 2.0 * c])
@@ -363,6 +363,16 @@ def test_sturm_free_run_entry_cases():
         expected = _loop_count(diag, c)
         assert sturm_negative_count(diag, c) == expected, name
         assert _eig_count(diag, c) == expected, name
+    # The tail run alone, entered with pivot d: a first row whose pivot is d,
+    # then m free rows.  At c = 1e40 the entry 1e-289 makes d / (c - d)
+    # underflow to 0.
+    for c in (3.0, 1e40):
+        entries = (math.inf, -math.inf, c, np.nextafter(c, 0.0), 0.999 * c, 0.7 * c, 0.1 * c, 1e-289, -c, -0.5 * c)
+        for d in entries:
+            for m in (0, 1, 2, 3, 5, 12, 2000):
+                run = np.concatenate([[d], np.full(m, 2.0 * c)])
+                expected = _loop_count(run, c) - int(d < 0.0)
+                assert propagate._tail_negatives(d, c, m) == expected, (c, d, m)
 
 
 def test_sturm_free_run_extreme_entry_pivots():
