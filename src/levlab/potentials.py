@@ -17,6 +17,24 @@ import numpy as np
 
 # Integrability of (1 + |x|)^(1/2 + eps) V requires faster decay than this.
 MIN_DECAY_EXPONENT = 2.5
+# V(-x) and V(x) agree when they differ by at most this times max(1, max |V|)
+# over the points compared: rounding of a deep profile must not break its
+# symmetry.
+SYMMETRY_TOL = 1e-10
+
+
+def _symmetry_probes(radius: float, breakpoints) -> np.ndarray:
+    """Where a declared symmetry is checked: 37 points from 0.1 out to
+    ``radius``, and every |breakpoint|, so the scale sees a table's extremes."""
+    return np.concatenate([np.linspace(0.1, radius, 37), np.abs(np.asarray(breakpoints, dtype=float))])
+
+
+def _mirrored(profile, xs: np.ndarray) -> bool:
+    """Whether V(-x) = V(x) at every x of ``xs``, to ``SYMMETRY_TOL`` times
+    max(1, max |V|) over both sides."""
+    left, right = profile(-xs), profile(xs)
+    scale = max(1.0, float(np.max(np.abs(left))), float(np.max(np.abs(right))))
+    return bool(np.max(np.abs(left - right)) <= SYMMETRY_TOL * scale)
 
 
 @dataclass(eq=False)
@@ -56,13 +74,8 @@ class Potential:
             )
         if self.support_radius is not None and not self.support_radius > 0:
             raise ValueError("support_radius must be positive")
-        if self.symmetric:
-            xs = np.linspace(0.1, self.probe_radius(), 37)
-            left = self(-xs)
-            right = self(xs)
-            scale = max(1.0, float(np.max(np.abs(right))))
-            if np.max(np.abs(left - right)) > 1e-10 * scale:
-                raise ValueError("potential declared symmetric but V(-x) != V(x)")
+        if self.symmetric and not _mirrored(self, _symmetry_probes(self.probe_radius(), self.breakpoints)):
+            raise ValueError("potential declared symmetric but V(-x) != V(x)")
 
     def probe_radius(self) -> float:
         """Radius at which symmetry checks and the truncation search start."""
@@ -164,10 +177,14 @@ def tabulated_potential(
     radius = float(max(abs(x[0]), abs(x[-1])))
     # V(q) and V(-q) are affine in q on each open interval between the knots
     # 0 and |x| (a table end can jump to 0), so the knots and two interior
-    # points of each interval decide symmetry everywhere.
+    # points of each interval decide symmetry everywhere.  The points that
+    # ``Potential.__post_init__`` checks are compared too, on the same scale,
+    # so a table found symmetric passes that check.
     knots = np.unique(np.abs(np.append(x, 0.0)))
-    probe = np.concatenate([knots, knots[:-1] + np.diff(knots) / 3.0, knots[1:] - np.diff(knots) / 3.0])
-    symmetric = bool(np.max(np.abs(profile(probe) - profile(-probe))) < 1e-12)
+    probe = np.concatenate(
+        [knots, knots[:-1] + np.diff(knots) / 3.0, knots[1:] - np.diff(knots) / 3.0, _symmetry_probes(radius, x)]
+    )
+    symmetric = _mirrored(profile, probe)
     min_dx = float(np.min(np.diff(x)))
     span = 0.5 * float(x[-1] - x[0])
     center = 0.5 * float(x[-1] + x[0])

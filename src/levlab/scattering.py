@@ -3,9 +3,10 @@
 Everything the index bookkeeping needs from a potential is produced here:
 
 * unitary scattering matrices on an adaptively refined momentum grid, from
-  the converged pair (M, M/2) of a mesh-halving ladder: nodes up to the top
-  probe momentum, where M's probe data lie within ``solver_tol`` of M/2's,
-  are propagated on M, and nodes above it, which no probe certifies, on M/2,
+  the converged pair (M, M/2) of a mesh-halving ladder: the nodes up to each
+  probe momentum are propagated on the coarsest rung, M or below, whose
+  probe data up to it lie within ``solver_tol`` of M/2's, and nodes above
+  the top probe, which no probe certifies, on M/2,
 * the threshold class (generic, or exceptional with the asymptotic ratio
   gamma of the bounded zero-energy solution) with an independent cross-check
   against a small-momentum extrapolation of the scattering matrix itself,
@@ -83,7 +84,8 @@ SHALLOW_MOMENTUM_FACTOR = 0.45
 SHALLOW_MOMENTUM_FLOOR = 5e-3
 SHALLOW_DECAY_LENGTHS = 8.0
 # Probe momenta whose scattering data must stop moving under mesh halving;
-# grid nodes up to the last one are propagated on the coarser mesh of the pair.
+# each splits off a band of grid nodes, up to it, for the coarsest ladder rung
+# that agrees with M/2 at every probe of the band, and the last one tops M's.
 ENGINE_PROBE_KAPPAS = np.geomspace(1e-3, 50.0, 10)
 ENGINE_PROBE_KAPPAS.flags.writeable = False
 
@@ -224,26 +226,53 @@ def _write_rows(path, header: str, table: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class MeshPair:
-    """The converged pair (M, M/2) of the mesh-halving ladder, read as one
-    engine; ``PotentialAnalysis.mesh_pair`` keeps it.  The ladder stops once
-    M's data at the probe momenta lie within ``solver_tol`` of M/2's, and
-    that step-doubling estimate bounds M's own error; so momenta up to the
-    top probe are propagated on M, which has half the cells, and only the
-    momenta above it, which no probe covers, on M/2."""
+    """The converged pair (M, M/2) of the mesh-halving ladder, with the
+    ladder's coarser rungs that its probes certify, read as one engine;
+    ``PotentialAnalysis.mesh_pair`` keeps it.
+
+    The ladder stops once M's data at the probe momenta lie within
+    ``solver_tol`` of M/2's, and that step-doubling estimate bounds M's own
+    error.  Each momentum goes to the band of the first top at or above it:
+    ``lower_bands`` holds ascending (top, engine) pairs for rungs coarser
+    than M, each top a probe momentum up to which that rung's probe data and
+    zero-energy entries lie within ``solver_tol`` of M/2's; M takes the band
+    up to the top probe, and M/2 the momenta above it, which no probe
+    covers.  ``MeshPair(coarse, fine)`` has no lower band."""
 
     coarse: TransferEngine
     fine: TransferEngine
+    lower_bands: tuple[tuple[float, TransferEngine], ...] = ()
 
     def plane_wave_coefficients(self, kappas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(t, r_left, r_right) as from ``TransferEngine``, each momentum
         propagated on the mesh of its band."""
         kappas = np.asarray(kappas, dtype=float)
-        inside = kappas <= ENGINE_PROBE_KAPPAS[-1]
+        tops = [top for top, _ in self.lower_bands] + [ENGINE_PROBE_KAPPAS[-1]]
+        engines = [engine for _, engine in self.lower_bands] + [self.coarse, self.fine]
+        bands = np.searchsorted(tops, kappas)
         out = np.empty((3,) + kappas.shape, dtype=complex)
-        for engine, band in ((self.coarse, inside), (self.fine, ~inside)):
+        for index, engine in enumerate(engines):
+            band = bands == index
             if band.any():
                 out[:, band] = engine.plane_wave_coefficients(kappas[band])
         return tuple(out)
+
+
+def _lower_bands(rungs, fine_snapshot: np.ndarray, tol: float) -> tuple[tuple[float, TransferEngine], ...]:
+    """Ascending (top, engine) bands of the ``rungs``, (engine, snapshot)
+    pairs coarsest first: each probe momentum goes to the coarsest rung whose
+    snapshot lies within ``tol`` of ``fine_snapshot`` at every probe up to it
+    and at both zero-energy entries, and a rung's band tops at its last."""
+    n = ENGINE_PROBE_KAPPAS.size
+    bands, banded = [], 0
+    for engine, snapshot in rungs:
+        gap = np.abs(snapshot - fine_snapshot)
+        per_probe = np.maximum(gap[: 3 * n].reshape(3, n).max(axis=0), gap[3 * n :].max())
+        certified = int(np.count_nonzero(np.maximum.accumulate(per_probe) < tol))
+        if certified > banded:
+            bands.append((float(ENGINE_PROBE_KAPPAS[certified - 1]), engine))
+            banded = certified
+    return tuple(bands)
 
 
 def _plane_matrices(engine: TransferEngine | MeshPair, kappas: np.ndarray) -> np.ndarray:
@@ -453,13 +482,16 @@ class PotentialAnalysis:
 
     @cached_property
     def mesh_pair(self) -> MeshPair:
-        """The first pair (M, M/2) of the halving ladder whose probe data agree to ``solver_tol``."""
+        """The first pair (M, M/2) of the halving ladder whose probe data
+        agree to ``solver_tol``, with each coarser rung's band: the probes
+        up to which that rung, checked on the same entries against M/2, is
+        the coarsest to agree."""
         s = self.settings
         r = self.radius
         mesh = build_mesh(
             self.potential, -r, r, coarse_h=s.coarse_h, feature_cells=s.feature_cells
         )
-        previous = coarser = None
+        rungs = []
         for _ in range(s.max_halvings + 1):
             engine = TransferEngine(mesh)
             t, r_l, r_r = engine.plane_wave_coefficients(ENGINE_PROBE_KAPPAS)
@@ -467,9 +499,9 @@ class PotentialAnalysis:
             snapshot = np.concatenate(
                 [t, r_l, r_r, [complex(c1 / scale), complex(c2 / scale)]]
             )
-            if previous is not None and float(np.max(np.abs(snapshot - previous))) < s.solver_tol:
-                return MeshPair(coarser, engine)
-            previous, coarser = snapshot, engine
+            if rungs and float(np.max(np.abs(snapshot - rungs[-1][1]))) < s.solver_tol:
+                return MeshPair(rungs[-1][0], engine, _lower_bands(rungs[:-1], snapshot, s.solver_tol))
+            rungs.append((engine, snapshot))
             mesh = mesh.halved(self.potential)
         raise SolverDiverged(
             f"scattering data not converged after {s.max_halvings} mesh halvings"

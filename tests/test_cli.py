@@ -278,6 +278,36 @@ def test_tabulated_symmetry_is_decided_between_probes(tmp_path, capsys):
     assert "declared symmetric" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("depth_profile", [lambda x: np.exp(-x * x), lambda x: 1.0 / (1.0 + x * x)], ids=["gauss", "lorentz"])
+def test_deep_even_tables_are_symmetric(depth_profile):
+    """Rounding of deep even tables, some 5e-16 of max |V|, is no asymmetry:
+    symmetry is decided on the scale of max(1, max |V|)."""
+    for n in range(5, 401):
+        xs = np.linspace(-3.0, 3.0, n)
+        assert tabulated_potential(xs, -1e6 * depth_profile(xs)).symmetric, n
+
+
+def test_symmetry_is_decided_on_the_scale_of_the_whole_table():
+    """A 1e6 spike sets the scale of the check: an asymmetry of 1e-6 where
+    |V| is 1 is rounding on that scale, and a table found symmetric passes the
+    declared-symmetry check of ``Potential``; 1e-3 is not rounding."""
+    xs = [-1.0, -0.5, -0.01, 0.0, 0.01, 0.5, 1.0]
+    assert tabulated_potential(xs, [0.0, -1.0, -1.0, -1e6, -1.0, -1.0 - 1e-6, 0.0]).symmetric
+    assert not tabulated_potential(xs, [0.0, -1.0, -1.0, -1e6, -1.0, -1.0 - 1e-3, 0.0]).symmetric
+
+
+def test_deep_even_table_has_parity_sectors(tmp_path, capsys):
+    """A table 1e4 deep, whose mirrored samples differ by rounding only, has
+    an even sector; an absolute 1e-12 threshold declared it asymmetric."""
+    xs = np.linspace(-0.3, 0.3, 10)
+    table = {"kind": "tabulated", "xs": xs.tolist(), "values": (-1e4 * np.exp(-((xs / 0.1) ** 2))).tolist()}
+    assert tabulated_potential(table["xs"], table["values"]).symmetric
+    cfg = write_config(tmp_path, {"potential": table, "sectors": ["even"]})
+    assert main(["potential", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "[even]" in out and "index identity: OK" in out
+
+
 def test_potential_config_errors(tmp_path, capsys):
     missing = str(tmp_path / "absent.json")
     assert main(["potential", "--config", missing]) == 2

@@ -26,6 +26,7 @@ from levlab.scattering import (
     MeshPair,
     PotentialAnalysis,
     SolverSettings,
+    _lower_bands,
     _plane_matrices,
     classify_threshold,
     count_bound_states_shooting,
@@ -595,6 +596,117 @@ def test_mesh_pair_routes_each_momentum_by_band():
         assert np.min(np.max(np.abs(other - want), axis=(1, 2))) > 1e-10
 
 
+def test_lower_band_routes_each_momentum_by_band():
+    """With one lower band, momenta up to its top, in any order, come from
+    its rung, the next up to the top probe from M and the rest from M/2;
+    the band tops themselves belong to the band below."""
+    pot = gaussian_wells([(12.0, 0.3, 0.8)])
+    mesh = build_mesh(pot, -8.0, 8.0, coarse_h=0.4, feature_cells=4)
+    rung = TransferEngine(mesh)
+    coarse = TransferEngine(mesh.halved(pot))
+    fine = TransferEngine(mesh.halved(pot).halved(pot))
+    top = float(ENGINE_PROBE_KAPPAS[6])
+    kappas = np.array(
+        [80.0, np.nextafter(top, np.inf), 3.0, BAND_EDGE, 0.2, top, np.nextafter(BAND_EDGE, np.inf), 700.0, 1e-3]
+    )
+    got = _plane_matrices(MeshPair(coarse, fine, ((top, rung),)), kappas)
+    lower, upper = kappas <= top, kappas > BAND_EDGE
+    engines = (rung, coarse, fine)
+    for engine, band in zip(engines, (lower, ~lower & ~upper, upper)):
+        assert band.sum() >= 2
+        want = _plane_matrices(engine, kappas[band])
+        assert np.max(np.abs(got[band] - want)) <= 1e-14
+        for other in engines:
+            if other is not engine:
+                gap = np.max(np.abs(_plane_matrices(other, kappas[band]) - want), axis=(1, 2))
+                assert np.min(gap) > 1e-10
+
+
+MEMBERS = pytest.mark.parametrize("member", range(WELL_FAMILY_SIZE), ids=lambda m: f"member-{m}")
+
+
+def test_lower_bands_stop_at_the_first_probe_out_of_tolerance():
+    """A rung's band ends below its first probe off M/2 by ``tol``, even if
+    later probes agree again; a rung off at the zero-energy entries, or
+    finer than one that reaches further, gets no band.  The rungs are only
+    passed through, so labels stand in for engines."""
+    n, tol = ENGINE_PROBE_KAPPAS.size, 2e-10
+    fine = np.zeros(3 * n + 2, dtype=complex)
+    gapped, off_at_zero, close, shorter = (fine + 1e-11 for _ in range(4))
+    gapped[n + 4] = tol
+    off_at_zero[-1] = 1j * tol
+    shorter[2] = -tol
+    rungs = [("gapped", gapped), ("off at zero", off_at_zero), ("close", close), ("shorter", shorter)]
+    bands = _lower_bands(rungs, fine, tol)
+    assert bands == ((ENGINE_PROBE_KAPPAS[3], "gapped"), (ENGINE_PROBE_KAPPAS[-1], "close"))
+
+
+def _probe_snapshot(engine):
+    """The halving certificate's entries of one engine: (t, r_left, r_right)
+    at each probe, as rows, and the normalised zero-energy (c1, c2)."""
+    c1, c2, scale, _ = zero_energy_tail(engine)
+    return np.array(engine.plane_wave_coefficients(ENGINE_PROBE_KAPPAS)), np.array([c1 / scale, c2 / scale])
+
+
+def _ladder_below(analysis):
+    """Engines on the rungs of ``analysis``'s halving ladder coarser than M,
+    coarsest first, rebuilt from the default mesh."""
+    mesh, rungs = default_mesh(analysis.potential), []
+    while mesh.n_cells < analysis.mesh_pair.coarse.mesh.n_cells:
+        rungs.append(TransferEngine(mesh))
+        mesh = mesh.halved(analysis.potential)
+    assert mesh.n_cells == analysis.mesh_pair.coarse.mesh.n_cells
+    return rungs
+
+
+@MEMBERS
+def test_lower_bands_take_the_coarsest_rung_their_probes_certify(well_family, member):
+    """Band tops are ascending probe momenta; each band's engine is a ladder
+    rung coarser than M whose probe data up to the top, and zero-energy
+    data, lie within ``solver_tol`` of M/2's; and no coarser rung's do."""
+    analysis = well_family[member]
+    pair, tol = analysis.mesh_pair, analysis.settings.solver_tol
+    tops = [top for top, _ in pair.lower_bands]
+    assert all(np.any(ENGINE_PROBE_KAPPAS == top) for top in tops)
+    assert tops == sorted(set(tops))
+    fine_probes, fine_zero = _probe_snapshot(pair.fine)
+
+    def certified(engine):
+        probes, zero = _probe_snapshot(engine)
+        if np.max(np.abs(zero - fine_zero)) >= tol:
+            return 0
+        return int(np.argmin(np.r_[np.max(np.abs(probes - fine_probes), axis=0) < tol, False]))
+
+    rungs = _ladder_below(analysis)
+    ranks = [certified(engine) for engine in rungs]
+    bottom = 0
+    for top, engine in pair.lower_bands:
+        assert engine.mesh.n_cells < pair.coarse.mesh.n_cells
+        index = [e.mesh.n_cells for e in rungs].index(engine.mesh.n_cells)
+        assert np.array_equal(engine.mesh.edges, rungs[index].mesh.edges)
+        reach = int(np.flatnonzero(ENGINE_PROBE_KAPPAS == top)[0]) + 1
+        assert certified(engine) == reach
+        assert max(ranks[:index], default=0) <= bottom < reach
+        bottom = reach
+    assert max(ranks, default=0) == bottom
+
+
+@pytest.mark.parametrize("member", [2, 3])
+def test_members_2_and_3_take_a_lower_band_on_half_of_m(well_family, member):
+    pair = well_family[member].mesh_pair
+    (top, engine), = pair.lower_bands
+    assert top == ENGINE_PROBE_KAPPAS[-2] and round(top, 2) == 15.03
+    assert engine.mesh.n_cells * 2 == pair.coarse.mesh.n_cells
+
+
+def test_square_well_takes_no_lower_band():
+    """A square well's mesh is exact, so M is the first rung and nothing
+    coarser can take a band."""
+    pair = PotentialAnalysis(square_well(1.0, 1.0)).mesh_pair
+    assert pair.coarse.mesh.n_cells == default_mesh(square_well(1.0, 1.0)).n_cells
+    assert pair.lower_bands == ()
+
+
 @pytest.fixture(scope="module")
 def single_mesh_family(well_family):
     """Each conftest member analysed with every grid node on the finer mesh
@@ -608,9 +720,6 @@ def single_mesh_family(well_family):
     return out
 
 
-MEMBERS = pytest.mark.parametrize("member", range(WELL_FAMILY_SIZE), ids=lambda m: f"member-{m}")
-
-
 @MEMBERS
 def test_band_rule_keeps_the_single_mesh_nodes(well_family, single_mesh_family, member):
     assert np.array_equal(well_family[member].scattering.kappas, single_mesh_family[member].scattering.kappas)
@@ -618,8 +727,9 @@ def test_band_rule_keeps_the_single_mesh_nodes(well_family, single_mesh_family, 
 
 @MEMBERS
 def test_in_band_nodes_lie_within_solver_tol_of_the_finer_mesh(well_family, single_mesh_family, member):
-    """Up to the top probe the nodes come from M, which the halving
-    certificate holds to ``solver_tol`` of M/2."""
+    """Up to the top probe each node comes from its band's rung, M or a
+    coarser one, whose probe data the halving certificate holds to
+    ``solver_tol`` of M/2's up to the band's top."""
     got, want = well_family[member].scattering, single_mesh_family[member].scattering
     inside = got.kappas <= BAND_EDGE
     assert inside.sum() > 100
