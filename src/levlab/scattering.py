@@ -3,10 +3,10 @@
 Everything the index bookkeeping needs from a potential is produced here:
 
 * unitary scattering matrices on an adaptively refined momentum grid, from
-  the converged pair (M, M/2) of a mesh-halving ladder: the nodes up to each
-  probe momentum are propagated on the coarsest rung, M or below, whose
-  probe data up to it lie within ``solver_tol`` of M/2's, and nodes above
-  the top probe, which no probe certifies, on M/2,
+  the band table of a mesh-halving ladder that stops at the pair (M, M/2):
+  the nodes up to each probe momentum are propagated on the coarsest rung,
+  M at the latest, that certifies it against M/2, and nodes above the top
+  probe, which no probe certifies, on M/2,
 * the threshold class (generic, or exceptional with the asymptotic ratio
   gamma of the bounded zero-energy solution) with an independent cross-check
   against a small-momentum extrapolation of the scattering matrix itself,
@@ -84,8 +84,8 @@ SHALLOW_MOMENTUM_FACTOR = 0.45
 SHALLOW_MOMENTUM_FLOOR = 5e-3
 SHALLOW_DECAY_LENGTHS = 8.0
 # Probe momenta whose scattering data must stop moving under mesh halving;
-# each splits off a band of grid nodes, up to it, for the coarsest ladder rung
-# that agrees with M/2 at every probe of the band, and the last one tops M's.
+# each tops the band of grid nodes of the coarsest ladder rung that agrees
+# with M/2 at every probe up to it, and M at the latest reaches the last.
 ENGINE_PROBE_KAPPAS = np.geomspace(1e-3, 50.0, 10)
 ENGINE_PROBE_KAPPAS.flags.writeable = False
 
@@ -230,49 +230,41 @@ class MeshPair:
     ladder's coarser rungs that its probes certify, read as one engine;
     ``PotentialAnalysis.mesh_pair`` keeps it.
 
-    The ladder stops once M's data at the probe momenta lie within
-    ``solver_tol`` of M/2's, and that step-doubling estimate bounds M's own
-    error.  Each momentum goes to the band of the first top at or above it:
-    ``lower_bands`` holds ascending (top, engine) pairs for rungs coarser
-    than M, each top a probe momentum up to which that rung's probe data and
-    zero-energy entries lie within ``solver_tol`` of M/2's; M takes the band
-    up to the top probe, and M/2 the momenta above it, which no probe
-    covers.  ``MeshPair(coarse, fine)`` has no lower band."""
+    ``bands`` holds ascending (top, engine) pairs, and each momentum goes to
+    the band of the first top at or above it.  Every rung up to M tops at the
+    last probe momentum that it is the coarsest to certify against M/2
+    (``_certified``); M certifies them all, so the bands reach the top probe
+    by M at the latest.  M/2 closes the table at ``math.inf`` and takes the
+    momenta above the last finite top, which no probe covers, and NaN ones."""
 
-    coarse: TransferEngine
-    fine: TransferEngine
-    lower_bands: tuple[tuple[float, TransferEngine], ...] = ()
+    bands: tuple[tuple[float, TransferEngine], ...]
+
+    @property
+    def fine(self) -> TransferEngine:
+        """M/2, the engine of the last band."""
+        return self.bands[-1][1]
 
     def plane_wave_coefficients(self, kappas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(t, r_left, r_right) as from ``TransferEngine``, each momentum
         propagated on the mesh of its band."""
         kappas = np.asarray(kappas, dtype=float)
-        tops = [top for top, _ in self.lower_bands] + [ENGINE_PROBE_KAPPAS[-1]]
-        engines = [engine for _, engine in self.lower_bands] + [self.coarse, self.fine]
-        bands = np.searchsorted(tops, kappas)
+        bands = np.searchsorted([top for top, _ in self.bands[:-1]], kappas)
         out = np.empty((3,) + kappas.shape, dtype=complex)
-        for index, engine in enumerate(engines):
+        for index, (_, engine) in enumerate(self.bands):
             band = bands == index
             if band.any():
                 out[:, band] = engine.plane_wave_coefficients(kappas[band])
         return tuple(out)
 
 
-def _lower_bands(rungs, fine_snapshot: np.ndarray, tol: float) -> tuple[tuple[float, TransferEngine], ...]:
-    """Ascending (top, engine) bands of the ``rungs``, (engine, snapshot)
-    pairs coarsest first: each probe momentum goes to the coarsest rung whose
-    snapshot lies within ``tol`` of ``fine_snapshot`` at every probe up to it
-    and at both zero-energy entries, and a rung's band tops at its last."""
+def _certified(snapshot: np.ndarray, fine_snapshot: np.ndarray, tol: float) -> int:
+    """How many leading probe momenta have their t, r_left and r_right gaps
+    from ``snapshot`` to ``fine_snapshot``, and both zero-energy gaps,
+    strictly below ``tol``; a NaN or inf entry certifies nothing."""
     n = ENGINE_PROBE_KAPPAS.size
-    bands, banded = [], 0
-    for engine, snapshot in rungs:
-        gap = np.abs(snapshot - fine_snapshot)
-        per_probe = np.maximum(gap[: 3 * n].reshape(3, n).max(axis=0), gap[3 * n :].max())
-        certified = int(np.count_nonzero(np.maximum.accumulate(per_probe) < tol))
-        if certified > banded:
-            bands.append((float(ENGINE_PROBE_KAPPAS[certified - 1]), engine))
-            banded = certified
-    return tuple(bands)
+    gap = np.abs(snapshot - fine_snapshot)
+    per_probe = np.maximum(gap[: 3 * n].reshape(3, n).max(axis=0), gap[3 * n :].max())
+    return int(np.count_nonzero(np.maximum.accumulate(per_probe) < tol))
 
 
 def _plane_matrices(engine: TransferEngine | MeshPair, kappas: np.ndarray) -> np.ndarray:
@@ -482,25 +474,32 @@ class PotentialAnalysis:
 
     @cached_property
     def mesh_pair(self) -> MeshPair:
-        """The first pair (M, M/2) of the halving ladder whose probe data
-        agree to ``solver_tol``, with each coarser rung's band: the probes
-        up to which that rung, checked on the same entries against M/2, is
-        the coarsest to agree."""
+        """The first pair (M, M/2) of the halving ladder that certifies every
+        probe, as a band table: each rung up to M tops at the probes it is
+        the coarsest to certify against M/2, and M/2 takes the rest."""
         s = self.settings
         r = self.radius
         mesh = build_mesh(
             self.potential, -r, r, coarse_h=s.coarse_h, feature_cells=s.feature_cells
         )
-        rungs = []
+        n, rungs = ENGINE_PROBE_KAPPAS.size, []
         for _ in range(s.max_halvings + 1):
             engine = TransferEngine(mesh)
-            t, r_l, r_r = engine.plane_wave_coefficients(ENGINE_PROBE_KAPPAS)
-            c1, c2, scale, _ = zero_energy_tail(engine)
+            # a rung that overflows has NaN or inf entries, which certify nothing
+            with np.errstate(over="ignore", invalid="ignore"):
+                t, r_l, r_r = engine.plane_wave_coefficients(ENGINE_PROBE_KAPPAS)
+                c1, c2, scale, _ = zero_energy_tail(engine)
             snapshot = np.concatenate(
                 [t, r_l, r_r, [complex(c1 / scale), complex(c2 / scale)]]
             )
-            if rungs and float(np.max(np.abs(snapshot - rungs[-1][1]))) < s.solver_tol:
-                return MeshPair(rungs[-1][0], engine, _lower_bands(rungs[:-1], snapshot, s.solver_tol))
+            if rungs and _certified(rungs[-1][1], snapshot, s.solver_tol) == n:
+                bands, banded = [], 0
+                for rung, previous in rungs:
+                    certified = _certified(previous, snapshot, s.solver_tol)
+                    if certified > banded:
+                        bands.append((float(ENGINE_PROBE_KAPPAS[certified - 1]), rung))
+                        banded = certified
+                return MeshPair((*bands, (math.inf, engine)))
             rungs.append((engine, snapshot))
             mesh = mesh.halved(self.potential)
         raise SolverDiverged(

@@ -8,7 +8,13 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
 
 from levlab import propagate, scattering
-from levlab.errors import ClassificationAmbiguous, DecayTooSlow, PhaseJumpTooLarge, ResolutionInsufficient
+from levlab.errors import (
+    ClassificationAmbiguous,
+    DecayTooSlow,
+    PhaseJumpTooLarge,
+    ResolutionInsufficient,
+    SolverDiverged,
+)
 from levlab.loops import Sector, unitarity_defect
 from levlab.potentials import Potential, gaussian_wells, square_well, tabulated_potential, zero_potential
 from levlab.propagate import (
@@ -26,7 +32,7 @@ from levlab.scattering import (
     MeshPair,
     PotentialAnalysis,
     SolverSettings,
-    _lower_bands,
+    _certified,
     _plane_matrices,
     classify_threshold,
     count_bound_states_shooting,
@@ -582,18 +588,22 @@ BAND_EDGE = float(np.max(ENGINE_PROBE_KAPPAS))
 def test_mesh_pair_routes_each_momentum_by_band():
     """Momenta up to the top probe, in any order, come from the coarser mesh
     and the rest from the finer one; the two meshes differ by far more than
-    the batch-dependent rounding at every momentum."""
+    the batch-dependent rounding at every momentum.  A NaN momentum gives
+    NaN, as from one engine."""
     pot = gaussian_wells([(12.0, 0.3, 0.8)])
     mesh = build_mesh(pot, -8.0, 8.0, coarse_h=0.4, feature_cells=4)
     coarse, fine = TransferEngine(mesh), TransferEngine(mesh.halved(pot))
     kappas = np.array([80.0, 3.0, BAND_EDGE, 0.2, np.nextafter(BAND_EDGE, np.inf), 700.0, 20.0])
-    got = _plane_matrices(MeshPair(coarse, fine), kappas)
+    pair = MeshPair(((BAND_EDGE, coarse), (math.inf, fine)))
+    got = _plane_matrices(pair, kappas)
     inside = kappas <= BAND_EDGE
     for engine, band in ((coarse, inside), (fine, ~inside)):
         want = _plane_matrices(engine, kappas[band])
         other = _plane_matrices(fine if engine is coarse else coarse, kappas[band])
         assert np.max(np.abs(got[band] - want)) <= 1e-14
         assert np.min(np.max(np.abs(other - want), axis=(1, 2))) > 1e-10
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(_plane_matrices(pair, np.array([np.nan, 3.0]))[0]).all()
 
 
 def test_lower_band_routes_each_momentum_by_band():
@@ -609,7 +619,7 @@ def test_lower_band_routes_each_momentum_by_band():
     kappas = np.array(
         [80.0, np.nextafter(top, np.inf), 3.0, BAND_EDGE, 0.2, top, np.nextafter(BAND_EDGE, np.inf), 700.0, 1e-3]
     )
-    got = _plane_matrices(MeshPair(coarse, fine, ((top, rung),)), kappas)
+    got = _plane_matrices(MeshPair(((top, rung), (BAND_EDGE, coarse), (math.inf, fine))), kappas)
     lower, upper = kappas <= top, kappas > BAND_EDGE
     engines = (rung, coarse, fine)
     for engine, band in zip(engines, (lower, ~lower & ~upper, upper)):
@@ -625,20 +635,90 @@ def test_lower_band_routes_each_momentum_by_band():
 MEMBERS = pytest.mark.parametrize("member", range(WELL_FAMILY_SIZE), ids=lambda m: f"member-{m}")
 
 
-def test_lower_bands_stop_at_the_first_probe_out_of_tolerance():
+def test_lower_bands_stop_at_the_first_probe_out_of_tolerance(monkeypatch):
     """A rung's band ends below its first probe off M/2 by ``tol``, even if
     later probes agree again; a rung off at the zero-energy entries, or
-    finer than one that reaches further, gets no band.  The rungs are only
-    passed through, so labels stand in for engines."""
-    n, tol = ENGINE_PROBE_KAPPAS.size, 2e-10
+    finer than one that reaches further, gets no band, and neither does M
+    behind a coarser rung that certifies every probe.  The ladder runs on
+    stand-in meshes and engines that replay fixed snapshots, consecutive
+    rungs off by ``tol`` until M meets M/2."""
+    n, tol = ENGINE_PROBE_KAPPAS.size, DEFAULTS.solver_tol
     fine = np.zeros(3 * n + 2, dtype=complex)
     gapped, off_at_zero, close, shorter = (fine + 1e-11 for _ in range(4))
     gapped[n + 4] = tol
-    off_at_zero[-1] = 1j * tol
+    off_at_zero[n + 4], off_at_zero[-1] = -tol, tol
     shorter[2] = -tol
-    rungs = [("gapped", gapped), ("off at zero", off_at_zero), ("close", close), ("shorter", shorter)]
-    bands = _lower_bands(rungs, fine, tol)
-    assert bands == ((ENGINE_PROBE_KAPPAS[3], "gapped"), (ENGINE_PROBE_KAPPAS[-1], "close"))
+    ladder = [gapped, off_at_zero, close, shorter, fine, fine]
+
+    class Rung:
+        def __init__(self, index):
+            self.index = index
+
+        def halved(self, potential):
+            return Rung(self.index + 1)
+
+    class Engine:
+        def __init__(self, mesh):
+            self.index, self.snapshot = mesh.index, ladder[mesh.index]
+
+        def plane_wave_coefficients(self, kappas):
+            return tuple(self.snapshot[: 3 * n].reshape(3, n))
+
+    monkeypatch.setattr(scattering, "build_mesh", lambda *args, **kwargs: Rung(0))
+    monkeypatch.setattr(scattering, "TransferEngine", Engine)
+    monkeypatch.setattr(scattering, "zero_energy_tail", lambda e: (e.snapshot[-2].real, e.snapshot[-1].real, 1.0, 0.0))
+    bands = PotentialAnalysis(square_well(1.0, 1.0)).mesh_pair.bands
+    assert [(top, engine.index) for top, engine in bands] == [
+        (ENGINE_PROBE_KAPPAS[3], 0),
+        (ENGINE_PROBE_KAPPAS[-1], 2),
+        (math.inf, 5),
+    ]
+
+
+@pytest.mark.parametrize("where", ["probe", "zero energy"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e-10, 2e-10])
+def test_certified_counts_every_probe_exactly_when_the_max_gap_is_below_tol(where, bad):
+    """``_certified`` gives all probes exactly when the ladder's old stop
+    test, the max over every entry, holds; a NaN or inf entry, or a gap of
+    ``tol`` itself, certifies nothing from its probe on, and a zero-energy
+    entry holds back every probe."""
+    n, tol = ENGINE_PROBE_KAPPAS.size, 2e-10
+    rng = np.random.default_rng(11)
+    fine = rng.normal(size=3 * n + 2) + 1j * rng.normal(size=3 * n + 2)
+    fine[3 * n :] = fine[3 * n :].real
+    snapshot = fine + 1e-11 * np.exp(2j * np.pi * rng.random(3 * n + 2))
+    at = 2 * n + 6 if where == "probe" else 3 * n + 1
+    fine[at], snapshot[at] = 0.0, bad
+    for a, b in ((snapshot, fine), (fine, snapshot)):
+        got = _certified(a, b, tol)
+        assert (got == n) == bool(np.max(np.abs(a - b)) < tol)
+        assert got == (n if abs(bad) < tol else 6 if where == "probe" else 0)
+    assert _certified(fine + 1e-11, fine, tol) == n
+
+
+def _deep_table(settings=None):
+    """The Gaussian well -1e6 exp(-x^2) tabulated at linspace(-3, 3, 6): its
+    coarsest ladder rung overflows, and the finer ones stay finite."""
+    xs = np.linspace(-3.0, 3.0, 6)
+    return PotentialAnalysis(tabulated_potential(xs, -1e6 * np.exp(-(xs**2))), settings)
+
+
+def test_deep_table_ladder_is_refused_without_a_warning():
+    """The overflowing first rung certifies nothing, and six halvings do
+    not converge: a typed refusal, with no RuntimeWarning, which the suite
+    turns into an error."""
+    analysis = _deep_table()
+    with pytest.raises(SolverDiverged, match="not converged after 6 mesh halvings"):
+        analysis.mesh_pair
+
+
+def test_deep_table_first_rung_takes_no_band():
+    """With nine halvings the ladder converges, and the overflowing first
+    rung takes no band."""
+    analysis = _deep_table(SolverSettings(max_halvings=9))
+    cells = [engine.mesh.n_cells for _, engine in analysis.mesh_pair.bands]
+    assert min(cells) > default_mesh(analysis.potential).n_cells
+    assert cells == [41984, 83968]
 
 
 def _probe_snapshot(engine):
@@ -649,26 +729,28 @@ def _probe_snapshot(engine):
 
 
 def _ladder_below(analysis):
-    """Engines on the rungs of ``analysis``'s halving ladder coarser than M,
-    coarsest first, rebuilt from the default mesh."""
+    """Engines on the rungs of ``analysis``'s halving ladder coarser than
+    M/2, coarsest first and M last, rebuilt from the default mesh."""
     mesh, rungs = default_mesh(analysis.potential), []
-    while mesh.n_cells < analysis.mesh_pair.coarse.mesh.n_cells:
+    while mesh.n_cells < analysis.mesh_pair.fine.mesh.n_cells:
         rungs.append(TransferEngine(mesh))
         mesh = mesh.halved(analysis.potential)
-    assert mesh.n_cells == analysis.mesh_pair.coarse.mesh.n_cells
+    assert mesh.n_cells == analysis.mesh_pair.fine.mesh.n_cells
     return rungs
 
 
 @MEMBERS
 def test_lower_bands_take_the_coarsest_rung_their_probes_certify(well_family, member):
-    """Band tops are ascending probe momenta; each band's engine is a ladder
-    rung coarser than M whose probe data up to the top, and zero-energy
-    data, lie within ``solver_tol`` of M/2's; and no coarser rung's do."""
+    """Band tops are ascending probe momenta, the last one M/2's at inf;
+    each other band's engine is a ladder rung, M or coarser, whose probe
+    data up to the top, and zero-energy data, lie within ``solver_tol`` of
+    M/2's; and no coarser rung's do.  The rungs reach the top probe."""
     analysis = well_family[member]
     pair, tol = analysis.mesh_pair, analysis.settings.solver_tol
-    tops = [top for top, _ in pair.lower_bands]
+    assert pair.bands[-1] == (math.inf, pair.fine)
+    tops = [top for top, _ in pair.bands[:-1]]
     assert all(np.any(ENGINE_PROBE_KAPPAS == top) for top in tops)
-    assert tops == sorted(set(tops))
+    assert tops == sorted(set(tops)) and tops[-1] == BAND_EDGE
     fine_probes, fine_zero = _probe_snapshot(pair.fine)
 
     def certified(engine):
@@ -680,8 +762,8 @@ def test_lower_bands_take_the_coarsest_rung_their_probes_certify(well_family, me
     rungs = _ladder_below(analysis)
     ranks = [certified(engine) for engine in rungs]
     bottom = 0
-    for top, engine in pair.lower_bands:
-        assert engine.mesh.n_cells < pair.coarse.mesh.n_cells
+    for top, engine in pair.bands[:-1]:
+        assert engine.mesh.n_cells < pair.fine.mesh.n_cells
         index = [e.mesh.n_cells for e in rungs].index(engine.mesh.n_cells)
         assert np.array_equal(engine.mesh.edges, rungs[index].mesh.edges)
         reach = int(np.flatnonzero(ENGINE_PROBE_KAPPAS == top)[0]) + 1
@@ -694,17 +776,19 @@ def test_lower_bands_take_the_coarsest_rung_their_probes_certify(well_family, me
 @pytest.mark.parametrize("member", [2, 3])
 def test_members_2_and_3_take_a_lower_band_on_half_of_m(well_family, member):
     pair = well_family[member].mesh_pair
-    (top, engine), = pair.lower_bands
+    (top, engine), (edge, m), (end, fine) = pair.bands
     assert top == ENGINE_PROBE_KAPPAS[-2] and round(top, 2) == 15.03
-    assert engine.mesh.n_cells * 2 == pair.coarse.mesh.n_cells
+    assert (edge, end) == (BAND_EDGE, math.inf)
+    assert engine.mesh.n_cells * 2 == m.mesh.n_cells and m.mesh.n_cells * 2 == fine.mesh.n_cells
 
 
 def test_square_well_takes_no_lower_band():
     """A square well's mesh is exact, so M is the first rung and nothing
     coarser can take a band."""
     pair = PotentialAnalysis(square_well(1.0, 1.0)).mesh_pair
-    assert pair.coarse.mesh.n_cells == default_mesh(square_well(1.0, 1.0)).n_cells
-    assert pair.lower_bands == ()
+    (edge, m), (end, _) = pair.bands
+    assert m.mesh.n_cells == default_mesh(square_well(1.0, 1.0)).n_cells
+    assert (edge, end) == (BAND_EDGE, math.inf)
 
 
 @pytest.fixture(scope="module")
@@ -761,7 +845,9 @@ def test_band_rule_keeps_windings_counts_class_and_delay(well_family, single_mes
 def test_engine_is_the_finer_engine_of_the_pair():
     analysis = PotentialAnalysis(gaussian_wells([(4.0, 0.3, 0.8)]))
     assert analysis.engine is analysis.mesh_pair.fine
-    assert analysis.mesh_pair.coarse.mesh.n_cells * 2 == analysis.engine.mesh.n_cells
+    (edge, m), (end, _) = analysis.mesh_pair.bands[-2:]
+    assert (edge, end) == (BAND_EDGE, math.inf)
+    assert m.mesh.n_cells * 2 == analysis.engine.mesh.n_cells
 
 
 def test_grid_read_again_is_rebuilt_from_the_same_pair():
