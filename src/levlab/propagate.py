@@ -20,7 +20,11 @@ half-step mesh and comparing; the rule converges at sixth order, uniformly in
 kappa because the exponential handles the free oscillation exactly.
 
 One primitive builds the propagators of a block of cells for all requested
-momenta at once, as ``(4, cells, k)`` arrays of the four entries.  The full
+momenta at once, as ``(4, cells, k)`` arrays of the four entries.  Every
+input of its kernel (q = V - kappa^2, the entries of Omega and theta^2) is a
+polynomial of degree at most two in kappa^2, so each is formed for the whole
+block by one small matrix product of the cells' coefficient triples with the
+powers (1, kappa^2, kappa^4), with no per-cell broadcast.  The full
 transfer matrix reduces each block, then the stacked block results, by one
 pairwise tree product (later cells multiply from the left, an odd trailing
 cell is carried up a level), and reduces a stack that outgrows a block on
@@ -160,7 +164,8 @@ def _cosh_sinhc(theta2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     go smoothly to (-1, 0).  Only the entries with t > 0 are overwritten by
     cosh and sinh.
     """
-    h = np.sqrt(np.abs(theta2))
+    h = np.abs(theta2)
+    np.sqrt(h, out=h)
     np.maximum(h, 1e-300, out=h)
     h *= 0.5
     u = np.tan(h)
@@ -262,10 +267,26 @@ class TransferEngine:
         z0 = b / 12.0 + (h * (b * b) / 30.0 - h * (a * a)) / 120.0
         x0 = (-20.0 * h * a + h2 * a * b / 30.0) / 240.0
         x1 = (h2 * h) * a / 180.0
-        # theta^2 = X^2 + Y Z = X^2 + (p0 + p1 q); p0 = 0.0 and p1 = h^2 on a
-        # constant cell.  One row per coefficient, so a block's cells are
-        # gathered by one indexing.
-        self._coefficients = np.stack([mesh.v_mid, x0, x1, y, z0, w, y * z0, y * (y + w)])
+        # theta^2 = X^2 + Y Z = X^2 + p0 + p1 q, with p0 = Y z0 and
+        # p1 = Y (Y + w); p0 = 0.0 and p1 = h^2 on a constant cell.  So every
+        # input of the kernel is a polynomial in kappa^2 of degree at most
+        # two, and each cell keeps one row of five coefficient triples over
+        # the powers (1, kappa^2, kappa^4).  The q triple (V_2, -1, 0) gives
+        # V_2 - kappa^2 bit for bit; on a constant cell the X and z0 + w q
+        # triples are all zero, so both inputs are exactly 0.0.
+        v = mesh.v_mid
+        x_v = x0 + x1 * v  # X at kappa = 0
+        p1 = y * (y + w)
+        triples = [
+            (v, -1.0, 0.0),  # q
+            (x_v, -x1, 0.0),  # X
+            (z0 + w * v, -w, 0.0),  # z0 + w q
+            (y, 0.0, 0.0),  # Y
+            (x_v * x_v + y * z0 + p1 * v, -(2.0 * x_v * x1 + p1), x1 * x1),  # theta^2
+        ]
+        self._table = np.empty((mesh.n_cells, 15))
+        for j, column in enumerate(c for triple in triples for c in triple):
+            self._table[:, j] = column
 
     @property
     def x_min(self) -> float:
@@ -278,37 +299,43 @@ class TransferEngine:
     def _propagators(self, cells, k2: np.ndarray) -> np.ndarray:
         """Entries (e11, e12, e21, e22) of the cell propagators, as
         ``(4, cells, k)``, for the energies ``k2``; ``cells`` is a slice or
-        an index array of the mesh's cells."""
-        v, x0, x1, y, z0, w, p0, p1 = self._coefficients[:, cells, None]
-        q = v - k2
-        x = x1 * q
-        x += x0
-        theta2 = p1 * q
-        theta2 += p0
-        theta2 += x * x
-        c, snc = _cosh_sinhc(theta2)
-        # exp(Omega) = c + snc Omega with Omega = [[X, Y], [Z, -X]]; entry 21
-        # is (snc Y) q + snc (z0 + w q), whose second term is 0.0 on a
-        # constant cell.
-        out = np.empty((4,) + theta2.shape)
-        x *= snc
-        np.add(c, x, out=out[0])
-        np.multiply(snc, y, out=out[1])
-        np.multiply(out[1], q, out=out[2])
-        z = w * q
-        z += z0
-        z *= snc
-        out[2] += z
-        np.subtract(c, x, out=out[3])
+        an index array of the mesh's cells.  The cells' coefficient rows are
+        gathered by one indexing, and each input of the kernel is one product
+        of its triples with the batch's powers (1, kappa^2, kappa^4)."""
+        rows = self._table[cells]
+        powers = np.empty((3, k2.size))
+        powers[0] = 1.0
+        powers[1] = k2
+        np.multiply(k2, k2, out=powers[2])
+        # exp(Omega) = c + snc Omega with Omega = [[X, Y], [Z, -X]].  X,
+        # z0 + w q and Y land in the output rows that become snc X,
+        # snc (z0 + w q) and snc Y, and theta^2 in the row of e11, the last
+        # one written; entry 21 is (snc Y) q + snc (z0 + w q), whose second
+        # term is 0.0 on a constant cell.
+        out = np.empty((4, rows.shape[0], k2.size))
+        q = rows[:, 0:3] @ powers
+        np.matmul(rows[:, 3:6], powers, out=out[3])  # X
+        np.matmul(rows[:, 6:9], powers, out=out[2])  # z0 + w q
+        np.matmul(rows[:, 9:12], powers, out=out[1])  # Y
+        np.matmul(rows[:, 12:15], powers, out=out[0])  # theta^2
+        c, snc = _cosh_sinhc(out[0])
+        out[1:] *= snc
+        np.multiply(out[1], q, out=q)
+        out[2] += q
+        np.add(c, out[3], out=out[0])
+        np.subtract(c, out[3], out=out[3])
         return out
 
     def transfer(self, kappas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Entries (t11, t12, t21, t22) of the full left-to-right transfer
         matrix u(x_max) = T u(x_min), one per momentum.  A batch of more than
-        ``TRANSFER_CHUNK`` momenta is propagated in chunks of that many."""
+        ``TRANSFER_CHUNK`` momenta is propagated in chunks of that many; an
+        empty batch gives four empty arrays."""
         k2 = np.asarray(kappas, dtype=float) ** 2
-        chunks = [self._chunk_transfer(k2[i : i + TRANSFER_CHUNK]) for i in range(0, k2.size, TRANSFER_CHUNK)]
-        return tuple(np.concatenate(chunks, axis=1))
+        out = np.empty((4, k2.size))
+        for i in range(0, k2.size, TRANSFER_CHUNK):
+            out[:, i : i + TRANSFER_CHUNK] = self._chunk_transfer(k2[i : i + TRANSFER_CHUNK])
+        return tuple(out)
 
     def _chunk_transfer(self, k2: np.ndarray) -> np.ndarray:
         """``(4, k)`` transfer entries for the energies ``k2``: each block's

@@ -180,3 +180,116 @@ def test_scattering_grid_matches_libm_kernel(potential, monkeypatch):
     assert np.array_equal(grid.kappas, oracle.kappas)
     assert np.max(np.abs(grid.matrices - oracle.matrices)) <= 1e-12
     assert unitarity_defect(grid.matrices) < 1e-12
+
+
+def _broadcast_coefficients(mesh):
+    """The eight per-cell coefficient rows of the reference kernel: V_2, x0,
+    x1, Y, z0, w, p0 and p1, with X = x0 + x1 q, Z = Y q + z0 + w q and
+    theta^2 = X^2 + p0 + p1 q."""
+    h = np.diff(mesh.edges)
+    h2 = h * h
+    a = (math.sqrt(15.0) / 3.0) * h * (mesh.v_hi - mesh.v_lo)
+    b = (10.0 / 3.0) * h * ((mesh.v_hi - 2.0 * mesh.v_mid) + mesh.v_lo)
+    a2 = (h2 * h) * (a * a) / 30.0
+    y = h + (a2 - (2.0 / 3.0) * h2 * b) / 120.0
+    w = h2 * b / 90.0
+    z0 = b / 12.0 + (h * (b * b) / 30.0 - h * (a * a)) / 120.0
+    x0 = (-20.0 * h * a + h2 * a * b / 30.0) / 240.0
+    x1 = (h2 * h) * a / 180.0
+    return np.stack([mesh.v_mid, x0, x1, y, z0, w, y * z0, y * (y + w)])
+
+
+def _broadcast_propagators(coefficients, cells, k2):
+    """Reference kernel: the cell propagators with each coefficient row
+    broadcast across the momenta, and q = V_2 - kappa^2, X and theta^2
+    formed entry by entry.  Returns the ``(4, cells, k)`` entries and a scale
+    for each: the size of the terms the entry is made of, times 1 + sqrt(T),
+    where T bounds the terms of theta^2.  A rounding of theta^2 moves an
+    entry by its scale times a few ulps at most."""
+    v, x0, x1, y, z0, w, p0, p1 = coefficients[:, cells, None]
+    q = v - k2
+    x = x1 * q
+    x += x0
+    theta2 = p1 * q
+    theta2 += p0
+    theta2 += x * x
+    terms = x * x + np.abs(p0) + np.abs(p1) * (np.abs(v) + k2)
+    c, snc = _cosh_sinhc(theta2)
+    out = np.empty((4,) + theta2.shape)
+    x *= snc
+    np.add(c, x, out=out[0])
+    np.multiply(snc, y, out=out[1])
+    np.multiply(out[1], q, out=out[2])
+    z = w * q
+    z += z0
+    z *= snc
+    out[2] += z
+    np.subtract(c, x, out=out[3])
+    grow = 1.0 + np.sqrt(terms)
+    wave = np.abs(c) + np.abs(snc)
+    scale = np.empty_like(out)
+    scale[0] = scale[3] = grow * (np.abs(c) + np.abs(snc) * np.sqrt(terms) + np.abs(x))
+    scale[1] = grow * np.abs(y) * wave
+    scale[2] = grow * (np.abs(y * q) + np.abs(w * q) + np.abs(z0)) * wave
+    return out, scale
+
+
+KERNEL_ULPS = 4.0
+
+
+def _kernel_gap_in_ulps(engine, coefficients, cells, k2):
+    """Largest gap of the engine's propagators from the broadcast reference,
+    in ulps of each entry's scale."""
+    got = engine._propagators(cells, k2)
+    want, scale = _broadcast_propagators(coefficients, cells, k2)
+    assert got.shape == want.shape
+    return float(np.max(np.abs(got - want) / scale)) / np.finfo(float).eps
+
+
+def test_kernel_matches_the_broadcast_reference_on_random_cells():
+    # Cells as in the single-cell test, up to half a unit wide, with wells
+    # and barriers at every node, at momenta up to 20 and at kappa = 0.
+    rng = np.random.default_rng(17)
+    kappas = np.concatenate([[0.0], np.geomspace(1e-3, 20.0, 40)])
+    for _ in range(5):
+        h = rng.uniform(0.01, 0.5, 200)
+        v_lo, v_mid, v_hi = rng.normal(scale=20.0, size=(3, h.size))
+        mesh = Mesh(edges=np.concatenate([[0.0], np.cumsum(h)]), v_lo=v_lo, v_mid=v_mid, v_hi=v_hi)
+        gap = _kernel_gap_in_ulps(TransferEngine(mesh), _broadcast_coefficients(mesh), slice(None), kappas**2)
+        assert gap <= KERNEL_ULPS
+
+
+@pytest.fixture(scope="module")
+def member_2_engines():
+    """The engines of every band of conftest member 2's converged ladder."""
+    analysis = PotentialAnalysis(gaussian_wells(random_well_family()[2]))
+    return [engine for _, engine in analysis.mesh_pair.bands]
+
+
+@pytest.mark.parametrize("width", [1, 2, 10, 137, 4097])
+def test_kernel_matches_the_broadcast_reference_on_member_2(member_2_engines, width):
+    # Every block ``transfer`` builds, in tree order, over the grid's span of
+    # momenta.  4097 momenta go in two chunks, 4096 and 1, and are checked on
+    # the coarsest band's mesh alone, whose 176 blocks of four cells take a
+    # fifth of the time of all three meshes.
+    k2_all = np.geomspace(1e-4, 1e3, width) ** 2
+    engines = member_2_engines if width <= propagate.TRANSFER_CHUNK else member_2_engines[:1]
+    for engine in engines:
+        n, coefficients = engine.mesh.n_cells, _broadcast_coefficients(engine.mesh)
+        for i in range(0, width, propagate.TRANSFER_CHUNK):
+            k2 = k2_all[i : i + propagate.TRANSFER_CHUNK]
+            rows = max(1, propagate.BLOCK_ELEMENTS // k2.size)
+            gaps = [
+                _kernel_gap_in_ulps(engine, coefficients, j + propagate._tree_order(min(rows, n - j)), k2)
+                for j in range(0, n, rows)
+            ]
+            assert max(gaps) <= KERNEL_ULPS, (n, k2.size)
+
+
+def test_zero_energy_kernel_matches_the_broadcast_reference(member_2_engines):
+    # The slice call of the zero-energy solution, at kappa^2 = 0.
+    for engine in member_2_engines:
+        coefficients = _broadcast_coefficients(engine.mesh)
+        for j in range(0, engine.mesh.n_cells, propagate.BLOCK_ELEMENTS):
+            cells = slice(j, j + propagate.BLOCK_ELEMENTS)
+            assert _kernel_gap_in_ulps(engine, coefficients, cells, np.zeros(1)) <= KERNEL_ULPS

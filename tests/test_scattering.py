@@ -606,6 +606,20 @@ def test_mesh_pair_routes_each_momentum_by_band():
         assert np.isnan(_plane_matrices(pair, np.array([np.nan, 3.0]))[0]).all()
 
 
+def test_empty_batch_gives_empty_arrays():
+    """An empty batch of momenta gives four empty transfer entries, and three
+    empty amplitudes from one engine and from a mesh pair alike."""
+    pot = gaussian_wells([(12.0, 0.3, 0.8)])
+    mesh = build_mesh(pot, -8.0, 8.0, coarse_h=0.4, feature_cells=4)
+    engine = TransferEngine(mesh)
+    entries = engine.transfer([])
+    assert len(entries) == 4 and all(e.shape == (0,) and e.dtype == float for e in entries)
+    pair = MeshPair(((BAND_EDGE, engine), (math.inf, TransferEngine(mesh.halved(pot)))))
+    for source in (engine, pair):
+        amplitudes = source.plane_wave_coefficients([])
+        assert len(amplitudes) == 3 and all(a.shape == (0,) and a.dtype == complex for a in amplitudes)
+
+
 def test_lower_band_routes_each_momentum_by_band():
     """With one lower band, momenta up to its top, in any order, come from
     its rung, the next up to the top probe from M and the rest from M/2;
