@@ -7,6 +7,10 @@ Everything the index bookkeeping needs from a potential is produced here:
   the nodes up to each probe momentum are propagated on the coarsest rung,
   M at the latest, that certifies it against M/2, and nodes above the top
   probe, which no probe certifies, on M/2,
+* the tail momentum K beyond which a Jost-function bound certifies S in
+  closed form (``TAIL_X``): the momentum side that the certificates read
+  stops at the first initial grid node at or above K, and the identity
+  closes it, while the dumped grid runs on to ``kappa_max``,
 * the threshold class (generic, or exceptional with the asymptotic ratio
   gamma of the bounded zero-energy solution) with an independent cross-check
   against a small-momentum extrapolation of the scattering matrix itself,
@@ -24,9 +28,10 @@ Everything the index bookkeeping needs from a potential is produced here:
   with the point interactions.
 
 Matrices are kept in the plane-wave basis (transmission on the diagonal);
-the index constructions read their even-odd stack, where the threshold forms
-are real orthogonal.  ``ScatteringData``'s two CSV dumps read it in array
-passes: one unwrap, one batched ``eig``, one row writer.
+the index constructions read the even-odd stack of the side that stops at K,
+where the threshold forms are real orthogonal.  ``ScatteringData``'s two CSV
+dumps read the even-odd stack of the whole grid in array passes: one unwrap,
+one batched ``eig``, one row writer.
 """
 
 from __future__ import annotations
@@ -88,6 +93,26 @@ SHALLOW_DECAY_LENGTHS = 8.0
 # with M/2 at every probe up to it, and M at the latest reaches the last.
 ENGINE_PROBE_KAPPAS = np.geomspace(1e-3, 50.0, 10)
 ENGINE_PROBE_KAPPAS.flags.writeable = False
+# Largest ``kappa_max``: the kernel forms kappa^4, which overflows above
+# kappa = 1.16e77.
+KAPPA_MAX_CAP = 1e76
+# The infinite-energy end in closed form.  With I = integral |V| and
+# x = I / kappa, the Jost-function bound |m - 1| <= exp(x) - 1 (P. Deift and
+# E. Trubowitz, Comm. Pure Appl. Math. 32 (1979) 121; R. G. Newton,
+# Scattering Theory of Waves and Particles, 1982, ch. 12) puts a = 1/t within
+# beta = (x/2)(e^x - 1) of its Born value a_B = 1 + i integral V / (2 kappa),
+# and Re a_B = 1.  So |a| >= 1 - beta and |a - 1| <= beta + x/2, which bound
+# |t - 1| = |a - 1| / |a| by (beta + x/2) / (1 - beta); and by the Wronskian
+# |r_l r_r| = 1 - |a|^-2, with |a| <= 1 + beta + x/2.  Every eigenvalue
+# t +- sqrt(r_l r_r) of S(kappa), and with it each parity sector's entry of a
+# symmetric potential, therefore lies within
+#     B(x) = (beta + x/2) / (1 - beta) + sqrt(1 - (1 + beta + x/2)^-2)
+# of 1.  B increases, and TAIL_X solves B(x) = 1, so for kappa >= K = I / TAIL_X
+# every eigenphase stays within +-60 degrees: the chord from S(K) to the
+# identity winds exactly the phase that remains, and the time delay's last
+# step stays far inside its pi/2 guard.  B reaches sqrt(2), the 90 degree
+# limit, only at x = 0.577, so an I up to 28% low is still safe.
+TAIL_X = 0.4146996400435798
 
 
 def check_knob(name: str, value, *, integer: bool) -> None:
@@ -105,8 +130,11 @@ class SolverSettings:
 
     The defaults satisfy every tolerance used in the test suite; loosen them
     only for exploratory runs.  ``kappa_min`` and ``kappa_max`` bound the
-    momentum grid.  ``dead_zone`` brackets the normalised slope of the
-    zero-energy tail inside which neither threshold class can be certified.
+    momentum grid that the CSV dumps read; ``kappa_max`` is at most
+    ``KAPPA_MAX_CAP``.  It bounds the side that the certificates read only
+    when the tail momentum K (``TAIL_X``) exceeds it, since that side stops
+    at K.  ``dead_zone`` brackets the normalised slope of the zero-energy
+    tail inside which neither threshold class can be certified.
     """
 
     kappa_min: float = 1e-4
@@ -133,8 +161,9 @@ class SolverSettings:
 
     def __post_init__(self):
         """Every knob passes ``check_knob`` for its field's type, ``dead_zone``
-        increases, ``kappa_min`` lies below ``kappa_max`` and ``fd_growth``
-        exceeds 1, so the finite-difference count is checked on a larger box."""
+        increases, ``kappa_min`` lies below ``kappa_max``, ``kappa_max`` is at
+        most ``KAPPA_MAX_CAP`` and ``fd_growth`` exceeds 1, so the
+        finite-difference count is checked on a larger box."""
         if not (isinstance(self.dead_zone, tuple) and len(self.dead_zone) == 2):
             raise TypeError(f"dead_zone must be a pair of numbers, got {self.dead_zone!r}")
         for field in fields(self):
@@ -145,6 +174,8 @@ class SolverSettings:
             raise ValueError(f"dead_zone must increase, got {self.dead_zone!r}")
         if not self.kappa_min < self.kappa_max:
             raise ValueError(f"kappa_min {self.kappa_min!r} must lie below kappa_max {self.kappa_max!r}")
+        if not self.kappa_max <= KAPPA_MAX_CAP:
+            raise ValueError(f"kappa_max must be at most {KAPPA_MAX_CAP:g}, got {self.kappa_max!r}")
         if not self.fd_growth > 1.0:
             raise ValueError(f"fd_growth must exceed 1, got {self.fd_growth!r}")
 
@@ -278,7 +309,11 @@ def _plane_matrices(engine: TransferEngine | MeshPair, kappas: np.ndarray) -> np
 
 
 def s_matrix_grid(
-    engine: TransferEngine | MeshPair, settings: SolverSettings, *, symmetric: bool = False
+    engine: TransferEngine | MeshPair,
+    settings: SolverSettings,
+    *,
+    symmetric: bool = False,
+    top: float = math.inf,
 ) -> ScatteringData:
     """Plane-basis scattering matrices on a refined geometric momentum grid.
 
@@ -287,12 +322,15 @@ def s_matrix_grid(
     for unambiguous phase tracking.  ``engine`` is one ``TransferEngine``, or
     a ``MeshPair`` that takes each momentum from the mesh of its band; the
     refinement reads only the matrices, so both give the same rule.
-    ``symmetric`` is passed on to the result.
+    ``symmetric`` is passed on to the result.  The grid keeps the initial
+    nodes up to and including the first at or above ``top``, and at least
+    two; a ``top`` above ``kappa_max`` keeps them all.
     """
     decades = math.log10(settings.kappa_max / settings.kappa_min)
     # at least both ends, however short the span
     n0 = max(2, int(round(decades * settings.points_per_decade)) + 1)
     kappas = np.geomspace(settings.kappa_min, settings.kappa_max, n0)
+    kappas = kappas[: max(2, int(np.searchsorted(kappas, top)) + 1)]
     mats = _plane_matrices(engine, kappas)
     for _ in range(settings.max_refine_rounds):
         dphi = np.abs(phase_steps(np.linalg.det(mats)))
@@ -513,8 +551,27 @@ class PotentialAnalysis:
 
     @cached_property
     def scattering(self) -> ScatteringData:
-        """Plane-basis S on the refined grid, each node on the mesh of its band of ``mesh_pair``."""
+        """Plane-basis S on the refined grid up to ``kappa_max``, each node on
+        the mesh of its band of ``mesh_pair``: the grid the CSV dumps read."""
         return s_matrix_grid(self.mesh_pair, self.settings, symmetric=self.potential.symmetric)
+
+    @cached_property
+    def tail_momentum(self) -> float:
+        """K = I / ``TAIL_X``, from which on S is certified in closed form;
+        I = integral |V| by three-point Gauss quadrature over M/2's cells."""
+        mesh = self.engine.mesh
+        weighted = 5.0 * np.abs(mesh.v_lo) + 8.0 * np.abs(mesh.v_mid) + 5.0 * np.abs(mesh.v_hi)
+        return float(np.diff(mesh.edges) @ weighted) / 18.0 / TAIL_X
+
+    @cached_property
+    def side(self) -> ScatteringData:
+        """The momentum side that the certificates read: ``scattering``'s
+        grid stopped at ``tail_momentum``, refined by the same rule, and
+        closed by the identity in ``_b2_nodes``.  Where K is at or above
+        ``kappa_max`` it is the whole grid."""
+        return s_matrix_grid(
+            self.mesh_pair, self.settings, symmetric=self.potential.symmetric, top=self.tail_momentum
+        )
 
     @cached_property
     def resonance(self) -> ResonanceClass:
@@ -579,9 +636,9 @@ class PotentialAnalysis:
             )
 
     def _b2_nodes(self, sector: Sector) -> np.ndarray:
-        """B2's node values: the threshold form, the grid's scattering
+        """B2's node values: the threshold form, the side's scattering
         matrices in the even-odd basis, and the identity at infinite momentum."""
-        grid = self.scattering.even_odd
+        grid = self.side.even_odd
         start = restrict(threshold_matrix(self.sector_resonance(sector)), sector)
         return np.concatenate([[start], restrict(grid, sector), [_I2]])
 

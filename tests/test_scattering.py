@@ -86,8 +86,9 @@ def test_grid_is_unitary_and_ascending():
 
 
 def test_grid_is_converted_to_even_odd_once(monkeypatch, tmp_path):
-    """Every sector report, the delay and the phase dump read one even-odd
-    stack; only the classifier's 2-node probe converts on its own."""
+    """Every sector report and the delay read the side's one even-odd stack,
+    and the phase dump the whole grid's; only the classifier's 2-node probe
+    converts on its own."""
     sizes = []
 
     def counting(matrices):
@@ -100,7 +101,7 @@ def test_grid_is_converted_to_even_odd_once(monkeypatch, tmp_path):
         analysis.report(sector)
     analysis.time_delay()
     analysis.scattering.write_phase_csv(tmp_path / "p.csv")
-    assert [n for n in sizes if n != 2] == [analysis.scattering.kappas.size]
+    assert [n for n in sizes if n != 2] == [analysis.side.kappas.size, analysis.scattering.kappas.size]
 
 
 def test_symmetric_eigenphases_follow_the_diagonal_slots():
@@ -808,12 +809,14 @@ def test_square_well_takes_no_lower_band():
 @pytest.fixture(scope="module")
 def single_mesh_family(well_family):
     """Each conftest member analysed with every grid node on the finer mesh
-    M/2, as before the band rule: same engine, grid from one engine."""
+    M/2, as before the band rule: same engine, grid and side from one engine."""
     out = []
     for member in well_family:
         ref = PotentialAnalysis(member.potential, member.settings)
         ref.engine = member.engine
-        ref.scattering = s_matrix_grid(member.engine, member.settings, symmetric=member.potential.symmetric)
+        symmetric = member.potential.symmetric
+        ref.scattering = s_matrix_grid(member.engine, member.settings, symmetric=symmetric)
+        ref.side = s_matrix_grid(member.engine, member.settings, symmetric=symmetric, top=member.tail_momentum)
         out.append(ref)
     return out
 

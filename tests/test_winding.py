@@ -424,7 +424,7 @@ def _assert_windings_match_polar_reference(analysis):
     sectors = [Sector.FULL]
     if analysis.potential.symmetric:
         sectors += [Sector.EVEN, Sector.ODD]
-    kappas = analysis.scattering.kappas
+    kappas = analysis.side.kappas
     params = np.concatenate([[0.0], kappas / (1.0 + kappas), [1.0]])
     for sector in sectors:
         report = analysis.report(sector)
