@@ -80,11 +80,10 @@ THRESHOLD_EIGENVALUE_C1 = 1e-6
 SYMMETRIC_GAMMA_TOL = 1e-3
 # Largest initial finite-difference box half-width; growth may still exceed it.
 FD_BOX_CAP = 2000.0
-# Wells with integrated |V| below this bind weakly: their box is widened to
-# SHALLOW_DECAY_LENGTHS decay lengths of the weakest binding momentum, taken
-# as SHALLOW_MOMENTUM_FACTOR times the strength and at least
-# SHALLOW_MOMENTUM_FLOOR.
-SHALLOW_STRENGTH = 1.2
+# The first box also spans SHALLOW_DECAY_LENGTHS decay lengths of the weakest
+# binding momentum, taken as SHALLOW_MOMENTUM_FACTOR times the integrated |V|
+# and at least SHALLOW_MOMENTUM_FLOOR.  Only weak wells need it: from
+# integrated |V| = 1.2 up it is at most 14.8, below the default fd_min_box.
 SHALLOW_MOMENTUM_FACTOR = 0.45
 SHALLOW_MOMENTUM_FLOOR = 5e-3
 SHALLOW_DECAY_LENGTHS = 8.0
@@ -414,16 +413,16 @@ def classify_threshold(engine: TransferEngine, settings: SolverSettings) -> Reso
 def count_bound_states_shooting(engine: TransferEngine, settings: SolverSettings) -> int:
     """Bound states as nodes of the zero-energy solution flat at the left.
 
-    Sign changes at cell edges count interior nodes; a final node hiding in
-    the linear tail beyond the propagation interval is counted when the tail
-    slope actually reaches zero within the configured horizon.
+    Sign changes at cell edges count interior nodes.  Past the right edge
+    x_r the solution runs straight, psi(x_r) + psi'(x_r) (x - x_r); its
+    node there is counted when the line heads for zero and reaches it
+    within the configured horizon.
     """
-    _, psi, _ = engine.edge_states()
+    _, psi, dpsi = engine.edge_states()
     signs = np.sign(psi)
     signs = signs[signs != 0.0]
     nodes = int(np.sum(signs[:-1] * signs[1:] < 0))
-    c1, c2, _, _ = zero_energy_tail(engine)
-    end = c1 + c2 * engine.x_max
+    end, c2 = float(psi[-1]), float(dpsi[-1])
     horizon = settings.shooting_horizon * max(1.0, engine.x_max)
     if end * c2 < 0.0 and abs(c2) * horizon > abs(end):
         nodes += 1
@@ -435,16 +434,14 @@ def count_bound_states_fd(potential: Potential, radius: float, settings: SolverS
     the full line.
 
     Independent of the propagation route: no transfer matrices, no shooting.
-    The box starts large enough for the weak-coupling tail estimate and keeps
-    growing until the count stops changing; resolution is certified by grid
-    doubling inside the counter itself.
+    The first box covers ``fd_min_box``, the radius with its margin and the
+    weak-coupling decay lengths, up to FD_BOX_CAP; it keeps growing until the
+    count stops changing.  Grid doubling inside the counter certifies h.
     """
     strength = integrated_absolute(potential, max(radius, 8.0))
-    box = max(settings.fd_min_box, settings.fd_box_margin * radius + 8.0)
-    if strength < SHALLOW_STRENGTH:
-        momentum = max(SHALLOW_MOMENTUM_FACTOR * strength, SHALLOW_MOMENTUM_FLOOR)
-        box = max(box, SHALLOW_DECAY_LENGTHS / momentum)
-    box = min(box, FD_BOX_CAP)
+    momentum = max(SHALLOW_MOMENTUM_FACTOR * strength, SHALLOW_MOMENTUM_FLOOR)
+    reach = max(settings.fd_min_box, settings.fd_box_margin * radius + 8.0, SHALLOW_DECAY_LENGTHS / momentum)
+    box = min(reach, FD_BOX_CAP)
     count = fd_negative_eigenvalue_count(potential, box, settings.fd_h)
     for _ in range(settings.fd_max_growth):
         bigger = settings.fd_growth * box

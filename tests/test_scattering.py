@@ -1,6 +1,7 @@
 """Numerical scattering pipeline: grids, bases, threshold classification."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -493,6 +494,16 @@ def test_zero_energy_solution_is_computed_once():
     assert count_bound_states_shooting(engine, settings) == count_bound_states_shooting(fresh, settings)
     assert zero_energy_tail(engine) == zero_energy_tail(fresh)
     assert np.array_equal(engine.edge_states()[1], fresh.edge_states()[1])
+
+
+def test_shooting_counts_the_node_just_past_the_edge():
+    # psi(x_r) = -1e-17 heads for zero with slope 1: the node sits 1e-17 past
+    # the edge, where c1 + c2 x_r, with c1 = psi(x_r) - c2 x_r, rounds to 0.
+    edges = np.array([0.0, 1.0])
+    engine = types.SimpleNamespace(
+        edge_states=lambda: (edges, np.array([1.0, -1e-17]), np.array([-1.0, 1.0])), x_max=1.0
+    )
+    assert count_bound_states_shooting(engine, SolverSettings()) == 2
 
 
 

@@ -15,8 +15,9 @@ from scipy.optimize import brentq
 from levlab.errors import ClassificationAmbiguous, SymmetryRequired
 from levlab.loops import Sector
 from levlab.potentials import Potential, gaussian_wells, square_well
-from levlab.reporting import tuned_resonance_depth
-from levlab.scattering import PotentialAnalysis, zero_energy_tail_slope
+from levlab.propagate import fd_negative_eigenvalue_count
+from levlab.reporting import tuned_exceptional_well, tuned_resonance_depth
+from levlab.scattering import PotentialAnalysis, SolverSettings, zero_energy_tail_slope
 
 STEP = 0.15
 
@@ -109,6 +110,26 @@ def test_even_resonance_counts(at_even):
     even = at_even.report(Sector.EVEN)
     odd = at_even.report(Sector.ODD)
     assert even.n_bound == 1 and odd.n_bound == 1
+
+
+@pytest.mark.parametrize("variant, shooting", [("even", 2), ("odd", 1)])
+def test_fd_count_matches_shooting_at_a_half_bound_state(variant, shooting):
+    """Each tuned well starts the FD count at box 40 and doubles it at most
+    ``fd_max_growth`` = 5 times; every box up to 40 * 2^7 counts as
+    shooting does.
+
+    Measured limit, not asserted: the even well's count at ``fd_h`` reads 3
+    at boxes 16000 and 32000, where the count at h/2 reads 2, so the
+    counter refuses; from 64000 up both read 3, because the three-point
+    lattice binds the even half-bound state.  The odd well reads 1 at every
+    box up to 128000.  Off the doubling ladder the count at h already flips
+    at some boxes, from about 42.5 on the even well and 165 on the odd,
+    where the count at h/2 does not, so the counter refuses.
+    """
+    well = tuned_exceptional_well(variant)
+    h = SolverSettings().fd_h
+    for j in range(8):
+        assert fd_negative_eigenvalue_count(well, 40.0 * 2**j, h) == shooting
 
 
 def test_sector_reports_need_symmetry():
