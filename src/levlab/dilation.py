@@ -24,12 +24,14 @@ reference w to a few parts in 1e14 in the upper half-plane.
 
 The Mellin convention is M f(s) = (2 pi)^(-1/2) * integral_0^inf
 x^(-1/2 - i s) f(x) dx, evaluated after x = exp(u) as an ordinary Fourier
-sum from a uniform u grid to a uniform s grid.  The s grid is the
-reciprocal lattice of the u grid, so that sum is one zero-padded FFT per
-spectrum, and a spectral range past the Nyquist frequency pi / du is
-refused, as is a probe whose spectrum the s range cuts off; the inverse is
-a dense sum at the few ray points the check needs, with its kernel kept for
-the last targets.
+sum from a uniform u grid to a uniform s grid.  Below the grid's first
+point the function is held at its first sample, so the sum continues to
+u = -inf as a geometric series in closed form instead of stopping with an
+error of e^(u_min / 2) f(0).  The s grid is the reciprocal lattice of the u
+grid, so the sampled part is one zero-padded FFT per spectrum, and a
+spectral range past the Nyquist frequency pi / du is refused, as is a probe
+whose spectrum the s range cuts off; the inverse is a dense sum at the few
+ray points the check needs, with its kernel kept for the last targets.
 """
 
 from __future__ import annotations
@@ -268,15 +270,23 @@ class MellinEvaluator:
     Forward: phi(s) = (du / sqrt(2 pi)) * sum_u exp(-i sign s u) e^(u/2) f(e^u).
     Inverse at target x: x^(-1/2) (ds / sqrt(2 pi)) * sum_s exp(i sign s ln x) phi(s).
 
+    The forward sum runs over u_n = u_0 + n du for every integer n up to
+    u_max, with f(e^u) held at its first sample f(x_0) for n < 0.  That
+    continued part is f(x_0) e^(w u_0) q / (1 - q), with w = 1/2 - i sign s
+    and q = e^(-w du), one vector per grid.  Below x_0 a smooth f differs
+    from f(x_0) by O(x_0), so the continued sum is off by about
+    e^(3 u_0 / 2), 2e-16 at the default u_0 = -24.
+
     The s grid is the reciprocal lattice of the u grid: s_j = j ds with
     ds = 2 pi / (N du) and |s_j| <= s_max.  On u_n = u_0 + n du the phase
-    s_j u_n is s_j u_0 + 2 pi j n / N, so the forward sum is one FFT of N
+    s_j u_n is s_j u_0 + 2 pi j n / N, so the sampled part is one FFT of N
     points read at bins (sign j) mod N, times exp(-i sign s_j u_0).  A
-    spectrum sampled at step ds inverts to a function of period N du in u;
-    N is the smallest power of two of at least twice the u samples, so the
-    periodic images of a multiplied spectrum sit one full span away from
-    the data.  The sum is periodic in s with period 2 pi / du, so a grid
-    with s_max >= pi / du would alias and is refused.
+    spectrum sampled at step ds inverts to a function of period P = N du in
+    u.  N is the smallest power of two of at least twice the u samples: the
+    multiplied function decays like e^(-|u| / 2) away from the ray targets,
+    so its images one period away contribute about e^(-(P - 5) / 2), below
+    1e-16 at the default P = 82.  The sum is periodic in s with period
+    2 pi / du, so a grid with s_max >= pi / du would alias and is refused.
 
     ``sign = +1`` is the convention the multiplier statement refers to;
     flipping it reverses the spectral axis and must wreck the identity, which
@@ -286,9 +296,9 @@ class MellinEvaluator:
     def __init__(
         self,
         *,
-        u_min: float = -44.0,
+        u_min: float = -24.0,
         u_max: float = 4.0,
-        du: float = 0.02,
+        du: float = 0.04,
         s_max: float = 48.0,
         sign: float = 1.0,
     ):
@@ -314,6 +324,10 @@ class MellinEvaluator:
         self._bins = (int(sign) * j) % self._fft_size
         self._weight = np.exp(0.5 * self.u)
         self._phase = np.exp(-1j * sign * self.s * self.u[0]) * (self.du / _SQRT_2PI)
+        # The sum continued below u_0 with f held at its first sample:
+        # sum_(m >= 1) e^(w (u_0 - m du)) = e^(w u_0) / (e^(w du) - 1).
+        w = 0.5 - 1j * sign * self.s
+        self._tail = np.exp(w * self.u[0]) / np.expm1(w * self.du) * (self.du / _SQRT_2PI)
         # The universal multipliers on the spectral grid, shared by every probe.
         self.r_even = r_even(self.s)
         self.r_odd = r_odd(self.s)
@@ -329,8 +343,9 @@ class MellinEvaluator:
 
     def forward(self, samples: np.ndarray) -> np.ndarray:
         """Mellin spectrum of a function given by its values on ``self.x``."""
-        spectrum = np.fft.fft(self._weight * np.asarray(samples), self._fft_size)
-        return self._phase * spectrum[self._bins]
+        samples = np.asarray(samples)
+        spectrum = np.fft.fft(self._weight * samples, self._fft_size)
+        return self._phase * spectrum[self._bins] + samples[0] * self._tail
 
     def inverse_at(self, spectrum: np.ndarray, x) -> np.ndarray:
         """Inverse transform of a spectrum, evaluated at positive targets.

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import herm2poly
-from scipy.special import wofz
+from scipy.special import loggamma, wofz
 
 from levlab.dilation import (
     GAUSSIAN,
@@ -53,11 +53,15 @@ def trapezoid_fourier(fn, ks, half_span, dx=0.002):
 
 
 def dense_forward(ev, samples, rows=512):
-    """The forward Mellin sum term by term, a few hundred s rows at a time;
-    independent oracle for the single FFT on the reciprocal grid."""
-    h = np.exp(0.5 * ev.u) * samples
+    """The forward Mellin sum term by term, a few hundred s rows at a time,
+    continued below u_min with the first sample held for the next 80 / du
+    steps, where e^(u/2) has fallen by e^-40; independent oracle for the
+    single FFT on the reciprocal grid and its closed-form tail."""
+    below = ev.u[0] - ev.du * np.arange(int(80.0 / ev.du), 0, -1)
+    u = np.concatenate((below, ev.u))
+    h = np.exp(0.5 * u) * np.concatenate((np.full(below.size, samples[0]), samples))
     out = np.concatenate(
-        [np.exp(-1j * ev.sign * np.outer(ev.s[i : i + rows], ev.u)) @ h for i in range(0, ev.s.size, rows)]
+        [np.exp(-1j * ev.sign * np.outer(ev.s[i : i + rows], u)) @ h for i in range(0, ev.s.size, rows)]
     )
     return out * ev.du / np.sqrt(2.0 * np.pi)
 
@@ -328,6 +332,20 @@ def test_forward_matches_the_dense_sum(grid, sign):
     assert np.max(np.abs(ev.forward(samples) - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+@pytest.mark.parametrize("width", (0.7, 1.0, 1.5))
+def test_forward_matches_the_gamma_function(width, sign, evaluator):
+    # M exp(-x^2 / 2 w^2)(s) = (2 w^2)^z Gamma(z) / (2 sqrt(2 pi)),
+    # z = (1/2 - i sign s) / 2; cutting the sum at u_min instead of
+    # continuing it would leave e^(u_min / 2) / |1/2 - i s|, 2e-10 to 3e-10
+    # of the peak even at u_min = -44
+    ev = evaluator if sign > 0 else MellinEvaluator(sign=sign)
+    z = 0.5 * (0.5 - 1j * sign * ev.s)
+    exact = np.exp(z * np.log(2.0 * width**2) + loggamma(z)) / (2.0 * np.sqrt(2.0 * np.pi))
+    spectrum = ev.forward(ProbeFunction(GAUSSIAN, width=width).value(ev.x))
+    assert np.max(np.abs(spectrum - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+
 @pytest.mark.parametrize(
     "grid",
     (
@@ -470,7 +488,7 @@ UNRESOLVED_PROBES = (
 @pytest.mark.parametrize("sign", (1.0, -1.0))
 @pytest.mark.parametrize("fn", RESOLVED_PROBES, ids=lambda f: f.label)
 def test_resolved_probes_pass_the_spectrum_edge_check(fn, sign):
-    # edge-to-peak ratios up to 3.2e-11; flipping the sign reverses the
+    # edge-to-peak ratios up to 4.8e-11; flipping the sign reverses the
     # spectral axis, which keeps both edges
     residual = identity_residual(fn, MellinEvaluator(sign=sign))
     assert residual < 1e-10 if sign > 0 else residual > 0.3
@@ -478,7 +496,7 @@ def test_resolved_probes_pass_the_spectrum_edge_check(fn, sign):
 
 @pytest.mark.parametrize("fn", UNRESOLVED_PROBES, ids=lambda f: f.label)
 def test_probes_the_grid_cannot_resolve_are_refused(fn, evaluator):
-    # edge-to-peak ratios 2.6e-9 to 0.74, residuals 1.1e-9 to 0.31
+    # edge-to-peak ratios 4.3e-9 to 0.73, residuals 2.9e-10 to 0.31
     with pytest.raises(ResolutionInsufficient, match="edge of the s grid"):
         identity_residual(fn, evaluator)
 
@@ -495,8 +513,20 @@ def test_padding_keeps_periodic_images_off_the_data():
     # points would let the periodic images of the multiplied spectrum fold
     # back onto the data (residuals near 9e-9); twice the samples keep them
     # a full span away
-    for label, residual in suite_residuals(MellinEvaluator(u_min=-36.9)):
+    for label, residual in suite_residuals(MellinEvaluator(u_min=-36.9, du=0.02)):
         assert residual < 1e-10, label
+
+
+def test_periodic_images_set_the_shortest_grid():
+    # the multiplied function decays like e^(-|u| / 2) away from the ray
+    # targets, so its images one period P away come back at about
+    # e^(-(P - 5) / 2): at u_min = -16 the 501 samples take a 1024-point FFT,
+    # P = 41, and the residuals reach 9.1e-9; the default grid's 701 samples
+    # take 2048 points, P = 82
+    shortest = [residual for _, residual in suite_residuals(MellinEvaluator(u_min=-16.0))]
+    assert 1e-9 < max(shortest) < 1e-7
+    for label, residual in suite_residuals(MellinEvaluator()):
+        assert residual < 1e-12, label
 
 
 def test_flipped_spectral_axis_breaks_identity():
